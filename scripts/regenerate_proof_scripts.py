@@ -24,14 +24,13 @@ from omegatruth.theorems import (
 OUT = Path(__file__).resolve().parent / "proofs"
 
 
-def main() -> int:
-    OUT.mkdir(parents=True, exist_ok=True)
+def bundle() -> dict:
+    """Script name -> (theory, checked in-memory derivation)."""
     zero = Eq(ZERO, ZERO)
     z01 = Eq(ZERO, Succ(ZERO))
-
     ref = mcgee_original(GAMMA)
     ref2 = mcgee_via_loeb(GAMMA)
-    bundle = {
+    return {
         "mcgee_positive": ("gamma", ref.positive),
         "mcgee_negative": ("gamma", ref.negative),
         "mcgee_via_loeb_positive": ("gamma", ref2.positive),
@@ -42,9 +41,16 @@ def main() -> int:
         "formalized_loeb_zero_one": ("sigma", formalized_loeb(tomega_provability(), z01, SIGMA)),
     }
 
+
+def script_text(theory: str, cert) -> str:
+    return serialize_script(cert.proof, theory, samples=cert.theory.omega_samples)
+
+
+def main() -> int:
+    OUT.mkdir(parents=True, exist_ok=True)
     manifest = {}
-    for name, (theory, cert) in bundle.items():
-        text = serialize_script(cert.proof, theory, samples=cert.theory.omega_samples)
+    for name, (theory, cert) in bundle().items():
+        text = script_text(theory, cert)
         path = OUT / f"{name}.proof"
         path.write_text(text, encoding="utf-8")
         config = GAMMA if theory == "gamma" else SIGMA

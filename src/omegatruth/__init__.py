@@ -13,8 +13,8 @@ from .syntax import (
     pretty_print, substitute,
 )
 from .coding import (
-    decode, diagonal_pair, diagonal_sentence, dot_term, encode, iter_fn,
-    name_of, omega_truth, sub_fn, value,
+    decode, diagonal_pair, dot_term, encode, iter_fn, name_of, omega_truth,
+    sub_fn, value,
 )
 from .kernel import (
     Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, MissingSchema, Omega,

@@ -92,13 +92,11 @@ def _cmd_check(args) -> int:
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
     script = parse_script(text)
-    theory = args.theory or script.theory or "gamma"
-    base = GAMMA if theory == "gamma" else SIGMA
-    samples = args.samples if args.samples is not None else (script.samples or 8)
-    kwargs = {"omega_samples": samples}
-    if args.max_omega != "unlimited":
-        kwargs["max_omega_count"] = int(args.max_omega)
-    cert = check(script.proof, replace(base, **kwargs))
+    # command-line options override the script's header
+    args.theory = args.theory or script.theory or "gamma"
+    if args.samples is None:
+        args.samples = script.samples or 8
+    cert = check(script.proof, _config(args))
     if args.json:
         print(json.dumps(cert.certificate()))
     else:
@@ -313,9 +311,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ __all__ = [
     "CodingError", "DecodeError", "EvalError",
     "encode", "decode", "numeral", "name_of", "value",
     "sub_fn", "iter_fn", "omega_truth", "dot_term",
-    "self_application_term", "diagonal_pair", "diagonal_sentence",
+    "self_application_term", "diagonal_pair",
     "K0", "OMEGA_VAR", "TEMPLATE_CODE_VAR", "UINF_BOUND_VAR", "DIAG_VAR",
     "iter_zero_axiom", "iter_step_axiom",
 ]
@@ -317,21 +317,6 @@ def diagonal_pair(phi: Formula, v: int) -> tuple[Formula, Formula]:
     theta = substitute(phi, v, self_application_term(v))
     gamma = substitute(theta, v, name_of(theta))
     return theta, gamma
-
-
-def diagonal_sentence(phi: Formula, v: int):
-    """Fixed point of ``phi`` together with a checkable equivalence proof."""
-    from .tactics import diagonal_lemma
-
-    return diagonal_lemma(phi, v)
-
-
-def __getattr__(name: str):
-    if name == "DiagonalResult":
-        from .tactics import DiagonalResult
-
-        return DiagonalResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def iter_zero_axiom() -> Formula:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from . import coding
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ, Term,
-    Tr, Var, ZERO, numeral, pretty_print, replace_at, substitute,
+    Tr, Var, ZERO, _INTERN, numeral, pretty_print, replace_at, substitute,
     term_positions,
 )
 
@@ -35,7 +35,7 @@ __all__ = [
     "Proof", "Axiom", "MP", "Gen", "TIntro", "Omega",
     "PremiseGenerator", "StepCombinator", "ApplyTIntro", "LiftImp",
     "RewriteEval", "ChainWith",
-    "CheckedTheorem", "Refutation", "GeneratorCertificate",
+    "CheckedTheorem", "Refutation",
     "CheckError", "AxiomRejection", "MissingSchema",
     "is_axiom", "match_schema", "check", "validate_generator", "omega_apply",
     "q_axiom",
@@ -79,14 +79,10 @@ class TheoryConfig:
     has_cons: bool = True
     has_timp: bool = True
     has_uinf: bool = True
-    q_axioms: bool = True
-    computation_axioms: bool = True
     omega_samples: int = 8
     max_omega_count: int | None = None
 
     def __post_init__(self):
-        if not self.q_axioms or not self.computation_axioms:
-            raise ValueError("the arithmetic and computation schemas cannot be disabled")
         if self.omega_samples < 1:
             raise ValueError("omega_samples must be at least 1")
 
@@ -142,29 +138,33 @@ class AxiomRejection(ValueError):
 
 
 class Proof:
-    __slots__ = ("hash", "_macro")
+    """Base class for proof nodes, interned like terms and formulas.
 
-    def _init(self, h: int) -> None:
-        self.hash = h
+    ``_macro`` records the tactic call that built a node, so that scripts
+    can serialize it as the macro form; expanding that form rebuilds the
+    very same node.
+    """
+
+    __slots__ = ("_macro",)
+
+    @classmethod
+    def _make(cls, key):
+        self = _INTERN[key] = object.__new__(cls)
         self._macro = None
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Proof) and _proof_eq(self, other))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+        return self
 
 
 class Axiom(Proof):
     __slots__ = ("schema", "instance")
 
-    def __init__(self, schema: SchemaId, instance: Formula):
-        self.schema = schema
-        self.instance = instance
-        self._init(hash((21, schema, instance.hash)))
+    def __new__(cls, schema: SchemaId, instance: Formula):
+        key = (cls, schema, instance)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.schema = schema
+            self.instance = instance
+        return self
 
 
 class MP(Proof):
@@ -172,37 +172,48 @@ class MP(Proof):
 
     __slots__ = ("minor", "major")
 
-    def __init__(self, minor: Proof, major: Proof):
-        self.minor = minor
-        self.major = major
-        self._init(hash((22, minor.hash, major.hash)))
+    def __new__(cls, minor: Proof, major: Proof):
+        key = (cls, minor, major)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.minor = minor
+            self.major = major
+        return self
 
 
 class Gen(Proof):
     __slots__ = ("var", "premise")
 
-    def __init__(self, var: int, premise: Proof):
-        self.var = var
-        self.premise = premise
-        self._init(hash((23, var, premise.hash)))
+    def __new__(cls, var: int, premise: Proof):
+        key = (cls, var, premise)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.var = var
+            self.premise = premise
+        return self
 
 
 class TIntro(Proof):
     __slots__ = ("premise",)
 
-    def __init__(self, premise: Proof):
-        self.premise = premise
-        self._init(hash((24, premise.hash)))
+    def __new__(cls, premise: Proof):
+        key = (cls, premise)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.premise = premise
+        return self
 
 
 class StepCombinator:
-    __slots__ = ("hash",)
+    __slots__ = ()
 
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other) and _step_eq(self, other))
+    @classmethod
+    def _make(cls, key):
+        _INTERN[key] = self = object.__new__(cls)
+        return self
 
 
 class ApplyTIntro(StepCombinator):
@@ -210,8 +221,8 @@ class ApplyTIntro(StepCombinator):
 
     __slots__ = ()
 
-    def __init__(self):
-        self.hash = hash((31,))
+    def __new__(cls):
+        return _INTERN.get((cls,)) or cls._make((cls,))
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -229,11 +240,15 @@ class LiftImp(StepCombinator):
 
     __slots__ = ("depth",)
 
-    def __init__(self, depth: int = 1):
-        if depth not in (1, 2):
-            raise ValueError("LiftImp depth must be 1 or 2")
-        self.depth = depth
-        self.hash = hash((32, depth))
+    def __new__(cls, depth: int = 1):
+        key = (cls, depth)
+        self = _INTERN.get(key)
+        if self is None:
+            if depth not in (1, 2):
+                raise ValueError("LiftImp depth must be 1 or 2")
+            self = cls._make(key)
+            self.depth = depth
+        return self
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -248,9 +263,14 @@ class RewriteEval(StepCombinator):
 
     __slots__ = ("position",)
 
-    def __init__(self, position):
-        self.position = tuple(position)
-        self.hash = hash((33, self.position))
+    def __new__(cls, position):
+        position = tuple(position)
+        key = (cls, position)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.position = position
+        return self
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -264,26 +284,20 @@ class ChainWith(StepCombinator):
 
     __slots__ = ("lemma", "conclusion")
 
-    def __init__(self, lemma: Proof, conclusion: Formula):
-        self.lemma = lemma
-        self.conclusion = conclusion
-        self.hash = hash((34, lemma.hash, conclusion.hash))
+    def __new__(cls, lemma: Proof, conclusion: Formula):
+        key = (cls, lemma, conclusion)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.lemma = lemma
+            self.conclusion = conclusion
+        return self
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
 
         th = T.chain(T.Thm(proof, formula), T.Thm(self.lemma, self.conclusion))
         return th.proof, th.formula
-
-
-def _step_eq(a: StepCombinator, b: StepCombinator) -> bool:
-    if isinstance(a, LiftImp):
-        return a.depth == b.depth
-    if isinstance(a, RewriteEval):
-        return a.position == b.position
-    if isinstance(a, ChainWith):
-        return a.lemma == b.lemma and a.conclusion == b.conclusion
-    return True
 
 
 class PremiseGenerator:
@@ -295,14 +309,19 @@ class PremiseGenerator:
     instance n into a proof of instance n+1 uniformly in n.
     """
 
-    __slots__ = ("var", "family", "base", "steps", "hash")
+    __slots__ = ("var", "family", "base", "steps")
 
-    def __init__(self, var: int, family: Formula, base: Proof, steps):
-        self.var = var
-        self.family = family
-        self.base = base
-        self.steps = tuple(steps)
-        self.hash = hash((41, var, family.hash, base.hash) + tuple(s.hash for s in self.steps))
+    def __new__(cls, var: int, family: Formula, base: Proof, steps):
+        steps = tuple(steps)
+        key = (cls, var, family, base, steps)
+        self = _INTERN.get(key)
+        if self is None:
+            self = _INTERN[key] = object.__new__(cls)
+            self.var = var
+            self.family = family
+            self.base = base
+            self.steps = steps
+        return self
 
     def instance(self, n: int) -> Formula:
         return substitute(self.family, self.var, numeral(n))
@@ -310,26 +329,18 @@ class PremiseGenerator:
     def conclusion(self) -> Formula:
         return Forall(self.var, self.family)
 
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, PremiseGenerator)
-            and self.var == other.var
-            and self.family == other.family
-            and self.base == other.base
-            and self.steps == other.steps
-        )
-
 
 class Omega(Proof):
     __slots__ = ("gen", "conclusion")
 
-    def __init__(self, gen: PremiseGenerator, conclusion: Formula):
-        self.gen = gen
-        self.conclusion = conclusion
-        self._init(hash((25, gen.hash, conclusion.hash)))
+    def __new__(cls, gen: PremiseGenerator, conclusion: Formula):
+        key = (cls, gen, conclusion)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key)
+            self.gen = gen
+            self.conclusion = conclusion
+        return self
 
 
 def _proof_children(p: Proof) -> tuple[Proof, ...]:
@@ -343,33 +354,6 @@ def _proof_children(p: Proof) -> tuple[Proof, ...]:
             s.lemma for s in p.gen.steps if isinstance(s, ChainWith)
         )
     return ()
-
-
-def _proof_eq(a: Proof, b: Proof) -> bool:
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y) or x.hash != y.hash:
-            return False
-        t = type(x)
-        if t is Axiom:
-            if x.schema is not y.schema or x.instance != y.instance:
-                return False
-        elif t is Gen:
-            if x.var != y.var:
-                return False
-            stack.append((x.premise, y.premise))
-        elif t is MP:
-            stack.append((x.minor, y.minor))
-            stack.append((x.major, y.major))
-        elif t is TIntro:
-            stack.append((x.premise, y.premise))
-        else:  # Omega
-            if x.conclusion != y.conclusion or x.gen != y.gen:
-                return False
-    return True
 
 
 def omega_apply(gen: PremiseGenerator) -> Proof:
@@ -758,11 +742,6 @@ def is_axiom(phi: Formula, config: TheoryConfig) -> SchemaId:
 
 
 @dataclass(frozen=True)
-class GeneratorCertificate:
-    samples_checked: int
-
-
-@dataclass(frozen=True)
 class CheckedTheorem:
     """A verified judgment.  ``omega_count`` is the maximum number of omega
     nodes on any root-to-leaf path; 0 means classical derivability."""
@@ -802,8 +781,8 @@ class Refutation:
 class _Checker:
     def __init__(self, config: TheoryConfig):
         self.config = config
-        # keyed by structural equality, so certificates are stable across
-        # serialization round trips that duplicate shared subproofs
+        # keyed by identity: proof nodes are interned, so each structurally
+        # distinct subproof is checked once however often it occurs
         self.memo: dict[Proof, tuple[Formula, int]] = {}
         self.samples = 0
         self.size = 0
@@ -902,9 +881,10 @@ def check(proof: Proof, config: TheoryConfig = GAMMA) -> CheckedTheorem:
     return CheckedTheorem(formula, config, ocount, st.samples, st.size, proof)
 
 
-def validate_generator(gen: PremiseGenerator, config: TheoryConfig = GAMMA) -> GeneratorCertificate:
-    """Replay a generator at ``config.omega_samples`` instances."""
+def validate_generator(gen: PremiseGenerator, config: TheoryConfig = GAMMA) -> int:
+    """Replay a generator at ``config.omega_samples`` instances; returns
+    the number of samples checked."""
     st = _Checker(config)
     st.run(gen.base)
     st._replay(gen, ())
-    return GeneratorCertificate(samples_checked=config.omega_samples)
+    return config.omega_samples

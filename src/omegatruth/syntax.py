@@ -6,11 +6,16 @@ Formulas are built from =, the unary truth predicate T, ~, -> and forall;
 every other connective is a derived abbreviation that is expanded before
 anything reaches the checker.
 
-Nodes are immutable.  Each node caches its hash, its free-variable set and,
-for terms, the natural it denotes when it is a *canonical* compact numeral
-(see :func:`numeral`).  Equality short-circuits on object identity, cached
-hashes and cached numeral values, so the very large shared structures that
-show up inside quoted formulas compare cheaply.
+Nodes are immutable and hash-consed: every constructor looks its node up in
+one process-wide table, keyed by (class, payload, child objects), and
+returns the existing object when there is one.  Structurally equal nodes
+are therefore the same object, and equality is identity.  A canonical
+compact numeral (see :func:`numeral`) is keyed by its value instead, so
+``numeral(n)`` is a single lookup.  The table is a plain dict: nodes live as
+long as the process.  The proof objects of :mod:`kernel` share the table.
+
+Each node caches its free-variable set and, for terms, the natural it
+denotes when it is a canonical numeral.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ __all__ = [
 
 _EMPTY: frozenset[int] = frozenset()
 
+# the intern table: canonical numerals under their value, every other node
+# under a tuple that starts with its class
+_INTERN: dict = {}
+
 ITER = "iter"
 SUB = "sub"
 FN_ARITY = {ITER: 2, SUB: 3}
@@ -38,23 +47,16 @@ FN_ARITY = {ITER: 2, SUB: 3}
 class Term:
     """Base class for term nodes."""
 
-    __slots__ = ("hash", "fv", "nv", "_code", "_val")
+    __slots__ = ("fv", "nv", "_code", "_val")
 
-    def _init_cache(self, h: int, fv: frozenset[int], nv: int | None) -> None:
-        self.hash = h
+    @classmethod
+    def _make(cls, key, fv: frozenset[int], nv: int | None = None):
+        self = _INTERN[key] = object.__new__(cls)
         self.fv = fv
         self.nv = nv  # value when the node is a canonical numeral, else None
         self._code = None
         self._val = None
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, (Term, Formula)) and _eq(self, other))
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
+        return self
 
     def __repr__(self) -> str:
         return pretty_print(self)
@@ -63,85 +65,102 @@ class Term:
 class Var(Term):
     __slots__ = ("idx",)
 
-    def __init__(self, idx: int):
-        if idx < 0:
-            raise ValueError("variable index must be a natural")
-        self.idx = idx
-        self._init_cache(hash((1, idx)), frozenset((idx,)), None)
+    def __new__(cls, idx: int):
+        key = (cls, idx)
+        self = _INTERN.get(key)
+        if self is None:
+            if idx < 0:
+                raise ValueError("variable index must be a natural")
+            self = cls._make(key, frozenset((idx,)))
+            self.idx = idx
+        return self
 
 
 class Zero(Term):
     __slots__ = ()
 
-    def __init__(self) -> None:
-        self._init_cache(hash((2,)), _EMPTY, 0)
+    def __new__(cls):
+        return _INTERN.get(0) or cls._make(0, _EMPTY, 0)
 
 
 class Succ(Term):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        self.arg = arg
-        nv = arg.nv + 1 if arg.nv is not None and arg.nv % 2 == 0 else None
-        self._init_cache(hash((3, arg.hash)), arg.fv, nv)
+    def __new__(cls, arg: Term):
+        n = arg.nv
+        key = n + 1 if n is not None and not n & 1 else (cls, arg)
+        self = _INTERN.get(key)
+        if self is None:  # _make inlined: numeral spines are built node by node
+            self = _INTERN[key] = object.__new__(cls)
+            self.fv = arg.fv
+            self.nv = key if type(key) is int else None
+            self._code = self._val = None
+            self.arg = arg
+        return self
 
 
 class Add(Term):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._init_cache(hash((4, left.hash, right.hash)), _union(left.fv, right.fv), None)
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key, _union(left.fv, right.fv))
+            self.left = left
+            self.right = right
+        return self
 
 
 class Mul(Term):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        nv = None
-        if right.nv is not None and right.nv >= 1 and _is_two_literal(left):
-            nv = 2 * right.nv
-        self._init_cache(hash((5, left.hash, right.hash)), _union(left.fv, right.fv), nv)
+    def __new__(cls, left: Term, right: Term):
+        n = right.nv
+        key = n << 1 if n and left is TWO else (cls, left, right)
+        self = _INTERN.get(key)
+        if self is None:  # _make inlined, as in Succ
+            self = _INTERN[key] = object.__new__(cls)
+            self.fv = _union(left.fv, right.fv)
+            self.nv = key if type(key) is int else None
+            self._code = self._val = None
+            self.left = left
+            self.right = right
+        return self
 
 
 class FnApp(Term):
     __slots__ = ("sym", "args")
 
-    def __init__(self, sym: str, args):
-        if sym not in FN_ARITY:
-            raise ValueError(f"unknown function symbol {sym!r}")
+    def __new__(cls, sym: str, args):
         args = tuple(args)
-        if len(args) != FN_ARITY[sym]:
-            raise ValueError(f"{sym} expects {FN_ARITY[sym]} arguments, got {len(args)}")
-        self.sym = sym
-        self.args = args
-        fv = _EMPTY
-        for a in args:
-            fv = _union(fv, a.fv)
-        self._init_cache(hash((6, sym) + tuple(a.hash for a in args)), fv, None)
+        key = (cls, sym, args)
+        self = _INTERN.get(key)
+        if self is None:
+            if sym not in FN_ARITY:
+                raise ValueError(f"unknown function symbol {sym!r}")
+            if len(args) != FN_ARITY[sym]:
+                raise ValueError(f"{sym} expects {FN_ARITY[sym]} arguments, got {len(args)}")
+            fv = _EMPTY
+            for a in args:
+                fv = _union(fv, a.fv)
+            self = cls._make(key, fv)
+            self.sym = sym
+            self.args = args
+        return self
 
 
 class Formula:
     """Base class for formula nodes."""
 
-    __slots__ = ("hash", "fv", "_code")
+    __slots__ = ("fv", "_code")
 
-    def _init_cache(self, h: int, fv: frozenset[int]) -> None:
-        self.hash = h
+    @classmethod
+    def _make(cls, key, fv: frozenset[int]):
+        self = _INTERN[key] = object.__new__(cls)
         self.fv = fv
         self._code = None
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, (Term, Formula)) and _eq(self, other))
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
+        return self
 
     def __repr__(self) -> str:
         return pretty_print(self)
@@ -150,47 +169,66 @@ class Formula:
 class Eq(Formula):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._init_cache(hash((10, left.hash, right.hash)), _union(left.fv, right.fv))
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key, _union(left.fv, right.fv))
+            self.left = left
+            self.right = right
+        return self
 
 
 class Tr(Formula):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        self.arg = arg
-        self._init_cache(hash((11, arg.hash)), arg.fv)
+    def __new__(cls, arg: Term):
+        key = (cls, arg)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key, arg.fv)
+            self.arg = arg
+        return self
 
 
 class Not(Formula):
     __slots__ = ("body",)
 
-    def __init__(self, body: Formula):
-        self.body = body
-        self._init_cache(hash((12, body.hash)), body.fv)
+    def __new__(cls, body: Formula):
+        key = (cls, body)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key, body.fv)
+            self.body = body
+        return self
 
 
 class Imp(Formula):
     __slots__ = ("ant", "cons")
 
-    def __init__(self, ant: Formula, cons: Formula):
-        self.ant = ant
-        self.cons = cons
-        self._init_cache(hash((13, ant.hash, cons.hash)), _union(ant.fv, cons.fv))
+    def __new__(cls, ant: Formula, cons: Formula):
+        key = (cls, ant, cons)
+        self = _INTERN.get(key)
+        if self is None:
+            self = cls._make(key, _union(ant.fv, cons.fv))
+            self.ant = ant
+            self.cons = cons
+        return self
 
 
 class Forall(Formula):
     __slots__ = ("var", "body")
 
-    def __init__(self, var: int, body: Formula):
-        if var < 0:
-            raise ValueError("variable index must be a natural")
-        self.var = var
-        self.body = body
-        fv = body.fv - {var} if var in body.fv else body.fv
-        self._init_cache(hash((14, var, body.hash)), fv)
+    def __new__(cls, var: int, body: Formula):
+        key = (cls, var, body)
+        self = _INTERN.get(key)
+        if self is None:
+            if var < 0:
+                raise ValueError("variable index must be a natural")
+            self = cls._make(key, body.fv - {var} if var in body.fv else body.fv)
+            self.var = var
+            self.body = body
+        return self
 
 
 Expr = Union[Term, Formula]
@@ -206,14 +244,6 @@ def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     if not b:
         return a
     return a | b
-
-
-def _is_two_literal(t: Term) -> bool:
-    return (
-        type(t) is Succ
-        and type(t.arg) is Succ
-        and type(t.arg.arg) is Zero  # type: ignore[union-attr]
-    )
 
 
 def _children(e: Expr) -> tuple:
@@ -254,52 +284,18 @@ def _rebuild(e: Expr, children: tuple) -> Expr:
     raise ValueError(f"{t.__name__} has no children")
 
 
-def _eq(a: Expr, b: Expr) -> bool:
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        tx = type(x)
-        if tx is not type(y) or x.hash != y.hash:
-            return False
-        if tx is Var:
-            if x.idx != y.idx:
-                return False
-            continue
-        if isinstance(x, Term):
-            # canonical numerals are uniquely determined by their value
-            if x.nv != y.nv:
-                return False
-            if x.nv is not None:
-                continue
-        if tx is FnApp and x.sym != y.sym:
-            return False
-        if tx is Forall and x.var != y.var:
-            return False
-        stack.extend(zip(_children(x), _children(y)))
-    return True
-
-
-_NUMERAL_CACHE: dict[int, Term] = {}
-
-
 def numeral(n: int) -> Term:
     """Canonical compact numeral: size grows with the bit length of ``n``."""
-    if n < 0:
-        raise ValueError("numerals denote naturals")
-    if n == 0:
-        return ZERO
-    hit = _NUMERAL_CACHE.get(n)
+    hit = _INTERN.get(n)
     if hit is not None:
         return hit
+    if n < 0:
+        raise ValueError("numerals denote naturals")
     t: Term = Succ(ZERO)
     for b in bin(n)[3:]:
         t = Mul(TWO, t)
         if b == "1":
             t = Succ(t)
-    if n.bit_length() > 16:  # only the big ones are worth pinning
-        _NUMERAL_CACHE[n] = t
     return t
 
 
@@ -419,10 +415,6 @@ def var_name(idx: int) -> str:
 
 def var_index(name: str) -> int | None:
     """Index of a variable name in the concrete grammar, or None."""
-    return _var_index(name)
-
-
-def _var_index(name: str) -> int | None:
     if name in _NAME_TO_INDEX:
         return _NAME_TO_INDEX[name]
     m = re.fullmatch(r"v(\d+)", name)
@@ -432,72 +424,47 @@ def _var_index(name: str) -> int | None:
 
 
 def pretty_print(e: Expr) -> str:
+    # iterative, so deeply nested expressions print under any recursion limit
     parts: list[str] = []
-    _pp(e, parts, top=True)
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is str:
+            parts.append(e)
+        else:
+            stack.extend(reversed(_pp_pieces(e)))
     return "".join(parts)
 
 
-def _pp_term(t: Term, parts: list[str]) -> None:
-    if t.nv is not None and t.nv > 0:
-        parts.append(f"#{t.nv}")
-        return
-    tt = type(t)
-    if tt is Var:
-        parts.append(var_name(t.idx))
-    elif tt is Zero:
-        parts.append("0")
-    elif tt is Succ:
-        parts.append("S(")
-        _pp_term(t.arg, parts)
-        parts.append(")")
-    elif tt is Add or tt is Mul:
-        parts.append("(")
-        _pp_term(t.left, parts)
-        parts.append(" + " if tt is Add else " * ")
-        _pp_term(t.right, parts)
-        parts.append(")")
-    else:  # FnApp
-        parts.append(t.sym)
-        parts.append("(")
-        for i, a in enumerate(t.args):
-            if i:
-                parts.append(", ")
-            _pp_term(a, parts)
-        parts.append(")")
-
-
-def _pp(e: Expr, parts: list[str], top: bool = False) -> None:
+def _pp_pieces(e: Expr) -> tuple:
+    """The text of one node, as strings and child nodes in print order."""
     t = type(e)
-    if isinstance(e, Term):
-        _pp_term(e, parts)
-    elif t is Eq:
-        _pp_term(e.left, parts)
-        parts.append(" = ")
-        _pp_term(e.right, parts)
-    elif t is Tr:
-        parts.append("T(")
-        _pp_term(e.arg, parts)
-        parts.append(")")
-    elif t is Not:
-        parts.append("~")
-        if type(e.body) in (Imp, Forall):
-            parts.append("(")
-            _pp(e.body, parts)
-            parts.append(")")
-        else:
-            _pp(e.body, parts)
-    elif t is Imp:
+    if isinstance(e, Term) and e.nv:
+        return (f"#{e.nv}",)
+    if t is Var:
+        return (var_name(e.idx),)
+    if t is Zero:
+        return ("0",)
+    if t is Succ:
+        return ("S(", e.arg, ")")
+    if t is Add or t is Mul:
+        return ("(", e.left, " + " if t is Add else " * ", e.right, ")")
+    if t is FnApp:
+        pieces = [e.sym, "(", e.args[0]]
+        for a in e.args[1:]:
+            pieces += (", ", a)
+        return (*pieces, ")")
+    if t is Eq:
+        return (e.left, " = ", e.right)
+    if t is Tr:
+        return ("T(", e.arg, ")")
+    if t is Not:
+        return ("~(", e.body, ")") if type(e.body) in (Imp, Forall) else ("~", e.body)
+    if t is Imp:
         if type(e.ant) in (Imp, Forall):
-            parts.append("(")
-            _pp(e.ant, parts)
-            parts.append(")")
-        else:
-            _pp(e.ant, parts)
-        parts.append(" -> ")
-        _pp(e.cons, parts)
-    else:  # Forall
-        parts.append(f"forall {var_name(e.var)}. ")
-        _pp(e.body, parts)
+            return ("(", e.ant, ") -> ", e.cons)
+        return (e.ant, " -> ", e.cons)
+    return (f"forall {var_name(e.var)}. ", e.body)
 
 
 class ParseError(ValueError):
@@ -590,7 +557,7 @@ class _Parser:
             self.expect(")")
             return Add(left, right) if op == "+" else Mul(left, right)
         if kind == "name":
-            idx = _var_index(val)
+            idx = var_index(val)
             if idx is None:
                 raise ParseError(f"unknown identifier {val!r}", pos, self.text)
             self.next()
@@ -611,7 +578,7 @@ class _Parser:
     def forall(self) -> Formula:
         self.next()  # 'forall'; the body extends maximally to the right
         kind, name, pos = self.next()
-        idx = _var_index(name) if kind == "name" else None
+        idx = var_index(name) if kind == "name" else None
         if idx is None:
             raise ParseError(f"expected a variable after 'forall', found {name!r}", pos, self.text)
         self.expect(".")

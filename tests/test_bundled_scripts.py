@@ -1,6 +1,8 @@
-"""The shipped proof scripts must check standalone and reproduce the
-certificates recorded in the manifest."""
+"""The shipped proof scripts must check standalone, reproduce the
+certificates recorded in the manifest, and be exactly what serializing the
+in-memory derivations gives."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 from omegatruth.kernel import GAMMA, SIGMA, check
 from omegatruth.proofscript import parse_script
 
-PROOFS = Path(__file__).resolve().parent.parent / "scripts" / "proofs"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PROOFS = SCRIPTS / "proofs"
 
 
 def _manifest():
@@ -23,3 +26,14 @@ def test_bundled_script_reproduces_certificate(name):
     config = GAMMA if script.theory == "gamma" else SIGMA
     cert = check(script.proof, config)
     assert cert.certificate() == _manifest()[name]
+
+
+def test_bundled_scripts_match_in_memory_derivations():
+    spec = importlib.util.spec_from_file_location("regenerate", SCRIPTS / "regenerate_proof_scripts.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    for name, (theory, cert) in regen.bundle().items():
+        shipped = (PROOFS / f"{name}.proof").read_text(encoding="utf-8")
+        text = regen.script_text(theory, cert)
+        assert text == shipped, name
+        assert parse_script(text).proof is cert.proof, name

@@ -152,3 +152,15 @@ def test_certificate_schema_stable(capsys):
         assert cert["theory"] in ("gamma", "sigma")
         for k in ("omega_count", "samples_checked", "proof_size"):
             assert isinstance(cert[k], int)
+
+
+def test_check_prints_deeply_nested_certificate(capsys, tmp_path):
+    # the formula is proved at any depth; printing it must not need a
+    # deeper recursion limit than the default
+    k = 1000
+    phi = "~" * k + "0 = 0"
+    script = tmp_path / "taut.proof"
+    script.write_text(f'(theory gamma)\n(prove (taut "{phi} -> {phi}"))\n', encoding="utf-8")
+    code, out, err = run(capsys, "check", str(script), "--json")
+    assert code == 0, err
+    assert json.loads(out)["formula"] == f"{phi} -> {phi}"

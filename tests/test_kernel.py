@@ -26,13 +26,6 @@ def test_config_presets():
     assert SIGMA.active(SchemaId.TIMP) and SIGMA.active(SchemaId.UINF)
 
 
-def test_config_rejects_disabling_base_schemas():
-    with pytest.raises(ValueError):
-        TheoryConfig(q_axioms=False)
-    with pytest.raises(ValueError):
-        TheoryConfig(computation_axioms=False)
-
-
 def test_cons_instance_matches_under_gamma_only():
     inst = _cons_instance(Eq(ZERO, ZERO))
     assert is_axiom(inst, GAMMA) is SchemaId.CONS
@@ -161,8 +154,7 @@ def test_constant_family_generator_with_identity_step():
     fam = Eq(Var(0), Var(0))
     base = Axiom(SchemaId.EQ1, fam)
     g = PremiseGenerator(1, fam, base, ())
-    cert = validate_generator(g, GAMMA)
-    assert cert.samples_checked == 8
+    assert validate_generator(g, GAMMA) == 8
     proof_cert = check(omega_apply(g), GAMMA)
     assert proof_cert.formula == Forall(1, fam)
     assert proof_cert.omega_count == 1

@@ -99,7 +99,7 @@ def test_round_trip_mcgee(mcgee):
         text = serialize_script(side.proof, "gamma")
         script = parse_script(text)
         assert script.theory == "gamma"
-        assert script.proof == side.proof
+        assert script.proof is side.proof
         assert check(script.proof, GAMMA).certificate() == side.certificate()
 
 
@@ -107,7 +107,7 @@ def test_round_trip_loeb(mcgee_loeb):
     text = serialize_script(mcgee_loeb.positive.proof, "gamma", samples=8)
     script = parse_script(text)
     assert script.samples == 8
-    assert script.proof == mcgee_loeb.positive.proof
+    assert script.proof is mcgee_loeb.positive.proof
     assert check(script.proof, GAMMA).certificate() == mcgee_loeb.positive.certificate()
 
 
@@ -118,7 +118,7 @@ def test_round_trip_m_conditions():
     for cert in (m2(Eq(ZERO, Succ(ZERO)), Eq(ZERO, ZERO), SIGMA), m3(Eq(ZERO, ZERO), SIGMA)):
         text = serialize_script(cert.proof, "sigma")
         script = parse_script(text)
-        assert script.proof == cert.proof
+        assert script.proof is cert.proof
         assert check(script.proof, SIGMA).certificate() == cert.certificate()
 
 

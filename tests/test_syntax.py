@@ -41,6 +41,12 @@ def test_numeral_shapes():
         assert numeral(n).nv == n
 
 
+def test_nodes_are_interned():
+    assert numeral(5) is Succ(numeral(4)) is parse_term("#5")
+    assert Mul(Succ(Succ(ZERO)), numeral(3)) is numeral(6)
+    assert parse("forall y. T(iter(y, x))") is Forall(1, Tr(FnApp("iter", [Var(1), Var(0)])))
+
+
 def test_noncanonical_terms_print_structurally():
     two = Succ(Succ(ZERO))
     assert two.nv is None
