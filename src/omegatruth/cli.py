@@ -299,6 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # codes and quoted names of formulas that hold codes run past the
+    # 4300 decimal digits CPython converts by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 from . import coding
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ, Term,
-    Tr, Var, ZERO, _INTERN, numeral, pretty_print, replace_at, substitute,
-    term_positions,
+    Tr, Var, ZERO, TWO, _INTERN, _children, numeral, pretty_print, substitute,
 )
 
 __all__ = [
@@ -448,7 +447,7 @@ def _find_instance_term(body: Formula, inst: Formula, v: int):
             return walk(a.body, b.body, bound | {a.var})
         if ta is FnApp and a.sym != b.sym:
             return False
-        ka, kb = _syn_children(a), _syn_children(b)
+        ka, kb = _children(a), _children(b)
         if len(ka) != len(kb):
             return False
         return all(walk(p, q, bound) for p, q in zip(ka, kb))
@@ -460,9 +459,6 @@ def _find_instance_term(body: Formula, inst: Formula, v: int):
         if t != t0:
             return False, None
     return True, t0
-
-
-from .syntax import _children as _syn_children  # reuse the structural walker
 
 
 def _m_quant1(phi):
@@ -495,10 +491,46 @@ def _m_eq1(phi):
 
 
 def _one_step_rewrite(src, dst, s: Term, t: Term) -> bool:
-    """dst is src with s replaced by t at exactly one term position."""
-    for path, node in term_positions(src):
-        if node == s and replace_at(src, path, t) == dst:
+    """dst is src with s replaced by t at exactly one term position.
+
+    Nodes are interned, so a rewrite at position i.p changes child i and
+    leaves every other child the very same object: one walk over both sides
+    follows the single child pair that differs, down to where s meets t.
+    """
+    if src is dst:
+        return s is t and _occurs(s, src)
+    a, b = src, dst
+    while a is not s:
+        ta = type(a)
+        if ta is not type(b) or (ta is Forall and a.var != b.var) or (ta is FnApp and a.sym != b.sym):
+            return False
+        differ = [(p, q) for p, q in zip(_children(a), _children(b)) if p is not q]
+        if len(differ) != 1:
+            return False
+        a, b = differ[0]
+    return b is t
+
+
+def _occurs(s: Term, e) -> bool:
+    """Whether s is e or lies inside it, reading no numeral's spine."""
+    k = s.nv
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if e is s:
             return True
+        m = e.nv if isinstance(e, Term) else None
+        if not m:
+            stack.extend(_children(e))
+        elif s is TWO:
+            if m >= 2:  # the left factor of every even numeral on the spine
+                return True
+        elif k is not None and k < m:
+            # the spine of #m holds #(m >> j) for each j, and #((m >> j) - 1)
+            # below each odd one: #k lies on it iff its bits start m's
+            p = m >> (m.bit_length() - k.bit_length())
+            if k == p or (p & 1 and k == p - 1):
+                return True
     return False
 
 

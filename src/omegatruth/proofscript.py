@@ -22,6 +22,7 @@ the original certificate.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 
@@ -56,37 +57,27 @@ class _Q(str):
     """A string that renders quoted."""
 
 
+_TOKEN = re.compile(
+    r'[ \t\r\n]+|;[^\n]*'              # whitespace and line comments
+    r'|([()]|[^ \t\r\n();"]+)'          # parentheses and atoms
+    r'|"((?:[^"\\]|\\.)*)"'             # strings: a backslash takes the next character
+    r'|(")',                            # a string literal that is never closed
+    re.S,
+)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
 def _tokenize(text: str):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif c in "()":
-            toks.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise ScriptError("unterminated string literal")
-            toks.append(_Q("".join(out)))
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"':
-                j += 1
-            toks.append(text[i:j])
-            i = j
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 1:
+            toks.append(m.group(1))
+        elif kind == 2:
+            body = m.group(2)
+            toks.append(_Q(_ESCAPE.sub(r"\1", body) if "\\" in body else body))
+        elif kind == 3:
+            raise ScriptError("unterminated string literal")
     return toks
 
 

@@ -14,6 +14,11 @@ compact numeral (see :func:`numeral`) is keyed by its value instead, so
 ``numeral(n)`` is a single lookup.  The table is a plain dict: nodes live as
 long as the process.  The proof objects of :mod:`kernel` share the table.
 
+``numeral(n)`` makes one node, whatever the size of ``n``: a ``Succ`` for odd
+n, a ``Mul`` for even n.  Its children, which are numerals again, are made
+the first time something reads them, so a numeral whose spine nobody walks
+costs one node and the bits of its value.
+
 Each node caches its free-variable set and, for terms, the natural it
 denotes when it is a canonical numeral.
 """
@@ -90,13 +95,17 @@ class Succ(Term):
         n = arg.nv
         key = n + 1 if n is not None and not n & 1 else (cls, arg)
         self = _INTERN.get(key)
-        if self is None:  # _make inlined: numeral spines are built node by node
-            self = _INTERN[key] = object.__new__(cls)
-            self.fv = arg.fv
-            self.nv = key if type(key) is int else None
-            self._code = self._val = None
+        if self is None:
+            self = cls._make(key, arg.fv, key if type(key) is int else None)
             self.arg = arg
         return self
+
+    def __getattr__(self, name):
+        # reached only while the child slot of a numeral is still unset
+        if name != "arg" or self.nv is None:
+            raise AttributeError(name)
+        self.arg = arg = numeral(self.nv - 1)
+        return arg
 
 
 class Add(Term):
@@ -119,14 +128,18 @@ class Mul(Term):
         n = right.nv
         key = n << 1 if n and left is TWO else (cls, left, right)
         self = _INTERN.get(key)
-        if self is None:  # _make inlined, as in Succ
-            self = _INTERN[key] = object.__new__(cls)
-            self.fv = _union(left.fv, right.fv)
-            self.nv = key if type(key) is int else None
-            self._code = self._val = None
+        if self is None:
+            self = cls._make(key, _union(left.fv, right.fv), key if type(key) is int else None)
             self.left = left
             self.right = right
         return self
+
+    def __getattr__(self, name):
+        # reached only while the child slots of a numeral are still unset
+        if name not in ("left", "right") or self.nv is None:
+            raise AttributeError(name)
+        self.left, self.right = TWO, numeral(self.nv >> 1)
+        return self.left if name == "left" else self.right
 
 
 class FnApp(Term):
@@ -285,18 +298,17 @@ def _rebuild(e: Expr, children: tuple) -> Expr:
 
 
 def numeral(n: int) -> Term:
-    """Canonical compact numeral: size grows with the bit length of ``n``."""
+    """Canonical compact numeral: ``S(#(n-1))`` for odd n, ``(S(S(0)) * #(n/2))``
+    for even n >= 2, and ``0`` for 0.
+
+    It is one node, keyed by ``n``; its children are made when first read.
+    """
     hit = _INTERN.get(n)
     if hit is not None:
         return hit
     if n < 0:
         raise ValueError("numerals denote naturals")
-    t: Term = Succ(ZERO)
-    for b in bin(n)[3:]:
-        t = Mul(TWO, t)
-        if b == "1":
-            t = Succ(t)
-    return t
+    return (Succ if n & 1 else Mul)._make(n, _EMPTY, n)
 
 
 def free_vars(e: Expr) -> frozenset[int]:

@@ -164,3 +164,28 @@ def test_check_prints_deeply_nested_certificate(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(script), "--json")
     assert code == 0, err
     assert json.loads(out)["formula"] == f"{phi} -> {phi}"
+
+
+def test_code_of_a_numeral_past_4300_digits(capsys):
+    text = "T(#" + "9" * 4290 + ")"
+    code, out, err = run(capsys, "code", text, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["text"] == text
+    code2, out2, err2 = run(capsys, "decode", doc["code_dec"], "--json")
+    assert code2 == 0, err2
+    assert json.loads(out2)["text"] == text
+
+
+def test_check_nested_tintro_past_4300_digits(capsys, tmp_path):
+    # at depth 800 the printed name in the certificate has over 4300 digits
+    body = '(axiom EQ1 "0 = 0")'
+    for _ in range(800):
+        body = f"(tintro {body})"
+    script = tmp_path / "tintro.proof"
+    script.write_text(f"(theory gamma)\n(prove {body})\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(script), "--json")
+    assert code == 0, err
+    cert = json.loads(out)
+    assert cert["proof_size"] == 801
+    assert len(cert["formula"]) > 4300

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import (
     encode, iter_step_axiom, iter_zero_axiom, name_of, omega_truth, sub_fn,
@@ -7,12 +8,15 @@ from omegatruth.kernel import (
     ApplyTIntro, Axiom, AxiomRejection, CheckError, GAMMA, Gen, MP,
     MissingSchema, Omega, PremiseGenerator, RewriteEval, SIGMA, SchemaId,
     TIntro, TheoryConfig, check, is_axiom, match_schema, omega_apply,
-    q_axiom, validate_generator,
+    q_axiom, validate_generator, _one_step_rewrite,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, replace_at,
+    term_positions,
 )
 from omegatruth.tactics import Thm, refl, tintro
+
+from helpers import random_expr, random_term
 
 
 def _cons_instance(phi):
@@ -95,6 +99,77 @@ def test_quant1_instantiation():
     assert match_schema(vacuous, SIGMA) is SchemaId.QUANT1
     mixed = Imp(Forall(0, body), Eq(numeral(3), numeral(4)))
     assert match_schema(mixed, SIGMA) is None
+
+
+def test_quant1_instantiates_into_numerals():
+    # S(x) at x := #(n-1) is the numeral #n itself, so matching reads its spine
+    body = Not(Eq(Succ(Var(0)), ZERO))
+    for n in (1, 5, (1 << 200) + 1):
+        inst = Imp(Forall(0, body), Not(Eq(numeral(n), ZERO)))
+        assert match_schema(inst, SIGMA) is SchemaId.QUANT1
+    assert match_schema(Imp(Forall(0, body), Not(Eq(numeral(4), ZERO))), SIGMA) is None
+
+
+def _rewrites_by_definition(src, dst, s, t):
+    """Some term position of src holds s, and putting t there gives dst."""
+    return any(
+        node is s and replace_at(src, path, t) is dst
+        for path, node in term_positions(src)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_step_rewrite_agrees_with_its_definition(rng):
+    src = random_expr(rng, 3)
+    positions = list(term_positions(src))  # numeral spines included
+    path, s = rng.choice(positions)
+    kind = rng.randrange(5)
+    if kind == 0:  # src is dst
+        t, dst = s, src
+        if rng.random() < 0.5:
+            s = t = rng.choice(positions)[1] if rng.random() < 0.5 else random_term(rng, 1)
+    elif kind == 1:  # a rewrite next to a numeral's value
+        t = numeral(s.nv + 1) if s.nv is not None else random_term(rng, 1)
+        dst = replace_at(src, path, t)
+    elif kind == 2:  # two positions rewritten
+        t = random_term(rng, 1)
+        once = replace_at(src, path, t)
+        path2, _ = rng.choice(list(term_positions(once)))
+        dst = replace_at(once, path2, random_term(rng, 1))
+    else:
+        t = random_term(rng, 1)
+        dst = replace_at(src, path, t)
+        if kind == 3:
+            s = random_term(rng, 1)
+    assert _one_step_rewrite(src, dst, s, t) is _rewrites_by_definition(src, dst, s, t)
+
+
+def test_one_step_rewrite_edge_cases():
+    x, two = Var(0), Succ(Succ(ZERO))
+    cases = [
+        # the binder or the function symbol differs, the one changed child fits
+        (Forall(0, Eq(x, numeral(1))), Forall(1, Eq(x, numeral(2))), numeral(1), numeral(2), False),
+        (FnApp("iter", [x, numeral(1)]), FnApp("sub", [x, numeral(2), ZERO]), numeral(1), numeral(2), False),
+        # src is dst: S(S(0)) is the left factor of every even numeral
+        (Tr(numeral(1)), Tr(numeral(1)), two, two, False),
+        (Tr(numeral(2)), Tr(numeral(2)), two, two, True),
+        (Tr(numeral(3)), Tr(numeral(3)), numeral(2), numeral(2), True),
+        (Tr(numeral(11)), Tr(numeral(11)), numeral(6), numeral(6), False),
+    ]
+    for src, dst, s, t, want in cases:
+        assert _rewrites_by_definition(src, dst, s, t) is want
+        assert _one_step_rewrite(src, dst, s, t) is want
+
+
+def test_identity_rewrite_reads_no_numeral_spine():
+    from omegatruth.syntax import _INTERN
+
+    big = numeral((1 << 20_000) + 3)
+    phi = Imp(Eq(ZERO, ZERO), Imp(Tr(big), Tr(big)))
+    before = sum(type(k) is int for k in _INTERN)
+    assert match_schema(phi, SIGMA) is SchemaId.EQ3
+    assert sum(type(k) is int for k in _INTERN) == before
 
 
 def test_quant1_rejects_capture():

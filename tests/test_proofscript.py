@@ -128,3 +128,17 @@ def test_strings_with_escapes_round_trip():
 
     forms = _read_forms('(a "b \\" c" d)')
     assert forms == [["a", 'b " c', "d"]]
+
+
+def test_nested_tintro_adds_one_numeral_per_level():
+    # each level quotes the level below; its name is one numeral node
+    from omegatruth.syntax import _INTERN
+
+    for depth in (60, 400):
+        body = '(axiom EQ1 "0 = 0")'
+        for _ in range(depth):
+            body = f"(tintro {body})"
+        before = sum(type(k) is int for k in _INTERN)
+        cert = check(parse_script(f"(theory gamma)\n(prove {body})\n").proof, GAMMA)
+        assert cert.proof_size == depth + 1
+        assert sum(type(k) is int for k in _INTERN) - before <= depth + 1

@@ -47,6 +47,22 @@ def test_nodes_are_interned():
     assert parse("forall y. T(iter(y, x))") is Forall(1, Tr(FnApp("iter", [Var(1), Var(0)])))
 
 
+def test_numeral_is_one_node_until_read():
+    from omegatruth.syntax import _INTERN
+
+    n = (1 << 9_999) | 0x5EED  # a fresh 10,000-bit odd value
+    assert n not in _INTERN
+    before = len(_INTERN)
+    t = numeral(n)
+    assert len(_INTERN) == before + 1
+    assert type(t) is Succ and t.nv == n and pretty_print(t) == f"#{n}"
+    assert t.arg is numeral(n - 1)
+    k = n >> 1
+    assert type(numeral(2 * k)) is Mul
+    assert numeral(2 * k).right is numeral(k)
+    assert numeral(2 * k).left is Succ(Succ(ZERO))
+
+
 def test_noncanonical_terms_print_structurally():
     two = Succ(Succ(ZERO))
     assert two.nv is None
