@@ -18,9 +18,8 @@ from .coding import (
 )
 from .kernel import (
     Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, MissingSchema, Omega,
-    PremiseGenerator, Proof, Refutation, SIGMA, SchemaId, TIntro,
-    TheoryConfig, check, is_axiom, match_schema, omega_apply,
-    validate_generator,
+    Proof, Refutation, SIGMA, SchemaId, TIntro, TheoryConfig, check,
+    is_axiom, match_schema,
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,

@@ -11,12 +11,12 @@ import json
 import sys
 from dataclasses import replace
 
-from .coding import CodingError, decode, encode, value
+from .coding import decode, encode, value
 from .kernel import (
     AxiomRejection, CheckError, CheckedTheorem, GAMMA, MissingSchema,
     Refutation, SIGMA, TheoryConfig, check,
 )
-from .proofscript import ScriptError, parse_script
+from .proofscript import parse_script
 from .syntax import (
     Eq, Formula, ParseError, Succ, ZERO, parse_formula, parse_term,
     pretty_print, var_index, var_name,
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ScriptError, CodingError, ValueError) as e:
+    except ValueError as e:
         if isinstance(e, (CheckError, MissingSchema, AxiomRejection, TacticError)):
             print(f"check failure: {e}", file=sys.stderr)
             return 1

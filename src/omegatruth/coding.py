@@ -71,8 +71,6 @@ def _chunk(e: Expr) -> tuple[int, int]:
     if t is Var:
         nv, nb = _nat_chunk(e.idx)
         out = ((_T_VAR << nb) | nv, _TAG_BITS + nb)
-    elif t is Zero:
-        out = (_T_ZERO, _TAG_BITS)  # unreachable: Zero is always canonical
     elif t is Succ:
         out = _cat(_T_SUCC, [_chunk(e.arg)])
     elif t is Add:

@@ -3,11 +3,12 @@
 The kernel accepts Hilbert-style proofs over the truth language: axiom
 instances, modus ponens, generalization, the truth-introduction rule, and
 omega-rule nodes.  An omega node does not carry infinitely many premises;
-it carries a *premise generator*: a proof of the instance at 0 together
-with a list of step combinators that turn a proof of the instance at n
-into a proof of the instance at n+1.  The checker replays the generator
-for ``omega_samples`` successive instances and verifies every produced
-proof from scratch.
+it is its own *premise generator*: a family formula with a distinguished
+variable, a proof of the instance at 0, and a list of step combinators
+that turn a proof of the instance at n into a proof of the instance at
+n+1.  Its conclusion is derived, never stored: the universal closure of
+the family.  The checker replays the steps for ``omega_samples``
+successive instances and verifies every produced proof from scratch.
 
 Trust statement.  Soundness of an accepted omega node for *all* n rests on
 the step combinators being parametric: each one builds its output from the
@@ -32,12 +33,10 @@ from .syntax import (
 __all__ = [
     "SchemaId", "TheoryConfig", "GAMMA", "SIGMA",
     "Proof", "Axiom", "MP", "Gen", "TIntro", "Omega",
-    "PremiseGenerator", "StepCombinator", "ApplyTIntro", "LiftImp",
-    "RewriteEval", "ChainWith",
+    "StepCombinator", "ApplyTIntro", "LiftImp", "RewriteEval", "ChainWith",
     "CheckedTheorem", "Refutation",
     "CheckError", "AxiomRejection", "MissingSchema",
-    "is_axiom", "match_schema", "check", "validate_generator", "omega_apply",
-    "q_axiom",
+    "is_axiom", "match_schema", "check", "q_axiom",
 ]
 
 
@@ -299,13 +298,13 @@ class ChainWith(StepCombinator):
         return th.proof, th.formula
 
 
-class PremiseGenerator:
-    """Finite certificate for an infinite premise family.
+class Omega(Proof):
+    """The finitized omega-rule: a finite certificate for the infinite
+    premise family, concluding its universal closure ``Forall(var, family)``.
 
-    ``family`` has the distinguished variable ``var``; instance n is
-    ``family`` with the numeral of n substituted for ``var``.  ``base``
-    proves instance 0 and ``steps``, applied in order, turn a proof of
-    instance n into a proof of instance n+1 uniformly in n.
+    Instance n is ``family`` with the numeral of n substituted for ``var``.
+    ``base`` proves instance 0 and ``steps``, applied in order, turn a proof
+    of instance n into a proof of instance n+1 uniformly in n.
     """
 
     __slots__ = ("var", "family", "base", "steps")
@@ -315,31 +314,39 @@ class PremiseGenerator:
         key = (cls, var, family, base, steps)
         self = _INTERN.get(key)
         if self is None:
-            self = _INTERN[key] = object.__new__(cls)
+            self = cls._make(key)
             self.var = var
             self.family = family
             self.base = base
             self.steps = steps
         return self
 
-    def instance(self, n: int) -> Formula:
-        return substitute(self.family, self.var, numeral(n))
-
+    @property
     def conclusion(self) -> Formula:
         return Forall(self.var, self.family)
 
+    def instance(self, n: int) -> Formula:
+        return substitute(self.family, self.var, numeral(n))
 
-class Omega(Proof):
-    __slots__ = ("gen", "conclusion")
+    def premises(self, count: int, path: tuple[int, ...] = ()):
+        """Yield ``(proof, instance n)`` for n = 1..count, each proof built
+        by applying the steps to the previous one, starting from the base.
 
-    def __new__(cls, gen: PremiseGenerator, conclusion: Formula):
-        key = (cls, gen, conclusion)
-        self = _INTERN.get(key)
-        if self is None:
-            self = cls._make(key)
-            self.gen = gen
-            self.conclusion = conclusion
-        return self
+        A step that raises is reported as a :class:`CheckError` at ``path``
+        naming the step and the sample.  Nothing yielded is checked here.
+        """
+        proof, formula = self.base, self.instance(0)
+        for k in range(count):
+            expected = self.instance(k + 1)
+            for j, step in enumerate(self.steps):
+                try:
+                    proof, formula = step.apply(proof, formula, expected)
+                except CheckError:
+                    raise
+                except Exception as e:  # tactic construction failure
+                    raise CheckError(path, "omega", f"step {j} failed at sample {k}: {e}") from e
+            yield proof, expected
+            formula = expected
 
 
 def _proof_children(p: Proof) -> tuple[Proof, ...]:
@@ -349,40 +356,25 @@ def _proof_children(p: Proof) -> tuple[Proof, ...]:
     if t is Gen or t is TIntro:
         return (p.premise,)
     if t is Omega:
-        return (p.gen.base,) + tuple(
-            s.lemma for s in p.gen.steps if isinstance(s, ChainWith)
+        return (p.base,) + tuple(
+            s.lemma for s in p.steps if isinstance(s, ChainWith)
         )
     return ()
-
-
-def omega_apply(gen: PremiseGenerator) -> Proof:
-    """Omega node concluding the universal closure of the generator family.
-
-    Validation is deferred to :func:`check`.
-    """
-    return Omega(gen, gen.conclusion())
 
 
 # ---------------------------------------------------------------------------
 # schema matching
 
-_Q_SENTENCES: dict[SchemaId, Formula] | None = None
-
-
-def _q_sentences() -> dict[SchemaId, Formula]:
-    global _Q_SENTENCES
-    if _Q_SENTENCES is None:
-        x, y = Var(0), Var(1)
-        _Q_SENTENCES = {
-            SchemaId.Q1: Forall(0, Forall(1, Imp(Eq(Succ(x), Succ(y)), Eq(x, y)))),
-            SchemaId.Q2: Forall(0, Not(Eq(Succ(x), ZERO))),
-            SchemaId.Q3: Forall(0, Imp(Not(Eq(x, ZERO)), Not(Forall(1, Not(Eq(x, Succ(y))))))),
-            SchemaId.Q4: Forall(0, Eq(Add(x, ZERO), x)),
-            SchemaId.Q5: Forall(0, Forall(1, Eq(Add(x, Succ(y)), Succ(Add(x, y))))),
-            SchemaId.Q6: Forall(0, Eq(Mul(x, ZERO), ZERO)),
-            SchemaId.Q7: Forall(0, Forall(1, Eq(Mul(x, Succ(y)), Add(Mul(x, y), x)))),
-        }
-    return _Q_SENTENCES
+_X, _Y = Var(0), Var(1)
+_Q_SENTENCES: dict[SchemaId, Formula] = {
+    SchemaId.Q1: Forall(0, Forall(1, Imp(Eq(Succ(_X), Succ(_Y)), Eq(_X, _Y)))),
+    SchemaId.Q2: Forall(0, Not(Eq(Succ(_X), ZERO))),
+    SchemaId.Q3: Forall(0, Imp(Not(Eq(_X, ZERO)), Not(Forall(1, Not(Eq(_X, Succ(_Y))))))),
+    SchemaId.Q4: Forall(0, Eq(Add(_X, ZERO), _X)),
+    SchemaId.Q5: Forall(0, Forall(1, Eq(Add(_X, Succ(_Y)), Succ(Add(_X, _Y))))),
+    SchemaId.Q6: Forall(0, Eq(Mul(_X, ZERO), ZERO)),
+    SchemaId.Q7: Forall(0, Forall(1, Eq(Mul(_X, Succ(_Y)), Add(Mul(_X, _Y), _X)))),
+}
 
 
 def _m_prop1(phi):
@@ -736,12 +728,12 @@ def _matches(schema: SchemaId, phi: Formula):
     m = _MATCHERS.get(schema)
     if m is not None:
         return m(phi)
-    return (phi == _q_sentences()[schema]), None
+    return (phi == _Q_SENTENCES[schema]), None
 
 
 def q_axiom(schema: SchemaId) -> Formula:
     """The canonical sentence of one of the arithmetic axioms Q1..Q7."""
-    return _q_sentences()[schema]
+    return _Q_SENTENCES[schema]
 
 
 def match_schema(phi: Formula, config: TheoryConfig) -> SchemaId | None:
@@ -866,42 +858,22 @@ class _Checker:
                 raise CheckError(path, "t-intro", f"premise is not a sentence: {pretty_print(f)}")
             return Tr(coding.name_of(f)), o
         # Omega
-        gen = node.gen
-        want = gen.conclusion()
-        if node.conclusion != want:
-            raise CheckError(path, "omega", f"conclusion differs from the family closure {pretty_print(want)}")
-        counts = [self._replay(gen, path)]
-        base_f, base_o = memo[gen.base]
-        counts.append(base_o)
-        return node.conclusion, 1 + max(counts)
-
-    def _replay(self, gen: PremiseGenerator, path: tuple[int, ...]) -> int:
-        memo = self.memo
-        base_f, base_o = memo[gen.base]
-        fam0 = gen.instance(0)
+        base_f, worst = memo[node.base]
+        fam0 = node.instance(0)
         if base_f != fam0:
             raise CheckError(path, "omega", f"base proves {pretty_print(base_f)}, not instance 0 {pretty_print(fam0)}")
-        cur_proof, cur_formula = gen.base, fam0
-        worst = base_o
-        for k in range(self.config.omega_samples):
-            expected = gen.instance(k + 1)
-            for j, step in enumerate(gen.steps):
-                try:
-                    cur_proof, cur_formula = step.apply(cur_proof, cur_formula, expected)
-                except CheckError:
-                    raise
-                except Exception as e:  # tactic construction failure
-                    raise CheckError(path, "omega", f"step {j} failed at sample {k}: {e}") from e
-            got, ocount = self.run(cur_proof, path + (1 + k,))
+        # samples are numbered after the children, so a path names one node
+        first = len(_proof_children(node))
+        for k, (proof, expected) in enumerate(node.premises(self.config.omega_samples, path)):
+            got, ocount = self.run(proof, path + (first + k,))
             if got != expected:
                 raise CheckError(
                     path, "omega",
                     f"sample {k + 1} proves {pretty_print(got)}, expected {pretty_print(expected)}",
                 )
-            cur_formula = got
             worst = max(worst, ocount)
         self.samples += self.config.omega_samples
-        return worst
+        return node.conclusion, 1 + worst
 
 
 def check(proof: Proof, config: TheoryConfig = GAMMA) -> CheckedTheorem:
@@ -911,12 +883,3 @@ def check(proof: Proof, config: TheoryConfig = GAMMA) -> CheckedTheorem:
     if config.max_omega_count is not None and ocount > config.max_omega_count:
         raise CheckError((), "omega", f"omega_count {ocount} exceeds the configured cap {config.max_omega_count}")
     return CheckedTheorem(formula, config, ocount, st.samples, st.size, proof)
-
-
-def validate_generator(gen: PremiseGenerator, config: TheoryConfig = GAMMA) -> int:
-    """Replay a generator at ``config.omega_samples`` instances; returns
-    the number of samples checked."""
-    st = _Checker(config)
-    st.run(gen.base)
-    st._replay(gen, ())
-    return config.omega_samples

@@ -27,8 +27,8 @@ import sys
 from dataclasses import dataclass
 
 from .kernel import (
-    ApplyTIntro, Axiom, ChainWith, Gen, LiftImp, MP, Omega, PremiseGenerator,
-    Proof, RewriteEval, SchemaId, TIntro,
+    ApplyTIntro, Axiom, ChainWith, Gen, LiftImp, MP, Omega, Proof,
+    RewriteEval, SchemaId, TIntro,
 )
 from .syntax import (
     Formula, Term, parse_formula, parse_term, pretty_print, var_index,
@@ -165,9 +165,8 @@ def _proof_sexp(p: Proof):
     if t is TIntro:
         return ["tintro", _proof_sexp(p.premise)]
     # Omega
-    g = p.gen
     steps = []
-    for s in g.steps:
+    for s in p.steps:
         if isinstance(s, ApplyTIntro):
             steps.append(["t-intro"])
         elif isinstance(s, LiftImp):
@@ -178,8 +177,8 @@ def _proof_sexp(p: Proof):
             steps.append(["chain", _proof_sexp(s.lemma)])
     return [
         "omega",
-        ["family", var_name(g.var), _Q(pretty_print(g.family))],
-        ["base", _proof_sexp(g.base)],
+        ["family", var_name(p.var), _Q(pretty_print(p.family))],
+        ["base", _proof_sexp(p.base)],
         ["step", *steps],
     ]
 
@@ -304,8 +303,7 @@ def _expand_proof(sexp):
         family = _formula(fam_form[2])
         base, base_f = _expand_proof(base_form[1])
         steps = tuple(_expand_step(s) for s in steps_form[1:])
-        g = PremiseGenerator(v, family, base, steps)
-        node = Omega(g, g.conclusion())
+        node = Omega(v, family, base, steps)
         return node, node.conclusion
     if head == "taut":
         _arity(sexp, 1)

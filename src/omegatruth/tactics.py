@@ -352,6 +352,11 @@ def propositional_counterexample(phi: Formula) -> dict[Formula, bool] | None:
     order = propositional_atoms(phi)
     if len(order) > _TAUT_ATOM_LIMIT:
         raise TacticError(f"too many distinct atoms ({len(order)}) for a truth-table sweep")
+    return _counterexample(phi, order)
+
+
+def _counterexample(phi: Formula, order: list[Formula]) -> dict[Formula, bool] | None:
+    """A falsifying assignment to the atoms ``order`` of phi, or None."""
     v: dict[Formula, bool] = {}
 
     def sweep(i: int) -> dict[Formula, bool] | None:
@@ -377,7 +382,7 @@ def taut(phi: Formula) -> Thm:
     order = propositional_atoms(phi)
     if len(order) > _TAUT_ATOM_LIMIT:
         raise TacticError(f"too many distinct atoms ({len(order)}) for tautology compilation")
-    bad = propositional_counterexample(phi)
+    bad = _counterexample(phi, order)
     if bad is not None:
         raise TautologyError(phi, bad)
 

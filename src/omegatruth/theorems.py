@@ -15,8 +15,8 @@ from typing import Callable
 from .coding import OMEGA_VAR, DIAG_VAR, name_of, omega_truth
 from .kernel import (
     ApplyTIntro, ChainWith, CheckedTheorem, GAMMA, LiftImp, MissingSchema,
-    PremiseGenerator, Refutation, RewriteEval, SchemaId, SIGMA,
-    TheoryConfig, check, omega_apply, q_axiom,
+    Omega, Refutation, RewriteEval, SchemaId, SIGMA, TheoryConfig, check,
+    q_axiom,
 )
 from .syntax import (
     Eq, FnApp, Forall, Formula, ITER, Imp, Not, Succ, Tr, Var, ZERO,
@@ -46,18 +46,18 @@ def _require(config: TheoryConfig, *schemas: SchemaId) -> None:
 # the derivability conditions for the omega-truth predicate
 
 
-def _omega_family_generator(base: Thm, phi: Formula) -> PremiseGenerator:
-    """Generator for the family T(iter(y, #phi)) from a proof of phi."""
+def _omega_family(base: Thm, phi: Formula) -> Omega:
+    """Omega node over the family T(iter(y, #phi)) from a proof of phi."""
     w = omega_truth(name_of(phi))
     fam0 = substitute(w.body, w.var, ZERO)
     aligned = rewrite_align(tintro(base), fam0, [(0,)])
-    return PremiseGenerator(w.var, w.body, aligned.proof, (ApplyTIntro(), RewriteEval((0,))))
+    return Omega(w.var, w.body, aligned.proof, (ApplyTIntro(), RewriteEval((0,))))
 
 
 def _m1(th: Thm) -> Thm:
     """From phi conclude T^omega(#phi): introduce T and iterate."""
-    g = _omega_family_generator(th, th.formula)
-    return Thm(omega_apply(g), omega_truth(name_of(th.formula)))
+    om = _omega_family(th, th.formula)
+    return Thm(om, om.conclusion)
 
 
 def _m2(phi: Formula, psi: Formula) -> Thm:
@@ -73,11 +73,11 @@ def _m2(phi: Formula, psi: Formula) -> Thm:
     positions = [(0, 0), (1, 0, 0), (1, 1, 0)]
     timp = ax(SchemaId.TIMP, Imp(Tr(nf), Imp(Tr(na), Tr(nb))))
     base = rewrite_align(timp, substitute(fam, y, ZERO), positions)
-    g = PremiseGenerator(
+    node = Omega(
         y, fam, base.proof,
         (LiftImp(2),) + tuple(RewriteEval(p) for p in positions),
     )
-    om = Thm(omega_apply(g), Forall(y, fam))
+    om = Thm(node, node.conclusion)
 
     p_w, q_w = omega_truth(nf), omega_truth(na)
     r_y = Tr(FnApp(ITER, [Var(y), nb]))
@@ -102,11 +102,11 @@ def _m3(phi: Formula) -> Thm:
     y = OMEGA_VAR
     fam = Imp(w, Tr(FnApp(ITER, [Var(y), nw])))
     base = rewrite_align(a1, substitute(fam, y, ZERO), [(1, 0)])
-    g = PremiseGenerator(
+    node = Omega(
         y, fam, base.proof,
         (LiftImp(1), ChainWith(a1.proof, a1.formula), RewriteEval((1, 0))),
     )
-    om = Thm(omega_apply(g), Forall(y, fam))
+    om = Thm(node, node.conclusion)
     q2 = ax(SchemaId.QUANT2, Imp(om.formula, Imp(w, omega_truth(nw))))
     return mp(om, q2)
 
@@ -226,7 +226,7 @@ def formalized_loeb(
 
 
 def _mcgee_lines(config: TheoryConfig):
-    """Lines 1-7: the finitary half of the refutation, plus the generator."""
+    """Lines 1-7: the finitary half of the refutation, plus the omega node."""
     _require(config, SchemaId.CONS, SchemaId.TIMP, SchemaId.UINF)
     v = DIAG_VAR
     dr = diagonal_lemma(Not(omega_truth(Var(v))), v)
@@ -249,7 +249,7 @@ def _mcgee_lines(config: TheoryConfig):
         mp(line5, taut(Imp(line5.formula, Imp(line4.formula, Not(w))))),
     )
     line7 = mp(line6, mp(line1, taut(Imp(line1.formula, Imp(Not(w), gamma)))))
-    generator = _omega_family_generator(line7, gamma)
+    omega = _omega_family(line7, gamma)
     narrative = (
         ("1", line1.formula),
         ("2", line2.formula),
@@ -260,14 +260,14 @@ def _mcgee_lines(config: TheoryConfig):
         ("7", line7.formula),
         ("omega", w),
     )
-    return gamma, w, line6, line7, generator, narrative
+    return gamma, w, line6, line7, omega, narrative
 
 
 def mcgee_original(config: TheoryConfig = GAMMA) -> Refutation:
     """The direct refutation: the diagonal sentence is provable, its
     omega-truth refutable, and one omega-rule application closes the gap."""
-    gamma, w, line6, _line7, generator, narrative = _mcgee_lines(config)
-    positive = check(omega_apply(generator), config)
+    gamma, w, line6, _line7, omega, narrative = _mcgee_lines(config)
+    positive = check(omega, config)
     negative = check(line6.proof, config)
     return Refutation(positive, negative, narrative)
 
@@ -333,19 +333,12 @@ class WitnessReport:
 def omega_witness(config: TheoryConfig = GAMMA, count: int = 3) -> WitnessReport:
     """The witness family T(iter(y, #gamma)): refutable universally, provable
     at every instance, without any omega-rule application."""
-    _gamma, _w, line6, _line7, generator, _narr = _mcgee_lines(config)
+    _gamma, _w, line6, _line7, omega, _narr = _mcgee_lines(config)
     negation = check(line6.proof, config)
-    instances = []
-    cur_proof, cur_formula = generator.base, generator.instance(0)
-    for n in range(count):
-        if n > 0:
-            expected = generator.instance(n)
-            for step in generator.steps:
-                cur_proof, cur_formula = step.apply(cur_proof, cur_formula, expected)
-        instances.append(check(cur_proof, config))
+    proofs = [omega.base] + [p for p, _ in omega.premises(count - 1)]
     return WitnessReport(
-        family=generator.family,
-        var=generator.var,
+        family=omega.family,
+        var=omega.var,
         universal_negation=negation,
-        instances=tuple(instances),
+        instances=tuple(check(p, config) for p in proofs[:count]),
     )

@@ -6,9 +6,7 @@ from __future__ import annotations
 import random
 
 from omegatruth.coding import decode, encode
-from omegatruth.kernel import (
-    Axiom, Gen, MP, Omega, PremiseGenerator, Proof, TIntro,
-)
+from omegatruth.kernel import Axiom, Gen, MP, Omega, Proof, TIntro
 from omegatruth.syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ, Term, Tr, Var,
     ZERO, numeral, substitute,
@@ -159,7 +157,7 @@ def proof_paths(p: Proof, prefix=()):
     elif t is Gen or t is TIntro:
         yield from proof_paths(p.premise, prefix + (0,))
     elif t is Omega:
-        yield from proof_paths(p.gen.base, prefix + (0,))
+        yield from proof_paths(p.base, prefix + (0,))
 
 
 def proof_replace(p: Proof, path, new: Proof) -> Proof:
@@ -175,9 +173,7 @@ def proof_replace(p: Proof, path, new: Proof) -> Proof:
     if t is TIntro:
         return TIntro(proof_replace(p.premise, path[1:], new))
     if t is Omega:
-        g = p.gen
-        g2 = PremiseGenerator(g.var, g.family, proof_replace(g.base, path[1:], new), g.steps)
-        return Omega(g2, p.conclusion)
+        return Omega(p.var, p.family, proof_replace(p.base, path[1:], new), p.steps)
     raise ValueError("path into a leaf")
 
 
@@ -221,12 +217,10 @@ def mutate_node(rng: random.Random, node: Proof) -> Proof:
         return Gen(node.var + 1, node.premise)
     if t is TIntro:
         return Gen(0, node.premise)
-    # Omega: perturb the conclusion or the family
-    g = node.gen
+    # Omega: perturb the distinguished variable or the family
     if rng.random() < 0.5:
-        return Omega(g, _mutate_formula(rng, node.conclusion))
-    g2 = PremiseGenerator(g.var, _mutate_formula(rng, g.family), g.base, g.steps)
-    return Omega(g2, node.conclusion)
+        return Omega(node.var + 1, node.family, node.base, node.steps)
+    return Omega(node.var, _mutate_formula(rng, node.family), node.base, node.steps)
 
 
 def mutate_proof(rng: random.Random, proof: Proof, tries: int = 20) -> Proof:

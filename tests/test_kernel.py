@@ -6,9 +6,9 @@ from omegatruth.coding import (
 )
 from omegatruth.kernel import (
     ApplyTIntro, Axiom, AxiomRejection, CheckError, GAMMA, Gen, MP,
-    MissingSchema, Omega, PremiseGenerator, RewriteEval, SIGMA, SchemaId,
-    TIntro, TheoryConfig, check, is_axiom, match_schema, omega_apply,
-    q_axiom, validate_generator, _one_step_rewrite,
+    MissingSchema, Omega, RewriteEval, SIGMA, SchemaId, TIntro,
+    TheoryConfig, check, is_axiom, match_schema, q_axiom, _one_step_rewrite,
+    _proof_children,
 )
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, replace_at,
@@ -228,28 +228,21 @@ def test_constant_family_generator_with_identity_step():
     # step list reproduces every instance
     fam = Eq(Var(0), Var(0))
     base = Axiom(SchemaId.EQ1, fam)
-    g = PremiseGenerator(1, fam, base, ())
-    assert validate_generator(g, GAMMA) == 8
-    proof_cert = check(omega_apply(g), GAMMA)
+    om = Omega(1, fam, base, ())
+    assert om.conclusion is Forall(1, fam)
+    assert [p for p, _ in om.premises(3)] == [base] * 3
+    proof_cert = check(om, GAMMA)
     assert proof_cert.formula == Forall(1, fam)
     assert proof_cert.omega_count == 1
-
-
-def test_omega_conclusion_must_match_family():
-    fam = Eq(Var(0), Var(0))
-    g = PremiseGenerator(1, fam, Axiom(SchemaId.EQ1, fam), ())
-    bad = Omega(g, Forall(0, fam))
-    with pytest.raises(CheckError) as err:
-        check(bad, GAMMA)
-    assert err.value.rule == "omega"
+    assert proof_cert.samples_checked == 8
 
 
 def test_generator_base_must_prove_instance_zero():
     fam = Tr(FnApp("iter", [Var(1), name_of(Eq(ZERO, ZERO))]))
     base = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
-    g = PremiseGenerator(1, fam, base, (ApplyTIntro(), RewriteEval((0,))))
+    om = Omega(1, fam, base, (ApplyTIntro(), RewriteEval((0,))))
     with pytest.raises(CheckError) as err:
-        check(omega_apply(g), GAMMA)
+        check(om, GAMMA)
     assert "instance 0" in err.value.reason
 
 
@@ -263,10 +256,25 @@ def test_generator_step_failure_reports_sample():
 
     base = rewrite_align(base_thm, substitute(fam, 1, ZERO), [(0,)])
     steps = (ApplyTIntro(), RewriteEval((0,)), ApplyTIntro(), RewriteEval((0,)))
-    g = PremiseGenerator(1, fam, base.proof, steps)
+    om = Omega(1, fam, base.proof, steps)
     with pytest.raises(CheckError) as err:
-        check(omega_apply(g), GAMMA)
+        check(om, GAMMA)
     assert "sample" in str(err.value)
+
+
+def test_omega_sample_paths_follow_the_children():
+    # M3's omega node has two children, its base (0) and its ChainWith
+    # lemma (1); sample k is checked at 2 + k, so no two nodes share a path
+    from omegatruth.theorems import m3
+
+    proof = m3(Eq(ZERO, ZERO), SIGMA).proof  # mp(omega, QUANT2 instance)
+    assert len(_proof_children(proof.minor)) == 2
+    with pytest.raises(CheckError) as err:  # the lemma is the first to need UINF
+        check(proof, TheoryConfig(has_uinf=False))
+    assert err.value.path[:2] == (0, 1)
+    with pytest.raises(CheckError) as err:  # only the samples need TIMP
+        check(proof, TheoryConfig(has_timp=False))
+    assert err.value.path[:2] == (0, 2)
 
 
 def test_m1_style_generator_counts(mcgee):

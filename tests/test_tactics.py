@@ -49,6 +49,17 @@ def test_taut_rejects_with_counterexample():
     assert ce[A] is True and ce[B] is False
 
 
+def test_taut_atom_limit_messages():
+    # nine distinct atoms, one past the limit
+    phi = Eq(numeral(0), numeral(0))
+    for n in range(1, 9):
+        phi = Imp(Eq(numeral(n), numeral(n)), phi)
+    with pytest.raises(TacticError, match=r"too many distinct atoms \(9\) for tautology compilation"):
+        taut(phi)
+    with pytest.raises(TacticError, match=r"too many distinct atoms \(9\) for a truth-table sweep"):
+        propositional_counterexample(phi)
+
+
 def test_taut_matches_oracle_on_random_skeletons():
     rng = random.Random(37)
     atoms = [A, B, C, Forall(0, Eq(Var(0), Var(0)))]

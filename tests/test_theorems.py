@@ -33,10 +33,10 @@ def test_m1_increments_omega_count():
 
 
 def test_m1_family_instances_match_iteration_function(mcgee):
-    gen = mcgee.positive.proof.gen
+    om = mcgee.positive.proof
     gamma_code = encode_gamma(mcgee)
     for n in range(8):
-        inst = gen.instance(n)
+        inst = om.instance(n)
         assert inst == Tr(FnApp("iter", [numeral(n), numeral(gamma_code)]))
 
 
@@ -70,8 +70,8 @@ def test_m3_shape_and_family():
     assert cert.formula == Imp(w, omega_truth(name_of(w)))
     assert cert.omega_count == 1
     # instance 1 of the generator family is the once-lifted law
-    gen = cert.proof.minor.gen
-    inst1 = gen.instance(1)
+    om = cert.proof.minor
+    inst1 = om.instance(1)
     assert inst1 == Imp(w, Tr(FnApp("iter", [numeral(1), name_of(w)])))
 
 
@@ -79,7 +79,7 @@ def test_m3_base_is_the_first_law_plus_one_rewrite():
     from omegatruth.tactics import derive_A1
 
     cert = m3(A, SIGMA)
-    base = cert.proof.minor.gen.base
+    base = cert.proof.minor.base
     # the base applies exactly one rewrite on top of the first iteration law
     assert base.minor == derive_A1(A).proof
 
