@@ -7,6 +7,7 @@ inactive schema), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -303,8 +304,13 @@ def main(argv=None) -> int:
     # 4300 decimal digits CPython converts by default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    # interned nodes live as long as the process and hold no cycles, so the
+    # cyclic collector would only rescan them; one command leaves little
+    # cyclic garbage, and reference counting frees everything else
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as e:
         if isinstance(e, (CheckError, MissingSchema, AxiomRejection, TacticError)):
@@ -315,6 +321,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -333,18 +333,19 @@ class Omega(Proof):
         by applying the steps to the previous one, starting from the base.
 
         A step that raises is reported as a :class:`CheckError` at ``path``
-        naming the step and the sample.  Nothing yielded is checked here.
+        naming the step and the sample n it was building.  Nothing yielded
+        is checked here.
         """
         proof, formula = self.base, self.instance(0)
-        for k in range(count):
-            expected = self.instance(k + 1)
+        for n in range(1, count + 1):
+            expected = self.instance(n)
             for j, step in enumerate(self.steps):
                 try:
                     proof, formula = step.apply(proof, formula, expected)
                 except CheckError:
                     raise
                 except Exception as e:  # tactic construction failure
-                    raise CheckError(path, "omega", f"step {j} failed at sample {k}: {e}") from e
+                    raise CheckError(path, "omega", f"step {j} failed at sample {n}: {e}") from e
             yield proof, expected
             formula = expected
 
@@ -802,6 +803,15 @@ class Refutation:
             raise ValueError("refutation sides use different theories")
 
 
+def _spell(prefix: tuple[int, ...], link) -> tuple[int, ...]:
+    """The path, below ``prefix``, of the node whose stack link is ``link``."""
+    rev = []
+    while link is not None:
+        link, i = link
+        rev.append(i)
+    return prefix + tuple(reversed(rev))
+
+
 class _Checker:
     def __init__(self, config: TheoryConfig):
         self.config = config
@@ -812,40 +822,43 @@ class _Checker:
         self.size = 0
 
     def run(self, root: Proof, path: tuple[int, ...] = ()) -> tuple[Formula, int]:
+        # a stack entry names its node by a link (parent link, child index)
+        # back to the root, whose link is None; the path is spelled out
+        # only for an error or an omega node
         memo = self.memo
-        stack: list[tuple[Proof, tuple[int, ...], bool]] = [(root, path, False)]
+        stack: list[tuple[Proof, tuple | None, bool]] = [(root, None, False)]
         while stack:
-            node, npath, ready = stack.pop()
+            node, link, ready = stack.pop()
             if node in memo:
                 continue
             if not ready:
-                stack.append((node, npath, True))
+                stack.append((node, link, True))
                 for i, child in enumerate(_proof_children(node)):
-                    stack.append((child, npath + (i,), False))
+                    stack.append((child, (link, i), False))
             else:
-                memo[node] = self._reduce(node, npath)
+                memo[node] = self._reduce(node, path, link)
                 self.size += 1
         return memo[root]
 
-    def _reduce(self, node: Proof, path: tuple[int, ...]) -> tuple[Formula, int]:
+    def _reduce(self, node: Proof, prefix: tuple[int, ...], link) -> tuple[Formula, int]:
         t = type(node)
         memo = self.memo
         if t is Axiom:
             if not self.config.active(node.schema):
-                raise CheckError(path, "axiom", f"schema {node.schema.value} is inactive under this theory")
+                raise CheckError(_spell(prefix, link), "axiom", f"schema {node.schema.value} is inactive under this theory")
             ok, detail = _matches(node.schema, node.instance)
             if not ok:
                 why = detail or "instance does not match the schema"
-                raise CheckError(path, "axiom", f"{node.schema.value}: {why}: {pretty_print(node.instance)}")
+                raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}: {pretty_print(node.instance)}")
             return node.instance, 0
         if t is MP:
             fa, oa = memo[node.minor]
             fb, ob = memo[node.major]
             if type(fb) is not Imp:
-                raise CheckError(path, "mp", f"major premise is not an implication: {pretty_print(fb)}")
+                raise CheckError(_spell(prefix, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
             if fb.ant != fa:
                 raise CheckError(
-                    path, "mp",
+                    _spell(prefix, link), "mp",
                     f"minor premise {pretty_print(fa)} does not match antecedent {pretty_print(fb.ant)}",
                 )
             return fb.cons, max(oa, ob)
@@ -855,21 +868,23 @@ class _Checker:
         if t is TIntro:
             f, o = memo[node.premise]
             if f.fv:
-                raise CheckError(path, "t-intro", f"premise is not a sentence: {pretty_print(f)}")
+                raise CheckError(_spell(prefix, link), "t-intro", f"premise is not a sentence: {pretty_print(f)}")
             return Tr(coding.name_of(f)), o
         # Omega
+        path = _spell(prefix, link)
         base_f, worst = memo[node.base]
         fam0 = node.instance(0)
         if base_f != fam0:
             raise CheckError(path, "omega", f"base proves {pretty_print(base_f)}, not instance 0 {pretty_print(fam0)}")
-        # samples are numbered after the children, so a path names one node
-        first = len(_proof_children(node))
-        for k, (proof, expected) in enumerate(node.premises(self.config.omega_samples, path)):
-            got, ocount = self.run(proof, path + (first + k,))
+        # sample n, the proof of instance n, is checked at child index c + n - 1
+        # of an omega node with c children, so a path names one node
+        first = len(_proof_children(node)) - 1
+        for n, (proof, expected) in enumerate(node.premises(self.config.omega_samples, path), 1):
+            got, ocount = self.run(proof, path + (first + n,))
             if got != expected:
                 raise CheckError(
                     path, "omega",
-                    f"sample {k + 1} proves {pretty_print(got)}, expected {pretty_print(expected)}",
+                    f"sample {n} proves {pretty_print(got)}, expected {pretty_print(expected)}",
                 )
             worst = max(worst, ocount)
         self.samples += self.config.omega_samples

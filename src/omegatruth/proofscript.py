@@ -26,13 +26,15 @@ import re
 import sys
 from dataclasses import dataclass
 
+from . import tactics as T
+from .coding import name_of
 from .kernel import (
     ApplyTIntro, Axiom, ChainWith, Gen, LiftImp, MP, Omega, Proof,
     RewriteEval, SchemaId, TIntro,
 )
 from .syntax import (
-    Formula, Term, parse_formula, parse_term, pretty_print, var_index,
-    var_name,
+    Forall, Formula, Imp, Term, Tr, parse_formula, parse_term, pretty_print,
+    var_index, var_name,
 )
 
 __all__ = ["Script", "ScriptError", "parse_script", "serialize_script", "expand"]
@@ -238,10 +240,14 @@ def _var(tok) -> int:
     raise ScriptError(f"expected a variable name, got {tok!r}")
 
 
-def _formula(tok) -> Formula:
+def _formula(tok, parsed: dict) -> Formula:
     if not isinstance(tok, _Q):
         raise ScriptError(f"expected a quoted formula, got {tok!r}")
-    return parse_formula(str(tok))
+    # parses are interned, so a string met again yields the same formula
+    phi = parsed.get(tok)
+    if phi is None:
+        phi = parsed[tok] = parse_formula(str(tok))
+    return phi
 
 
 def _term(tok) -> Term:
@@ -250,12 +256,9 @@ def _term(tok) -> Term:
     return parse_term(str(tok))
 
 
-def _expand_proof(sexp):
-    """Expand a proof expression into a (Proof, claimed formula) pair."""
-    from . import tactics as T
-    from .coding import name_of
-    from .syntax import Forall, Imp, Tr
-
+def _expand_proof(sexp, parsed: dict):
+    """Expand a proof expression into a (Proof, claimed formula) pair;
+    ``parsed`` maps the formula strings met so far to their parses."""
     _want(sexp, "a proof form")
     head = sexp[0].lower()
     args = sexp[1:]
@@ -267,22 +270,22 @@ def _expand_proof(sexp):
             schema = SchemaId(args[0].upper())
         except ValueError:
             raise ScriptError(f"unknown schema {args[0]!r}") from None
-        inst = _formula(args[1])
+        inst = _formula(args[1], parsed)
         return Axiom(schema, inst), inst
     if head == "mp":
         _arity(sexp, 2)
-        (p1, f1), (p2, f2) = _expand_proof(args[0]), _expand_proof(args[1])
+        (p1, f1), (p2, f2) = _expand_proof(args[0], parsed), _expand_proof(args[1], parsed)
         if type(f2) is not Imp or f2.ant != f1:
             raise ScriptError(f"mp premises do not fit: {pretty_print(f1)} vs {pretty_print(f2)}")
         return MP(p1, p2), f2.cons
     if head == "gen":
         _arity(sexp, 2)
         v = _var(args[0])
-        p, f = _expand_proof(args[1])
+        p, f = _expand_proof(args[1], parsed)
         return Gen(v, p), Forall(v, f)
     if head == "tintro":
         _arity(sexp, 1)
-        p, f = _expand_proof(args[0])
+        p, f = _expand_proof(args[0], parsed)
         return TIntro(p), Tr(name_of(f))
     if head == "omega":
         fam_form = base_form = None
@@ -300,14 +303,14 @@ def _expand_proof(sexp):
         _arity(fam_form, 2)
         _arity(base_form, 1)
         v = _var(fam_form[1])
-        family = _formula(fam_form[2])
-        base, base_f = _expand_proof(base_form[1])
-        steps = tuple(_expand_step(s) for s in steps_form[1:])
+        family = _formula(fam_form[2], parsed)
+        base, base_f = _expand_proof(base_form[1], parsed)
+        steps = tuple(_expand_step(s, parsed) for s in steps_form[1:])
         node = Omega(v, family, base, steps)
         return node, node.conclusion
     if head == "taut":
         _arity(sexp, 1)
-        th = T.taut(_formula(args[0]))
+        th = T.taut(_formula(args[0], parsed))
         return th.proof, th.formula
     if head == "eval":
         _arity(sexp, 1)
@@ -315,20 +318,20 @@ def _expand_proof(sexp):
         return th.proof, th.formula
     if head == "a1":
         _arity(sexp, 1)
-        th = T.derive_A1(_formula(args[0]))
+        th = T.derive_A1(_formula(args[0], parsed))
         return th.proof, th.formula
     if head == "a2":
         _arity(sexp, 1)
-        th = T.derive_A2(_formula(args[0]))
+        th = T.derive_A2(_formula(args[0], parsed))
         return th.proof, th.formula
     if head == "diag":
         _arity(sexp, 2)
-        dr = T.diagonal_lemma(_formula(args[0]), _var(args[1]))
+        dr = T.diagonal_lemma(_formula(args[0], parsed), _var(args[1]))
         return dr.equivalence_proof, dr.equivalence
     raise ScriptError(f"unknown proof form {sexp[0]!r}")
 
 
-def _expand_step(sexp):
+def _expand_step(sexp, parsed: dict):
     _want(sexp, "a step combinator")
     head = sexp[0].lower()
     if head == "t-intro":
@@ -341,7 +344,7 @@ def _expand_step(sexp):
         return RewriteEval(tuple(_nat(i, "a position index") for i in sexp[1:]))
     if head == "chain":
         _arity(sexp, 1)
-        p, f = _expand_proof(sexp[1])
+        p, f = _expand_proof(sexp[1], parsed)
         return ChainWith(p, f)
     raise ScriptError(f"unknown step combinator {sexp[0]!r}")
 
@@ -351,7 +354,7 @@ def expand(sexp) -> Proof:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        return _expand_proof(sexp)[0]
+        return _expand_proof(sexp, {})[0]
     finally:
         sys.setrecursionlimit(limit)
 

@@ -14,6 +14,7 @@ terms into canonical numerals through the computation schemas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 from .coding import (
@@ -105,6 +106,8 @@ class _HHyp(_HNode):
 
 
 class _HUse(_HNode):
+    """A closed tree: a kernel theorem, built as soon as the tree closed."""
+
     __slots__ = ("thm",)
 
     def __init__(self, thm: Thm):
@@ -114,18 +117,14 @@ class _HUse(_HNode):
 
 
 class _HApp(_HNode):
+    """Modus ponens under at least one open hypothesis."""
+
     __slots__ = ("minor", "major")
 
-    def __init__(self, minor: _HNode, major: _HNode):
-        f = major.formula
-        if type(f) is not Imp or f.ant != minor.formula:
-            raise TacticError(
-                f"hypothetical modus ponens mismatch: {pretty_print(minor.formula)}"
-                f" against {pretty_print(f)}"
-            )
+    def __init__(self, minor: _HNode, major: _HNode, formula: Formula):
         self.minor = minor
         self.major = major
-        self.formula = f.cons
+        self.formula = formula
         self.hyps = minor.hyps | major.hyps
 
 
@@ -138,7 +137,17 @@ def use(th: Thm) -> _HNode:
 
 
 def happly(minor: _HNode, major: _HNode) -> _HNode:
-    return _HApp(minor, major)
+    f = major.formula
+    if type(f) is not Imp or f.ant is not minor.formula:
+        raise TacticError(
+            f"hypothetical modus ponens mismatch: {pretty_print(minor.formula)}"
+            f" against {pretty_print(f)}"
+        )
+    if minor.hyps or major.hyps:
+        return _HApp(minor, major, f.cons)
+    # both sides are closed: emit the kernel node now, so that no closed
+    # subtree is walked again when the hypotheses above it are discharged
+    return _HUse(Thm(MP(minor.thm.proof, major.thm.proof), f.cons))
 
 
 def discharge(tree: _HNode, h: Formula) -> _HNode:
@@ -151,8 +160,8 @@ def discharge(tree: _HNode, h: Formula) -> _HNode:
             continue
         if h not in node.hyps:
             k = ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula)))
-            memo[id(node)] = _HApp(node, _HUse(k))
-        elif isinstance(node, _HHyp):  # node.formula == h
+            memo[id(node)] = happly(node, _HUse(k))
+        elif type(node) is _HHyp:  # node.formula is h
             memo[id(node)] = _HUse(taut_id(h))
         elif not ready:
             stack.append((node, True))
@@ -166,31 +175,17 @@ def discharge(tree: _HNode, h: Formula) -> _HNode:
                 SchemaId.PROP2,
                 Imp(Imp(h, Imp(a, b)), Imp(Imp(h, a), Imp(h, b))),
             )
-            memo[id(node)] = _HApp(dm, _HApp(dM, _HUse(s)))
+            memo[id(node)] = happly(dm, happly(dM, _HUse(s)))
     return memo[id(tree)]
 
 
 def compile_tree(tree: _HNode) -> Thm:
-    """Convert a hypothesis-free tree into a kernel proof."""
+    """The kernel proof of a hypothesis-free tree."""
     if tree.hyps:
         raise TacticError(
             "undischarged hypotheses: " + "; ".join(pretty_print(f) for f in tree.hyps)
         )
-    memo: dict[int, Thm] = {}
-    stack: list[tuple[_HNode, bool]] = [(tree, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, _HUse):
-            memo[id(node)] = node.thm
-        elif not ready:
-            stack.append((node, True))
-            stack.append((node.minor, False))
-            stack.append((node.major, False))
-        else:
-            memo[id(node)] = mp(memo[id(node.minor)], memo[id(node.major)])
-    return memo[id(tree)]
+    return tree.thm
 
 
 def _close(tree: _HNode, *hs: Formula) -> Thm:
@@ -219,8 +214,13 @@ def _t_contra(t: _HNode) -> _HNode:
 
 # ---------------------------------------------------------------------------
 # propositional lemma kit (all from PROP1-3 and modus ponens)
+#
+# The lemmas and ``taut`` are pure functions of interned formulas, so each
+# is cached by the identity of its arguments and returns the very same
+# theorem that a fresh call would build.
 
 
+@cache
 def taut_id(a: Formula) -> Thm:
     """a -> a."""
     aa = Imp(a, a)
@@ -230,6 +230,7 @@ def taut_id(a: Formula) -> Thm:
     return mp(k2, mp(k1, s))
 
 
+@cache
 def _l_dne(a: Formula) -> Thm:
     """~~a -> a."""
     n1, n2 = Not(a), Not(Not(a))
@@ -241,6 +242,7 @@ def _l_dne(a: Formula) -> Thm:
     return _close(happly(h, t3), n2)
 
 
+@cache
 def _l_dni(a: Formula) -> Thm:
     """a -> ~~a."""
     dne = _l_dne(Not(a))
@@ -261,6 +263,7 @@ def contrapose(th: Thm) -> Thm:
     return mp(c2, ax(SchemaId.PROP3, Imp(c2.formula, Imp(Not(f.cons), Not(f.ant)))))
 
 
+@cache
 def _l_efq(a: Formula, b: Formula) -> Thm:
     """~a -> (a -> b)."""
     na, nb = Not(a), Not(b)
@@ -269,6 +272,7 @@ def _l_efq(a: Formula, b: Formula) -> Thm:
     return _close(happly(hyp(a), c), a, na)
 
 
+@cache
 def _l_counter(a: Formula, b: Formula) -> Thm:
     """a -> (~b -> ~(a -> b))."""
     ab = Imp(a, b)
@@ -276,6 +280,7 @@ def _l_counter(a: Formula, b: Formula) -> Thm:
     return _close(_t_contra(t), a)
 
 
+@cache
 def _l_caa(c: Formula) -> Thm:
     """(~c -> c) -> c."""
     nc = Not(c)
@@ -287,6 +292,7 @@ def _l_caa(c: Formula) -> Thm:
     return _close(happly(hyp(h), e), h)
 
 
+@cache
 def _l_cases(a: Formula, c: Formula) -> Thm:
     """(a -> c) -> ((~a -> c) -> c)."""
     p, q = Imp(a, c), Imp(Not(a), c)
@@ -314,12 +320,19 @@ def _collect_atoms(phi: Formula, order: list[Formula], seen: set[Formula]) -> No
 
 
 def _t_eval(phi: Formula, v: dict[Formula, bool]) -> bool:
-    t = type(phi)
-    if t is Not:
-        return not _t_eval(phi.body, v)
-    if t is Imp:
-        return (not _t_eval(phi.ant, v)) or _t_eval(phi.cons, v)
-    return v[phi]
+    """Truth value of phi under v, which maps every atom of phi to a bool.
+
+    The value of each compound subformula is stored in v as well, so a
+    valuation evaluates each distinct subformula once.
+    """
+    r = v.get(phi)
+    if r is None:  # phi is a negation or an implication
+        if type(phi) is Not:
+            r = not _t_eval(phi.body, v)
+        else:
+            r = (not _t_eval(phi.ant, v)) or _t_eval(phi.cons, v)
+        v[phi] = r
+    return r
 
 
 def _branch(phi: Formula, v: dict[Formula, bool]) -> _HNode:
@@ -361,7 +374,7 @@ def _counterexample(phi: Formula, order: list[Formula]) -> dict[Formula, bool] |
 
     def sweep(i: int) -> dict[Formula, bool] | None:
         if i == len(order):
-            return None if _t_eval(phi, v) else dict(v)
+            return None if _t_eval(phi, dict(v)) else dict(v)
         for b in (True, False):
             v[order[i]] = b
             bad = sweep(i + 1)
@@ -373,6 +386,7 @@ def _counterexample(phi: Formula, order: list[Formula]) -> dict[Formula, bool] |
     return sweep(0)
 
 
+@cache
 def taut(phi: Formula) -> Thm:
     """Compile a propositional tautology into a Hilbert proof.
 
@@ -388,7 +402,7 @@ def taut(phi: Formula) -> Thm:
 
     def build(i: int, v: dict[Formula, bool]) -> _HNode:
         if i == len(order):
-            return _branch(phi, v)
+            return _branch(phi, dict(v))
         a = order[i]
         v[a] = True
         t1 = discharge(build(i + 1, v), a)

@@ -1,4 +1,9 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +194,47 @@ def test_check_nested_tintro_past_4300_digits(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["proof_size"] == 801
     assert len(cert["formula"]) > 4300
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
+    bad = tmp_path / "bad.proof"
+    bad.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')
+    seen = []
+
+    def exit_code(*argv):
+        try:
+            return main(list(argv))
+        except SystemExit as e:  # usage errors exit from argparse
+            return e.code
+        finally:
+            seen.append(gc.isenabled())
+
+    before = gc.isenabled()
+    try:
+        (gc.enable if was_enabled else gc.disable)()
+        codes = [
+            exit_code("eval", "S(0)"),
+            exit_code("check", str(bad)),
+            exit_code("code", "T(0,"),
+            exit_code("demo", "no-such-demo"),
+        ]
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert codes == [0, 1, 2, 2]
+    assert seen == [was_enabled] * 4
+
+
+def test_check_in_a_fresh_process_matches_the_manifest():
+    root = Path(__file__).resolve().parent.parent
+    proofs = root / "scripts" / "proofs"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "omegatruth.cli", "check", str(proofs / "m3_zero.proof"), "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((proofs / "manifest.json").read_text(encoding="utf-8"))
+    assert json.loads(res.stdout) == manifest["m3_zero"]

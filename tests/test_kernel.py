@@ -11,8 +11,8 @@ from omegatruth.kernel import (
     _proof_children,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, replace_at,
-    term_positions,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, pretty_print,
+    replace_at, substitute, term_positions,
 )
 from omegatruth.tactics import Thm, refl, tintro
 
@@ -260,6 +260,40 @@ def test_generator_step_failure_reports_sample():
     with pytest.raises(CheckError) as err:
         check(om, GAMMA)
     assert "sample" in str(err.value)
+
+
+def test_step_failure_and_wrong_sample_name_the_same_instance():
+    # both omega nodes fail on their first replayed proof, the one of
+    # instance 1: the doubled steps while building it, the single step by
+    # proving another formula; both messages call it sample 1
+    from omegatruth.tactics import rewrite_align
+
+    phi = Eq(ZERO, ZERO)
+    fam = Tr(FnApp("iter", [Var(1), name_of(phi)]))
+    base = rewrite_align(tintro(Thm(Axiom(SchemaId.EQ1, phi), phi)), substitute(fam, 1, ZERO), [(0,)])
+    doubled = (ApplyTIntro(), RewriteEval((0,)), ApplyTIntro(), RewriteEval((0,)))
+    with pytest.raises(CheckError) as err:
+        check(Omega(1, fam, base.proof, doubled), GAMMA)
+    assert err.value.reason.startswith("step 3 failed at sample 1:")
+    with pytest.raises(CheckError) as err:
+        check(Omega(1, fam, base.proof, (ApplyTIntro(),)), GAMMA)
+    assert err.value.reason.startswith("sample 1 proves ")
+    assert err.value.reason.endswith(f"expected {pretty_print(substitute(fam, 1, numeral(1)))}")
+
+
+def test_error_path_names_the_failing_node(mcgee):
+    # a false axiom put at one position of the proof tree occurs nowhere
+    # else, so the checker must report exactly that position
+    import random
+
+    from helpers import proof_paths, proof_replace
+
+    bad = Axiom(SchemaId.EQ1, Eq(ZERO, numeral(1)))
+    paths = [path for path, node in proof_paths(mcgee.positive.proof) if type(node) is Axiom]
+    for path in random.Random(5).sample(paths, 25) + [max(paths, key=len)]:
+        with pytest.raises(CheckError) as err:
+            check(proof_replace(mcgee.positive.proof, path, bad), GAMMA)
+        assert err.value.path == path and err.value.rule == "axiom"
 
 
 def test_omega_sample_paths_follow_the_children():

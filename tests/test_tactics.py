@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import encode, iter_fn, name_of, omega_truth, value
 from omegatruth.kernel import GAMMA, SIGMA, TheoryConfig, check
@@ -11,8 +13,8 @@ from omegatruth.syntax import (
 from omegatruth.tactics import (
     TacticError, TautologyError, Thm, contrapose, derive_A1, derive_A2,
     diagonal_lemma, eval_closed, iff_elim1, iff_elim2, iff_intro, iff_parts,
-    imp_trans, lift_imp, propositional_counterexample, refl, rewrite_eq,
-    rewrite_imp, sym, taut, tintro, trans, weaken,
+    imp_trans, lift_imp, propositional_atoms, propositional_counterexample,
+    refl, rewrite_eq, rewrite_imp, sym, taut, tintro, trans, weaken,
 )
 
 from helpers import (
@@ -58,6 +60,82 @@ def test_taut_atom_limit_messages():
         taut(phi)
     with pytest.raises(TacticError, match=r"too many distinct atoms \(9\) for a truth-table sweep"):
         propositional_counterexample(phi)
+
+
+def test_taut_counterexample_messages():
+    # the first falsifying row of the sweep, atoms in order of appearance,
+    # each tried true before false
+    cases = [
+        (Imp(A, B), "not a tautology, falsified by [0 = 0=T, T(0)=F]: 0 = 0 -> T(0)"),
+        (
+            Imp(Imp(A, B), Imp(Not(C), Imp(B, A))),
+            "not a tautology, falsified by [0 = 0=F, T(0)=T, #1 = 0=F]:"
+            " (0 = 0 -> T(0)) -> ~#1 = 0 -> T(0) -> 0 = 0",
+        ),
+        (
+            Imp(Imp(Imp(A, B), A), B),
+            "not a tautology, falsified by [0 = 0=T, T(0)=F]: ((0 = 0 -> T(0)) -> 0 = 0) -> T(0)",
+        ),
+    ]
+    for phi, msg in cases:
+        for _ in range(2):  # a failure is not cached: the second call says the same
+            with pytest.raises(TautologyError) as err:
+                taut(phi)
+            assert str(err.value) == msg
+
+
+_props = st.recursive(
+    st.sampled_from([A, B, C]),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(Imp, sub, sub)),
+    max_leaves=8,
+)
+
+
+def _first_counterexample(phi):
+    atoms = propositional_atoms(phi)
+
+    def ev(f, env):
+        if type(f) is Not:
+            return not ev(f.body, env)
+        if type(f) is Imp:
+            return (not ev(f.ant, env)) or ev(f.cons, env)
+        return env[f]
+
+    for row in itertools.product((True, False), repeat=len(atoms)):
+        env = dict(zip(atoms, row))
+        if not ev(phi, env):
+            return env
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_props, _props)
+def test_cached_lemmas_return_what_a_fresh_call_builds(a, b):
+    from omegatruth import tactics as T
+
+    kit = [T.taut_id, T._l_dne, T._l_dni, T._l_efq, T._l_counter, T._l_caa, T._l_cases, T.taut]
+    calls = [
+        (T.taut_id, (a,)), (T._l_dne, (a,)), (T._l_dni, (a,)), (T._l_efq, (a, b)),
+        (T._l_counter, (a, b)), (T._l_caa, (a,)), (T._l_cases, (a, b)),
+    ]
+    for phi in (Imp(a, b), Imp(a, a), Imp(Not(Not(a)), a)):
+        want = _first_counterexample(phi)
+        if want is None:
+            calls.append((T.taut, (phi,)))
+        else:
+            with pytest.raises(TautologyError) as err:
+                taut(phi)
+            assert err.value.counterexample == want
+            bits = ", ".join(f"{pretty_print(x)}={'T' if v else 'F'}" for x, v in want.items())
+            assert str(err.value) == f"not a tautology, falsified by [{bits}]: {pretty_print(phi)}"
+    for fn, args in calls:
+        cached = fn(*args)
+        assert fn(*args) is cached
+        for f in kit:
+            f.cache_clear()
+        fresh = fn.__wrapped__(*args)
+        assert fresh.proof is cached.proof and fresh.formula is cached.formula
+        assert check(cached.proof).formula is cached.formula
 
 
 def test_taut_matches_oracle_on_random_skeletons():
