@@ -9,21 +9,20 @@ omega-truth predicate.
 
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ, Term, Tr, Var,
-    ZERO, Zero, free_vars, mk_iff, numeral, parse, parse_formula, parse_term,
-    pretty_print, substitute,
+    ZERO, Zero, mk_iff, numeral, parse_formula, parse_term, pretty_print,
+    substitute,
 )
 from .coding import (
-    decode, diagonal_pair, dot_term, encode, iter_fn, name_of, omega_truth,
-    sub_fn, value,
+    decode, diagonal_pair, encode, iter_fn, name_of, omega_truth, sub_fn,
+    value,
 )
 from .kernel import (
     Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, MissingSchema, Omega,
     Proof, Refutation, SIGMA, SchemaId, TIntro, TheoryConfig, check,
-    is_axiom, match_schema,
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,
-    rewrite_eq, taut,
+    taut,
 )
 from .theorems import (
     ProvabilityPredicate, WitnessReport, formalized_loeb, loeb, m1, m2, m3,

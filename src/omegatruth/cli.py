@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from .coding import decode, encode, value
 from .kernel import (
-    AxiomRejection, CheckError, CheckedTheorem, GAMMA, MissingSchema,
-    Refutation, SIGMA, TheoryConfig, check,
+    CheckError, CheckedTheorem, GAMMA, MissingSchema, Refutation, SIGMA,
+    TheoryConfig, check,
 )
 from .proofscript import parse_script
 from .syntax import (
@@ -242,10 +242,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, samples_default=8) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theory", choices=["gamma", "sigma"], default="gamma",
                    help="axiom schema preset (default gamma)")
-    p.add_argument("--samples", type=int, default=samples_default,
+    p.add_argument("--samples", type=int, default=8,
                    help="omega-rule generator samples (default 8)")
     p.add_argument("--max-omega", default="unlimited",
                    help="cap on nested omega applications, or 'unlimited'")
@@ -313,13 +313,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as e:
-        if isinstance(e, (CheckError, MissingSchema, AxiomRejection, TacticError)):
+        if isinstance(e, (CheckError, MissingSchema, TacticError)):
             print(f"check failure: {e}", file=sys.stderr)
             return 1
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and several walkers still recurse once per nesting level
+        print("input error: expression nested too deeply", file=sys.stderr)
         return 2
     finally:
         if was_enabled:

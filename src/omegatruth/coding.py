@@ -22,7 +22,7 @@ from .syntax import (
 __all__ = [
     "CodingError", "DecodeError", "EvalError",
     "encode", "decode", "numeral", "name_of", "value",
-    "sub_fn", "iter_fn", "omega_truth", "dot_term",
+    "sub_fn", "iter_fn", "omega_truth",
     "self_application_term", "diagonal_pair",
     "K0", "OMEGA_VAR", "TEMPLATE_CODE_VAR", "UINF_BOUND_VAR", "DIAG_VAR",
     "iter_zero_axiom", "iter_step_axiom",
@@ -288,12 +288,6 @@ def omega_truth(t: Term) -> Formula:
     while y in t.fv:
         y += 1
     return Forall(y, Tr(FnApp(ITER, [Var(y), t])))
-
-
-def dot_term(phi: Formula, v: int, x: int) -> Term:
-    """The term whose value at ``x := n`` is the code of ``phi`` with the
-    numeral of ``n`` substituted for ``v``."""
-    return FnApp(SUB, [name_of(phi), numeral(v), Var(x)])
 
 
 def self_application_term(v: int) -> Term:

@@ -22,7 +22,7 @@ arithmetic, and the sampled replay itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import coding
 from .syntax import (
@@ -35,12 +35,15 @@ __all__ = [
     "Proof", "Axiom", "MP", "Gen", "TIntro", "Omega",
     "StepCombinator", "ApplyTIntro", "LiftImp", "RewriteEval", "ChainWith",
     "CheckedTheorem", "Refutation",
-    "CheckError", "AxiomRejection", "MissingSchema",
-    "is_axiom", "match_schema", "check", "q_axiom",
+    "CheckError", "MissingSchema", "check", "q_axiom",
 ]
 
 
 class SchemaId(enum.Enum):
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality and skips Enum's Python-level hash of the name
+    __hash__ = object.__hash__
+
     PROP1 = "PROP1"
     PROP2 = "PROP2"
     PROP3 = "PROP3"
@@ -101,9 +104,6 @@ class TheoryConfig:
             return "sigma"
         return "custom(cons={:d},timp={:d},uinf={:d})".format(*flags)
 
-    def with_samples(self, n: int) -> "TheoryConfig":
-        return replace(self, omega_samples=n)
-
 
 GAMMA = TheoryConfig()
 SIGMA = TheoryConfig(has_cons=False)
@@ -125,10 +125,6 @@ class CheckError(ValueError):
         self.path = path
         self.rule = rule
         self.reason = reason
-
-
-class AxiomRejection(ValueError):
-    """A formula does not instantiate any active axiom schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -737,29 +733,20 @@ def q_axiom(schema: SchemaId) -> Formula:
     return _Q_SENTENCES[schema]
 
 
-def match_schema(phi: Formula, config: TheoryConfig) -> SchemaId | None:
-    """The first active schema that ``phi`` instantiates, or None."""
-    for schema in SchemaId:
-        if config.active(schema) and _matches(schema, phi)[0]:
-            return schema
-    return None
-
-
-def is_axiom(phi: Formula, config: TheoryConfig) -> SchemaId:
-    """Like :func:`match_schema` but raises a diagnostic on rejection."""
+def _nearest(phi: Formula, claimed: SchemaId, config: TheoryConfig) -> str:
+    """A hint for an axiom rejected under ``claimed``: every other schema
+    that ``phi`` matches, and every near miss with its reason."""
     near: list[str] = []
     for schema in SchemaId:
+        if schema is claimed:
+            continue
         ok, detail = _matches(schema, phi)
         if ok:
-            if config.active(schema):
-                return schema
-            near.append(f"{schema.value} matches but is inactive under this theory")
+            inactive = "" if config.active(schema) else " but is inactive under this theory"
+            near.append(f"{schema.value} matches{inactive}")
         elif detail:
             near.append(f"{schema.value}: {detail}")
-    hint = f" (nearest: {'; '.join(near)})" if near else ""
-    raise AxiomRejection(
-        f"formula instantiates no active axiom schema{hint}: {pretty_print(phi)}"
-    )
+    return f" (nearest: {'; '.join(near)})" if near else ""
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +836,8 @@ class _Checker:
             ok, detail = _matches(node.schema, node.instance)
             if not ok:
                 why = detail or "instance does not match the schema"
-                raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}: {pretty_print(node.instance)}")
+                hint = _nearest(node.instance, node.schema, self.config)
+                raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
             return node.instance, 0
         if t is MP:
             fa, oa = memo[node.minor]

@@ -26,16 +26,16 @@ denotes when it is a canonical numeral.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "Term", "Var", "Zero", "Succ", "Add", "Mul", "FnApp",
     "Formula", "Eq", "Tr", "Not", "Imp", "Forall",
     "Expr", "Path", "ZERO", "TWO", "ITER", "SUB", "FN_ARITY",
-    "numeral", "free_vars", "substitute", "term_substitute",
-    "subterm_at", "replace_at", "free_var_positions", "term_positions",
-    "var_name", "parse", "parse_term", "parse_formula", "pretty_print",
-    "ParseError", "mk_iff", "mk_and",
+    "numeral", "substitute", "term_substitute",
+    "subterm_at", "replace_at", "free_var_positions",
+    "var_name", "parse_term", "parse_formula", "pretty_print",
+    "ParseError", "mk_iff",
 ]
 
 _EMPTY: frozenset[int] = frozenset()
@@ -311,10 +311,6 @@ def numeral(n: int) -> Term:
     return (Succ if n & 1 else Mul)._make(n, _EMPTY, n)
 
 
-def free_vars(e: Expr) -> frozenset[int]:
-    return e.fv
-
-
 def term_substitute(t: Term, v: int, s: Term) -> Term:
     if v not in t.fv:
         return t
@@ -391,24 +387,9 @@ def free_var_positions(phi: Expr, v: int) -> list[Path]:
     return out
 
 
-def term_positions(e: Expr) -> Iterator[tuple[Path, Term]]:
-    """All term positions of an expression (terms inside formulas included)."""
-    stack: list[tuple[Expr, Path]] = [(e, ())]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, Term):
-            yield path, node
-        for i, c in enumerate(_children(node)):
-            stack.append((c, path + (i,)))
-
-
 def mk_iff(a: Formula, b: Formula) -> Formula:
     """a <-> b as the primitive-connective expansion ~((a->b) -> ~(b->a))."""
     return Not(Imp(Imp(a, b), Not(Imp(b, a))))
-
-
-def mk_and(a: Formula, b: Formula) -> Formula:
-    return Not(Imp(a, Not(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +622,3 @@ def parse_formula(text: str) -> Formula:
     if p.peek()[0] != "eof":
         p.error("trailing input after formula")
     return f
-
-
-def parse(text: str, kind: str = "formula") -> Expr:
-    """Parse ``text`` as a ``"term"`` or a ``"formula"``."""
-    if kind == "term":
-        return parse_term(text)
-    if kind == "formula":
-        return parse_formula(text)
-    raise ValueError(f"kind must be 'term' or 'formula', got {kind!r}")

@@ -30,13 +30,13 @@ from .syntax import (
 
 __all__ = [
     "Thm", "TacticError", "TautologyError",
-    "ax", "mp", "gen", "tintro", "weaken",
+    "ax", "mp", "gen", "tintro",
     "hyp", "use", "happly", "discharge", "compile_tree",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
-    "iff_intro", "iff_elim1", "iff_elim2", "iff_trans", "iff_parts",
+    "iff_intro", "iff_elim1", "iff_elim2", "iff_parts",
     "refl", "sym", "trans", "cong_term",
-    "eval_closed", "rewrite_eq", "rewrite_imp", "rewrite_align", "lift_imp",
+    "eval_closed", "rewrite_imp", "rewrite_align", "lift_imp",
     "chain",
     "forall_mono", "derive_A1", "derive_A2",
     "DiagonalResult", "diagonal_lemma",
@@ -82,11 +82,6 @@ def tintro(th: Thm) -> Thm:
     if th.formula.fv:
         raise TacticError(f"T-introduction needs a sentence: {pretty_print(th.formula)}")
     return Thm(TIntro(th.proof), Tr(name_of(th.formula)))
-
-
-def weaken(th: Thm, a: Formula) -> Thm:
-    """From phi conclude a -> phi."""
-    return mp(th, ax(SchemaId.PROP1, Imp(th.formula, Imp(a, th.formula))))
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +445,6 @@ def iff_elim2(p: Thm) -> Thm:
     return mp(p, taut(Imp(p.formula, Imp(b, a))))
 
 
-def iff_trans(p: Thm, q: Thm) -> Thm:
-    a, b = iff_parts(p.formula)
-    b2, c = iff_parts(q.formula)
-    if b2 != b:
-        raise TacticError("biconditionals do not share a middle formula")
-    goal = mk_iff(a, c)
-    return mp(q, mp(p, taut(Imp(p.formula, Imp(q.formula, goal)))))
-
-
 # ---------------------------------------------------------------------------
 # equality
 
@@ -636,13 +622,6 @@ def _rw_pair(e: Thm, phi: Formula, path) -> tuple[Thm, Thm]:
         sf, sb = _rw_pair(e, phi.body, path[1:])
         return forall_mono(sf, phi.var), forall_mono(sb, phi.var)
     raise TacticError(f"position {path} does not address a term occurrence")
-
-
-def rewrite_eq(e: Thm, phi: Formula, path) -> Thm:
-    """From s = t conclude phi <-> phi[t at path], where phi[path] is s."""
-    path = tuple(path)
-    fwd, bwd = _rw_pair(e, phi, path)
-    return iff_intro(fwd, bwd)
 
 
 def rewrite_imp(e: Thm, phi: Formula, path) -> Thm:

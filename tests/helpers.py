@@ -6,10 +6,12 @@ from __future__ import annotations
 import random
 
 from omegatruth.coding import decode, encode
-from omegatruth.kernel import Axiom, Gen, MP, Omega, Proof, TIntro
+from omegatruth.kernel import (
+    Axiom, CheckError, Gen, MP, Omega, Proof, SchemaId, TIntro, check,
+)
 from omegatruth.syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ, Term, Tr, Var,
-    ZERO, numeral, substitute,
+    ZERO, _children, numeral, substitute,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,34 @@ def random_evaluable_term(rng: random.Random, depth: int) -> Term:
         return FnApp("sub", [numeral(encode(phi)), numeral(v),
                              random_evaluable_term(rng, depth - 1)])
     return random_evaluable_term(rng, depth - 1)
+
+
+# ---------------------------------------------------------------------------
+# term positions and axiom schemas
+
+
+def term_positions(e):
+    """All term positions of an expression (terms inside formulas and
+    numeral spines included), as (path, subterm) pairs."""
+    stack = [(e, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, Term):
+            yield path, node
+        for i, c in enumerate(_children(node)):
+            stack.append((c, path + (i,)))
+
+
+def schema_of(phi: Formula, config):
+    """The first schema under which the kernel accepts ``phi`` as an axiom,
+    or None."""
+    for schema in SchemaId:
+        try:
+            check(Axiom(schema, phi), config)
+        except CheckError:
+            continue
+        return schema
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import (
-    DecodeError, EvalError, K0, decode, diagonal_pair, dot_term, encode,
+    DecodeError, EvalError, K0, decode, diagonal_pair, encode,
     iter_fn, iter_step_axiom, iter_zero_axiom, name_of, omega_truth, sub_fn,
     value,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, free_vars, numeral,
+    Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral,
     pretty_print, substitute,
 )
 
@@ -138,23 +138,23 @@ def test_iterates_of_sentences_are_sentences():
     for _ in range(50):
         phi = random_formula(rng, 2)
         closed = phi
-        for v in sorted(free_vars(phi)):
+        for v in sorted(phi.fv):
             closed = substitute(closed, v, ZERO)
         c = encode(closed)
         for n in range(4):
-            assert not free_vars(decode(iter_fn(n, c)))
+            assert not decode(iter_fn(n, c)).fv
 
 
 def test_omega_truth_shape_and_freshness():
     phi = Eq(ZERO, ZERO)
     w = omega_truth(name_of(phi))
-    assert not free_vars(w)
+    assert not w.fv
     assert w == Forall(1, Tr(FnApp("iter", [Var(1), name_of(phi)])))
     open_w = omega_truth(Var(0))
-    assert free_vars(open_w) == frozenset({0})
+    assert open_w.fv == frozenset({0})
     # the bound variable dodges the argument's variables
     dodged = omega_truth(Var(1))
-    assert dodged.var != 1 and free_vars(dodged) == frozenset({1})
+    assert dodged.var != 1 and dodged.fv == frozenset({1})
 
 
 def test_omega_truth_round_trips_through_grammar():
@@ -165,28 +165,19 @@ def test_omega_truth_round_trips_through_grammar():
     assert parse_formula(pretty_print(w)) == w
 
 
-def test_dot_term_semantics():
-    phi = Tr(Var(5))
-    d = dot_term(phi, 5, 0)
-    assert free_vars(d) == frozenset({0})
-    for n in range(3):
-        closed = substitute(Tr(d), 0, numeral(n))  # wraps d in a dummy atom
-        assert value(closed.arg) == sub_fn(encode(phi), 5, n)
-
-
 def test_step_template_code():
     assert decode(K0) == Tr(FnApp("iter", [Var(1), Var(2)]))
 
 
 def test_iter_axioms_are_true_sentences():
-    assert not free_vars(iter_zero_axiom())
-    assert not free_vars(iter_step_axiom())
+    assert not iter_zero_axiom().fv
+    assert not iter_step_axiom().fv
 
 
 def test_diagonal_pair_fixed_point_equation():
     phi = Not(omega_truth(Var(5)))
     theta, gamma = diagonal_pair(phi, 5)
-    assert not free_vars(gamma)
+    assert not gamma.fv
     assert gamma == substitute(theta, 5, name_of(theta))
 
 

@@ -5,18 +5,17 @@ from omegatruth.coding import (
     encode, iter_step_axiom, iter_zero_axiom, name_of, omega_truth, sub_fn,
 )
 from omegatruth.kernel import (
-    ApplyTIntro, Axiom, AxiomRejection, CheckError, GAMMA, Gen, MP,
-    MissingSchema, Omega, RewriteEval, SIGMA, SchemaId, TIntro,
-    TheoryConfig, check, is_axiom, match_schema, q_axiom, _one_step_rewrite,
-    _proof_children,
+    ApplyTIntro, Axiom, CheckError, GAMMA, Gen, MP, MissingSchema, Omega,
+    RewriteEval, SIGMA, SchemaId, TIntro, TheoryConfig, check, q_axiom,
+    _one_step_rewrite, _proof_children,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, pretty_print,
-    replace_at, substitute, term_positions,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
+    pretty_print, replace_at, substitute,
 )
 from omegatruth.tactics import Thm, refl, tintro
 
-from helpers import random_expr, random_term
+from helpers import random_expr, random_term, schema_of, term_positions
 
 
 def _cons_instance(phi):
@@ -32,73 +31,98 @@ def test_config_presets():
 
 def test_cons_instance_matches_under_gamma_only():
     inst = _cons_instance(Eq(ZERO, ZERO))
-    assert is_axiom(inst, GAMMA) is SchemaId.CONS
-    assert match_schema(inst, SIGMA) is None
-    with pytest.raises(AxiomRejection) as err:
-        is_axiom(inst, SIGMA)
+    assert schema_of(inst, GAMMA) is SchemaId.CONS
+    assert schema_of(inst, SIGMA) is None
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId.CONS, inst), SIGMA)
     assert "CONS" in str(err.value) and "inactive" in str(err.value)
+
+
+def test_rejected_axiom_names_the_nearest_schemas():
+    # a PROP1 instance claimed as EQ1: the message names what it does match
+    # and why a near schema fails
+    phi = parse_formula("0 = 0 -> T(0) -> 0 = 0")
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId.EQ1, phi), GAMMA)
+    assert err.value.reason == (
+        "EQ1: instance does not match the schema (nearest: PROP1 matches; "
+        "EQ3: consequent is not a one-position rewrite of the antecedent): "
+        "0 = 0 -> T(0) -> 0 = 0"
+    )
+    # a matching schema the theory switches off is named as inactive
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId.PROP1, _cons_instance(Eq(ZERO, ZERO))), SIGMA)
+    assert "(nearest: CONS matches but is inactive under this theory" in err.value.reason
+    # claiming the inactive schema itself gives no hint
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId.CONS, _cons_instance(Eq(ZERO, ZERO))), SIGMA)
+    assert err.value.reason == "schema CONS is inactive under this theory"
+
+
+def test_schema_ids_hash_by_identity():
+    assert SchemaId.__hash__ is object.__hash__
 
 
 def test_cons_rejects_unrelated_names():
     bad = Imp(Tr(name_of(Eq(ZERO, ZERO))), Not(Tr(name_of(Eq(ZERO, ZERO)))))
-    assert match_schema(bad, GAMMA) is None
+    assert schema_of(bad, GAMMA) is None
 
 
 def test_timp_shape():
     a, b = Eq(ZERO, ZERO), Tr(ZERO)
     inst = Imp(Tr(name_of(Imp(a, b))), Imp(Tr(name_of(a)), Tr(name_of(b))))
-    assert match_schema(inst, SIGMA) is SchemaId.TIMP
+    assert schema_of(inst, SIGMA) is SchemaId.TIMP
     # open named formulas are rejected
     openb = Eq(Var(0), ZERO)
     bad = Imp(Tr(name_of(Imp(a, openb))), Imp(Tr(name_of(a)), Tr(name_of(openb))))
-    assert match_schema(bad, SIGMA) is None
+    assert schema_of(bad, SIGMA) is None
 
 
 def test_uinf_shape():
     chi = Tr(FnApp("iter", [Var(1), name_of(Eq(ZERO, ZERO))]))
     dot = FnApp("sub", [name_of(chi), numeral(1), Var(0)])
     inst = Imp(Forall(0, Tr(dot)), Tr(name_of(Forall(1, chi))))
-    assert match_schema(inst, SIGMA) is SchemaId.UINF
+    assert schema_of(inst, SIGMA) is SchemaId.UINF
     wrong = Imp(Forall(0, Tr(dot)), Tr(name_of(Forall(2, chi))))
-    assert match_schema(wrong, SIGMA) is None
+    assert schema_of(wrong, SIGMA) is None
 
 
 def test_comp_sub_value_verified():
     c = encode(Tr(Var(5)))
     good = Eq(FnApp("sub", [numeral(c), numeral(5), numeral(3)]),
               numeral(sub_fn(c, 5, 3)))
-    assert match_schema(good, SIGMA) is SchemaId.COMP_SUB
+    assert schema_of(good, SIGMA) is SchemaId.COMP_SUB
     bad = Eq(FnApp("sub", [numeral(c), numeral(5), numeral(3)]),
              numeral(sub_fn(c, 5, 3) + 1))
-    assert match_schema(bad, SIGMA) is None
-    with pytest.raises(AxiomRejection) as err:
-        is_axiom(bad, SIGMA)
+    assert schema_of(bad, SIGMA) is None
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId.COMP_SUB, bad), SIGMA)
     assert "COMP_SUB" in str(err.value)
 
 
 def test_comp_succ_arithmetic_verified():
-    assert match_schema(Eq(Succ(numeral(7)), numeral(8)), SIGMA) is SchemaId.COMP_SUCC
-    assert match_schema(Eq(Succ(numeral(7)), numeral(9)), SIGMA) is None
+    assert schema_of(Eq(Succ(numeral(7)), numeral(8)), SIGMA) is SchemaId.COMP_SUCC
+    assert schema_of(Eq(Succ(numeral(7)), numeral(9)), SIGMA) is None
     from omegatruth.syntax import Add, Mul
 
-    assert match_schema(Eq(Add(numeral(3), numeral(4)), numeral(7)), SIGMA) is SchemaId.COMP_SUCC
-    assert match_schema(Eq(Mul(numeral(3), numeral(4)), numeral(12)), SIGMA) is SchemaId.COMP_SUCC
-    assert match_schema(Eq(Mul(numeral(3), numeral(4)), numeral(11)), SIGMA) is None
+    assert schema_of(Eq(Add(numeral(3), numeral(4)), numeral(7)), SIGMA) is SchemaId.COMP_SUCC
+    assert schema_of(Eq(Mul(numeral(3), numeral(4)), numeral(12)), SIGMA) is SchemaId.COMP_SUCC
+    assert schema_of(Eq(Mul(numeral(3), numeral(4)), numeral(11)), SIGMA) is None
 
 
 def test_iteration_axioms_match():
-    assert match_schema(iter_zero_axiom(), SIGMA) is SchemaId.COMP_ITER0
-    assert match_schema(iter_step_axiom(), SIGMA) is SchemaId.COMP_ITER_STEP
+    assert schema_of(iter_zero_axiom(), SIGMA) is SchemaId.COMP_ITER0
+    assert schema_of(iter_step_axiom(), SIGMA) is SchemaId.COMP_ITER_STEP
 
 
 def test_quant1_instantiation():
     body = Eq(Var(0), Var(0))
     inst = Imp(Forall(0, body), Eq(numeral(3), numeral(3)))
-    assert match_schema(inst, SIGMA) is SchemaId.QUANT1
+    assert schema_of(inst, SIGMA) is SchemaId.QUANT1
     vacuous = Imp(Forall(0, Eq(ZERO, ZERO)), Eq(ZERO, ZERO))
-    assert match_schema(vacuous, SIGMA) is SchemaId.QUANT1
+    assert schema_of(vacuous, SIGMA) is SchemaId.QUANT1
     mixed = Imp(Forall(0, body), Eq(numeral(3), numeral(4)))
-    assert match_schema(mixed, SIGMA) is None
+    assert schema_of(mixed, SIGMA) is None
 
 
 def test_quant1_instantiates_into_numerals():
@@ -106,8 +130,8 @@ def test_quant1_instantiates_into_numerals():
     body = Not(Eq(Succ(Var(0)), ZERO))
     for n in (1, 5, (1 << 200) + 1):
         inst = Imp(Forall(0, body), Not(Eq(numeral(n), ZERO)))
-        assert match_schema(inst, SIGMA) is SchemaId.QUANT1
-    assert match_schema(Imp(Forall(0, body), Not(Eq(numeral(4), ZERO))), SIGMA) is None
+        assert schema_of(inst, SIGMA) is SchemaId.QUANT1
+    assert schema_of(Imp(Forall(0, body), Not(Eq(numeral(4), ZERO))), SIGMA) is None
 
 
 def _rewrites_by_definition(src, dst, s, t):
@@ -163,25 +187,36 @@ def test_one_step_rewrite_edge_cases():
 
 
 def test_identity_rewrite_reads_no_numeral_spine():
+    import sys
+
     from omegatruth.syntax import _INTERN
 
     big = numeral((1 << 20_000) + 3)
     phi = Imp(Eq(ZERO, ZERO), Imp(Tr(big), Tr(big)))
     before = sum(type(k) is int for k in _INTERN)
-    assert match_schema(phi, SIGMA) is SchemaId.EQ3
+    # each schema tried before EQ3 rejects phi with a message that prints
+    # big's 6,021 digits, past CPython's default limit; cli.main lifts it too
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert schema_of(phi, SIGMA) is SchemaId.EQ3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     assert sum(type(k) is int for k in _INTERN) == before
 
 
 def test_quant1_rejects_capture():
     body = Forall(1, Eq(Var(0), Var(1)))
     inst = Imp(Forall(0, body), Forall(1, Eq(Var(1), Var(1))))
-    assert match_schema(inst, SIGMA) is None
+    assert schema_of(inst, SIGMA) is None
 
 
 def test_q_axioms_are_fixed_sentences():
     for schema in (SchemaId.Q1, SchemaId.Q2, SchemaId.Q3, SchemaId.Q4,
                    SchemaId.Q5, SchemaId.Q6, SchemaId.Q7):
-        assert match_schema(q_axiom(schema), SIGMA) is schema
+        assert schema_of(q_axiom(schema), SIGMA) is schema
 
 
 def test_check_two_node_proof():

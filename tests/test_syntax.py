@@ -5,26 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from omegatruth.syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError, Succ, Term,
-    Tr, Var, ZERO, free_vars, mk_iff, numeral, parse, parse_formula,
-    parse_term, pretty_print, substitute, subterm_at, var_name,
+    Tr, Var, ZERO, mk_iff, numeral, parse_formula, parse_term, pretty_print,
+    substitute, subterm_at, var_name,
 )
 
 from helpers import random_expr, random_formula, random_term
 
 
 def test_parse_literal_equation():
-    assert parse("0 = 0") == Eq(ZERO, ZERO)
+    assert parse_formula("0 = 0") == Eq(ZERO, ZERO)
     assert pretty_print(Eq(ZERO, ZERO)) == "0 = 0"
 
 
 def test_parse_omega_truth_shape():
-    f = parse("forall y. T(iter(y, x))")
+    f = parse_formula("forall y. T(iter(y, x))")
     assert f == Forall(1, Tr(FnApp("iter", [Var(1), Var(0)])))
 
 
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
-        parse("T(0,")
+        parse_formula("T(0,")
     assert "column" in str(err.value)
 
 
@@ -44,7 +44,7 @@ def test_numeral_shapes():
 def test_nodes_are_interned():
     assert numeral(5) is Succ(numeral(4)) is parse_term("#5")
     assert Mul(Succ(Succ(ZERO)), numeral(3)) is numeral(6)
-    assert parse("forall y. T(iter(y, x))") is Forall(1, Tr(FnApp("iter", [Var(1), Var(0)])))
+    assert parse_formula("forall y. T(iter(y, x))") is Forall(1, Tr(FnApp("iter", [Var(1), Var(0)])))
 
 
 def test_numeral_is_one_node_until_read():
@@ -75,8 +75,8 @@ def test_round_trip_bulk():
     for _ in range(1000):
         e = random_expr(rng, rng.randrange(9))
         text = pretty_print(e)
-        kind = "formula" if isinstance(e, Formula) else "term"
-        assert parse(text, kind) == e, text
+        parse = parse_formula if isinstance(e, Formula) else parse_term
+        assert parse(text) == e, text
 
 
 def test_function_symbol_arity_enforced():
@@ -116,7 +116,7 @@ def test_substitute_renames_on_capture():
     phi = Forall(3, Eq(Var(5), Var(3)))
     out = substitute(phi, 5, Var(3))
     assert type(out) is Forall and out.var != 3
-    assert free_vars(out) == frozenset({3})
+    assert out.fv == frozenset({3})
     assert out.body == Eq(Var(3), Var(out.var))
 
 
@@ -125,8 +125,8 @@ def test_substitute_renames_on_capture():
 def test_substitute_free_var_law(phi, v, n):
     t = numeral(n)
     out = substitute(phi, v, t)
-    want = (free_vars(phi) - {v}) if v in free_vars(phi) else free_vars(phi)
-    assert free_vars(out) == want
+    want = (phi.fv - {v}) if v in phi.fv else phi.fv
+    assert out.fv == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,8 +141,8 @@ def test_substitute_idempotent_for_closed_terms(phi, v, n):
 def test_substitute_with_open_term_tracks_variables(phi, v):
     t = Add(Var(6), numeral(2))
     out = substitute(phi, v, t)
-    if v in free_vars(phi):
-        assert free_vars(out) == (free_vars(phi) - {v}) | {6}
+    if v in phi.fv:
+        assert out.fv == (phi.fv - {v}) | {6}
     else:
         assert out is phi
 

@@ -7,7 +7,7 @@ from omegatruth.kernel import (
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
 )
-from omegatruth.tactics import Thm, refl, weaken
+from omegatruth.tactics import Thm, ax, mp, refl
 from omegatruth.theorems import (
     formalized_loeb, loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
     omega_witness, tomega_provability,
@@ -15,6 +15,11 @@ from omegatruth.theorems import (
 
 A = Eq(ZERO, ZERO)
 Z01 = Eq(ZERO, Succ(ZERO))
+
+
+def weaken(th: Thm, a) -> Thm:
+    """From phi conclude a -> phi."""
+    return mp(th, ax(SchemaId.PROP1, Imp(th.formula, Imp(a, th.formula))))
 
 
 def test_m1_trivial_input():
