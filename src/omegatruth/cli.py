@@ -304,9 +304,12 @@ def main(argv=None) -> int:
     # 4300 decimal digits CPython converts by default
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    # interned nodes live as long as the process and hold no cycles, so the
-    # cyclic collector would only rescan them; one command leaves little
-    # cyclic garbage, and reference counting frees everything else
+    # pause the cyclic collector for the command and restore the caller's
+    # state after: interned nodes hold no cycles and live until the process
+    # ends, so collecting would only rescan them, and reference counting
+    # frees the rest.  run() also freezes them on the way out, so that the
+    # collection at interpreter exit skips them; main() never freezes, as a
+    # library caller's heap is not its to pin
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -330,5 +333,15 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The ``omegatruth`` command: :func:`main` on ``sys.argv``, then exit
+    with its code."""
+    code = main()
+    # all that is left lives until the process ends; frozen, it is not
+    # walked again by the collection at interpreter exit
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -62,7 +62,7 @@ class _Q(str):
 _TOKEN = re.compile(
     r'[ \t\r\n]+|;[^\n]*'              # whitespace and line comments
     r'|([()]|[^ \t\r\n();"]+)'          # parentheses and atoms
-    r'|"((?:[^"\\]|\\.)*)"'             # strings: a backslash takes the next character
+    r'|"([^"\\]*(?:\\.[^"\\]*)*)"'      # strings: a backslash takes the next character
     r'|(")',                            # a string literal that is never closed
     re.S,
 )

@@ -429,11 +429,22 @@ def pretty_print(e: Expr) -> str:
     return "".join(parts)
 
 
+def _decimal(n: int) -> str:
+    """``str(n)``, also past CPython's int-to-str digit limit, which only
+    ``cli.main`` lifts."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # converts an int without that limit
+
+        return str(Decimal(n))
+
+
 def _pp_pieces(e: Expr) -> tuple:
     """The text of one node, as strings and child nodes in print order."""
     t = type(e)
     if isinstance(e, Term) and e.nv:
-        return (f"#{e.nv}",)
+        return ("#" + _decimal(e.nv),)
     if t is Var:
         return (var_name(e.idx),)
     if t is Zero:
@@ -470,139 +481,144 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>#\d+)|(?P<zero>0)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<arrow>->)|(?P<sym>[()=+*,.~])"
-)
+# One match per token, skipping whitespace: group 1 is the token, or "" for
+# a character that starts no token.
+_TOKEN_RE = re.compile(r"(#\d+|0|[A-Za-z_][A-Za-z0-9_]*|->|[()=+*,.~])|\S")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), m.start()))
-    out.append(("eof", "", len(text)))
-    return out
+class _Miss(Exception):
+    """A parse failure, as its message and the index of the token it names.
+
+    Raised inside the parser instead of a :class:`ParseError`, whose line
+    and column cost a scan of the text, so that ``unary`` can try a term and
+    back off cheaply; only a failure that reaches the caller is located.
+    """
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
+        # the tokens, then "" for the end of input
+        self.toks = toks = _TOKEN_RE.findall(text)
+        toks.append("")
         self.i = 0
+        bad = toks.index("")
+        if bad < len(toks) - 1:
+            pos = self.offset(bad)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
 
-    def peek(self):
-        return self.toks[self.i]
+    def offset(self, i: int) -> int:
+        """Where token ``i`` starts in the text (its length for the end)."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == i:
+                return m.start()
+        return len(self.text)
 
-    def next(self):
+    def located(self, miss: _Miss) -> ParseError:
+        msg, i = miss.args
+        return ParseError(msg, self.offset(i), self.text)
+
+    def next(self) -> str:
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def expect(self, want: str):
-        kind, val, pos = self.next()
-        if val != want and kind != want:
-            raise ParseError(f"expected {want!r}, found {val or 'end of input'!r}", pos, self.text)
-        return val
+    def expect(self, want: str) -> None:
+        tok = self.toks[self.i]
+        if tok != want:
+            raise _Miss(f"expected {want!r}, found {tok or 'end of input'!r}", self.i)
+        self.i += 1
 
-    def error(self, msg: str):
-        _, val, pos = self.peek()
-        raise ParseError(f"{msg}, found {val or 'end of input'!r}", pos, self.text)
+    def error(self, msg: str) -> _Miss:
+        tok = self.toks[self.i]
+        return _Miss(f"{msg}, found {tok or 'end of input'!r}", self.i)
 
     # terms -----------------------------------------------------------------
     def term(self) -> Term:
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.next()
-            return numeral(int(val[1:]))
-        if val == "0":
+        tok = self.next()
+        if tok[:1] == "#":
+            return numeral(int(tok[1:]))
+        if tok == "0":
             # no bare integers other than 0 in the grammar
-            self.next()
             return ZERO
-        if val == "S":
-            self.next()
+        if tok == "S":
             self.expect("(")
             t = self.term()
             self.expect(")")
             return Succ(t)
-        if val in FN_ARITY:
-            self.next()
+        if tok in FN_ARITY:
             self.expect("(")
             args = [self.term()]
-            for _ in range(FN_ARITY[val] - 1):
+            for _ in range(FN_ARITY[tok] - 1):
                 self.expect(",")
                 args.append(self.term())
             self.expect(")")
-            return FnApp(val, args)
-        if val == "(":
-            self.next()
+            return FnApp(tok, args)
+        if tok == "(":
             left = self.term()
-            kind2, op, pos2 = self.next()
-            if op not in ("+", "*"):
-                raise ParseError(f"expected '+' or '*', found {op!r}", pos2, self.text)
+            op = self.next()
+            if op != "+" and op != "*":
+                raise _Miss(f"expected '+' or '*', found {op!r}", self.i - 1)
             right = self.term()
             self.expect(")")
             return Add(left, right) if op == "+" else Mul(left, right)
-        if kind == "name":
-            idx = var_index(val)
-            if idx is None:
-                raise ParseError(f"unknown identifier {val!r}", pos, self.text)
-            self.next()
+        idx = var_index(tok)
+        if idx is not None:
             return Var(idx)
-        self.error("expected a term")
-        raise AssertionError
+        self.i -= 1
+        if tok.isidentifier():
+            raise _Miss(f"unknown identifier {tok!r}", self.i)
+        raise self.error("expected a term")
 
     # formulas ---------------------------------------------------------------
     def formula(self) -> Formula:
-        if self.peek()[1] == "forall":
+        if self.toks[self.i] == "forall":
             return self.forall()
         left = self.unary()
-        if self.peek()[1] == "->":
-            self.next()
+        if self.toks[self.i] == "->":
+            self.i += 1
             return Imp(left, self.formula())
         return left
 
     def forall(self) -> Formula:
-        self.next()  # 'forall'; the body extends maximally to the right
-        kind, name, pos = self.next()
-        idx = var_index(name) if kind == "name" else None
+        self.i += 1  # 'forall'; the body extends maximally to the right
+        name = self.next()
+        idx = var_index(name)
         if idx is None:
-            raise ParseError(f"expected a variable after 'forall', found {name!r}", pos, self.text)
+            raise _Miss(f"expected a variable after 'forall', found {name!r}", self.i - 1)
         self.expect(".")
         return Forall(idx, self.formula())
 
     def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "~":
-            self.next()
-            if self.peek()[1] == "forall":
+        tok = self.toks[self.i]
+        if tok == "~":
+            self.i += 1
+            if self.toks[self.i] == "forall":
                 return Not(self.forall())
             return Not(self.unary())
-        if val == "T":
-            self.next()
+        if tok == "T":
+            self.i += 1
             self.expect("(")
             t = self.term()
             self.expect(")")
             return Tr(t)
-        if val == "(":
-            # either a parenthesized formula or a parenthesized term of an equation
+        if tok == "(":
+            # either a parenthesized formula or a parenthesized term of an
+            # equation; T, ~ and forall start only formulas, so the term is
+            # tried only when another token follows
             mark = self.i
-            try:
-                left = self.term()
-            except ParseError:
-                self.i = mark
-                self.next()
-                inner = self.formula()
-                self.expect(")")
-                return inner
-            self.expect("=")
-            return Eq(left, self.term())
+            if self.toks[mark + 1] not in ("T", "~", "forall"):
+                try:
+                    left = self.term()
+                except _Miss:
+                    pass
+                else:
+                    self.expect("=")
+                    return Eq(left, self.term())
+            self.i = mark + 1
+            inner = self.formula()
+            self.expect(")")
+            return inner
         left = self.term()
         self.expect("=")
         return Eq(left, self.term())
@@ -610,15 +626,21 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.term()
-    if p.peek()[0] != "eof":
-        p.error("trailing input after term")
+    try:
+        t = p.term()
+        if p.toks[p.i]:
+            raise p.error("trailing input after term")
+    except _Miss as miss:
+        raise p.located(miss) from None
     return t
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
-    if p.peek()[0] != "eof":
-        p.error("trailing input after formula")
+    try:
+        f = p.formula()
+        if p.toks[p.i]:
+            raise p.error("trailing input after formula")
+    except _Miss as miss:
+        raise p.located(miss) from None
     return f

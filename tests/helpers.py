@@ -4,14 +4,17 @@ oracles, and the proof mutator used by the fuzzing suites."""
 from __future__ import annotations
 
 import random
+import re
+from unittest import mock
 
+from omegatruth import proofscript
 from omegatruth.coding import decode, encode
 from omegatruth.kernel import (
     Axiom, CheckError, Gen, MP, Omega, Proof, SchemaId, TIntro, check,
 )
 from omegatruth.syntax import (
-    Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ, Term, Tr, Var,
-    ZERO, _children, numeral, substitute,
+    FN_ARITY, Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError,
+    Succ, Term, Tr, Var, ZERO, _children, numeral, substitute, var_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,179 @@ def oracle_taut(phi: Formula) -> bool:
         if not evaluate(phi, env):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference reader and parser: the tokenizers and the backtracking parser as
+# they were before the reader's string pattern was unrolled and the formula
+# parser moved to one findall, kept to check that both give the same nodes
+# and the same messages
+
+# the s-expression token pattern, with the string alternative spelled one
+# character per alternation
+REFERENCE_SCRIPT_TOKEN = re.compile(
+    r'[ \t\r\n]+|;[^\n]*'
+    r'|([()]|[^ \t\r\n();"]+)'
+    r'|"((?:[^"\\]|\\.)*)"'
+    r'|(")',
+    re.S,
+)
+
+
+def reference_read_forms(text: str) -> list:
+    """``proofscript._read_forms`` under REFERENCE_SCRIPT_TOKEN."""
+    with mock.patch.object(proofscript, "_TOKEN", REFERENCE_SCRIPT_TOKEN):
+        return proofscript._read_forms(text)
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<num>#\d+)|(?P<zero>0)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<arrow>->)|(?P<sym>[()=+*,.~])"
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append((kind, m.group(), m.start()))
+    out.append(("eof", "", len(text)))
+    return out
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _reference_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, want: str):
+        kind, val, pos = self.next()
+        if val != want and kind != want:
+            raise ParseError(f"expected {want!r}, found {val or 'end of input'!r}", pos, self.text)
+        return val
+
+    def error(self, msg: str):
+        _, val, pos = self.peek()
+        raise ParseError(f"{msg}, found {val or 'end of input'!r}", pos, self.text)
+
+    def term(self) -> Term:
+        kind, val, pos = self.peek()
+        if kind == "num":
+            self.next()
+            return numeral(int(val[1:]))
+        if val == "0":
+            self.next()
+            return ZERO
+        if val == "S":
+            self.next()
+            self.expect("(")
+            t = self.term()
+            self.expect(")")
+            return Succ(t)
+        if val in FN_ARITY:
+            self.next()
+            self.expect("(")
+            args = [self.term()]
+            for _ in range(FN_ARITY[val] - 1):
+                self.expect(",")
+                args.append(self.term())
+            self.expect(")")
+            return FnApp(val, args)
+        if val == "(":
+            self.next()
+            left = self.term()
+            kind2, op, pos2 = self.next()
+            if op not in ("+", "*"):
+                raise ParseError(f"expected '+' or '*', found {op!r}", pos2, self.text)
+            right = self.term()
+            self.expect(")")
+            return Add(left, right) if op == "+" else Mul(left, right)
+        if kind == "name":
+            idx = var_index(val)
+            if idx is None:
+                raise ParseError(f"unknown identifier {val!r}", pos, self.text)
+            self.next()
+            return Var(idx)
+        self.error("expected a term")
+        raise AssertionError
+
+    def formula(self) -> Formula:
+        if self.peek()[1] == "forall":
+            return self.forall()
+        left = self.unary()
+        if self.peek()[1] == "->":
+            self.next()
+            return Imp(left, self.formula())
+        return left
+
+    def forall(self) -> Formula:
+        self.next()
+        kind, name, pos = self.next()
+        idx = var_index(name) if kind == "name" else None
+        if idx is None:
+            raise ParseError(f"expected a variable after 'forall', found {name!r}", pos, self.text)
+        self.expect(".")
+        return Forall(idx, self.formula())
+
+    def unary(self) -> Formula:
+        kind, val, pos = self.peek()
+        if val == "~":
+            self.next()
+            if self.peek()[1] == "forall":
+                return Not(self.forall())
+            return Not(self.unary())
+        if val == "T":
+            self.next()
+            self.expect("(")
+            t = self.term()
+            self.expect(")")
+            return Tr(t)
+        if val == "(":
+            mark = self.i
+            try:
+                left = self.term()
+            except ParseError:
+                self.i = mark
+                self.next()
+                inner = self.formula()
+                self.expect(")")
+                return inner
+            self.expect("=")
+            return Eq(left, self.term())
+        left = self.term()
+        self.expect("=")
+        return Eq(left, self.term())
+
+
+def reference_parse_term(text: str) -> Term:
+    p = _ReferenceParser(text)
+    t = p.term()
+    if p.peek()[0] != "eof":
+        p.error("trailing input after term")
+    return t
+
+
+def reference_parse_formula(text: str) -> Formula:
+    p = _ReferenceParser(text)
+    f = p.formula()
+    if p.peek()[0] != "eof":
+        p.error("trailing input after formula")
+    return f
 
 
 # ---------------------------------------------------------------------------

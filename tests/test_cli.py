@@ -201,6 +201,7 @@ def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
     bad = tmp_path / "bad.proof"
     bad.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')
     seen = []
+    frozen = gc.get_freeze_count()
 
     def exit_code(*argv):
         try:
@@ -208,7 +209,8 @@ def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
         except SystemExit as e:  # usage errors exit from argparse
             return e.code
         finally:
-            seen.append(gc.isenabled())
+            # main restores the caller's collector state and freezes nothing
+            seen.append((gc.isenabled(), gc.get_freeze_count()))
 
     before = gc.isenabled()
     try:
@@ -223,18 +225,49 @@ def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
         (gc.enable if before else gc.disable)()
     capsys.readouterr()
     assert codes == [0, 1, 2, 2]
-    assert seen == [was_enabled] * 4
+    assert seen == [(was_enabled, frozen)] * 4
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(*argv):
+    """``python -m omegatruth.cli`` in a fresh process, its output piped
+    and block-buffered, so output not flushed at exit would be lost."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "omegatruth.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def test_check_in_a_fresh_process_matches_the_manifest():
-    root = Path(__file__).resolve().parent.parent
-    proofs = root / "scripts" / "proofs"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-m", "omegatruth.cli", "check", str(proofs / "m3_zero.proof"), "--json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proofs = ROOT / "scripts" / "proofs"
+    res = run_fresh("check", str(proofs / "m3_zero.proof"), "--json")
     assert res.returncode == 0, res.stderr
     manifest = json.loads((proofs / "manifest.json").read_text(encoding="utf-8"))
     assert json.loads(res.stdout) == manifest["m3_zero"]
+
+
+def test_fresh_process_exit_codes_and_output(tmp_path):
+    # the command-line entry freezes the heap and exits with main's code;
+    # piped stdout must still be flushed in full
+    proof = ROOT / "scripts" / "proofs" / "mcgee_positive.proof"
+    manifest = json.loads((ROOT / "scripts" / "proofs" / "manifest.json").read_text(encoding="utf-8"))
+    res = run_fresh("check", str(proof), "--json")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == json.dumps(manifest["mcgee_positive"]) + "\n"
+
+    rejected = tmp_path / "rejected.proof"
+    rejected.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')
+    res = run_fresh("check", str(rejected))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "check failure: at node <root> [axiom]: schema CONS is inactive under this theory\n"
+
+    ill_formed = tmp_path / "ill_formed.proof"
+    ill_formed.write_text('(theory sigma)\n(prove (axiom EQ1 "0 = 0)\n')
+    res = run_fresh("check", str(ill_formed))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "input error: unterminated string literal\n"

@@ -59,6 +59,32 @@ def test_rejected_axiom_names_the_nearest_schemas():
     assert err.value.reason == "schema CONS is inactive under this theory"
 
 
+def test_rejection_past_the_int_digit_limit_is_a_check_error(capsys, tmp_path):
+    # the message prints a 6,021-digit numeral, past the int-to-str limit
+    # CPython sets by default and only cli.main lifts
+    import sys
+
+    from omegatruth.cli import main
+
+    big = numeral((1 << 20_000) + 3)
+    phi = Imp(Eq(ZERO, ZERO), Imp(Tr(big), Tr(big)))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CheckError) as err:
+            check(Axiom(SchemaId.PROP1, phi), SIGMA)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert err.value.reason.endswith(f"): {pretty_print(phi)}")
+    # the CLI reports the same message
+    script = tmp_path / "big.proof"
+    script.write_text(f'(theory sigma)\n(prove (axiom PROP1 "{pretty_print(phi)}"))\n')
+    assert main(["check", str(script)]) == 1
+    assert capsys.readouterr().err == f"check failure: {err.value}\n"
+
+
 def test_schema_ids_hash_by_identity():
     assert SchemaId.__hash__ is object.__hash__
 
@@ -187,23 +213,12 @@ def test_one_step_rewrite_edge_cases():
 
 
 def test_identity_rewrite_reads_no_numeral_spine():
-    import sys
-
     from omegatruth.syntax import _INTERN
 
     big = numeral((1 << 20_000) + 3)
     phi = Imp(Eq(ZERO, ZERO), Imp(Tr(big), Tr(big)))
     before = sum(type(k) is int for k in _INTERN)
-    # each schema tried before EQ3 rejects phi with a message that prints
-    # big's 6,021 digits, past CPython's default limit; cli.main lifts it too
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        assert schema_of(phi, SIGMA) is SchemaId.EQ3
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    assert schema_of(phi, SIGMA) is SchemaId.EQ3
     assert sum(type(k) is int for k in _INTERN) == before
 
 

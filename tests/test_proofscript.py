@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegatruth.kernel import GAMMA, SIGMA, check
 from omegatruth.proofscript import (
-    Script, ScriptError, expand, parse_script, serialize_script,
+    Script, ScriptError, _Q, _read_forms, expand, parse_script,
+    serialize_script,
 )
 from omegatruth.syntax import Eq, Imp, Tr, ZERO, numeral
+
+from helpers import reference_read_forms
 
 TINY = """
 ; reflexivity, weakened through a tautology
@@ -124,10 +128,53 @@ def test_round_trip_m_conditions():
 
 def test_strings_with_escapes_round_trip():
     # quoted formulas never need escapes, but the reader must cope
-    from omegatruth.proofscript import _read_forms
-
     forms = _read_forms('(a "b \\" c" d)')
     assert forms == [["a", 'b " c', "d"]]
+
+
+def _typed(forms):
+    """Forms with every atom tagged as quoted or bare."""
+    if isinstance(forms, list):
+        return [_typed(f) for f in forms]
+    return ("quoted" if isinstance(forms, _Q) else "bare", str(forms))
+
+
+@pytest.mark.parametrize("text, atoms", [
+    ('(a "x \\\\ y")', ["x \\ y"]),
+    # an escaped backslash right before the closing quote ends the literal
+    ('(a "x\\\\" "y")', ["x\\", "y"]),
+    ('(a "" "\\\\\\"" "\\q")', ["", '\\"', "q"]),
+    ('(a "line\none ; no comment" "y")', ["line\none ; no comment", "y"]),
+])
+def test_string_literals(text, atoms):
+    assert _typed(_read_forms(text)) == [[("bare", "a"), *(("quoted", q) for q in atoms)]]
+
+
+@pytest.mark.parametrize("text", [
+    '(a "x',           # never closed
+    '(a "x\\',         # a backslash at the end of input
+    '(a "x\\"',        # the only quote after the opening one is escaped
+    '(a "x\\\\\\")',    # likewise, after an escaped backslash
+    '(a "x" "',
+])
+def test_unterminated_string_literal(text):
+    with pytest.raises(ScriptError) as err:
+        _read_forms(text)
+    assert str(err.value) == "unterminated string literal"
+
+
+def _read_outcome(read, text):
+    try:
+        return _typed(read(text))
+    except ScriptError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(['(', ')', '"', '\\', '\\"', '\\\\', ' ', '\n', ';',
+                                 'a', 'x = 0', '\t'])).map("".join))
+def test_reader_agrees_with_the_reference_pattern(text):
+    assert _read_outcome(_read_forms, text) == _read_outcome(reference_read_forms, text)
 
 
 def test_nested_tintro_adds_one_numeral_per_level():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,10 @@ from omegatruth.syntax import (
     substitute, subterm_at, var_name,
 )
 
-from helpers import random_expr, random_formula, random_term
+from helpers import (
+    random_expr, random_formula, random_term, reference_parse_formula,
+    reference_parse_term,
+)
 
 
 def test_parse_literal_equation():
@@ -26,6 +30,99 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_formula("T(0,")
     assert "column" in str(err.value)
+
+
+# every kind of parse error, near the start, in the middle and at the end
+# of a multi-line input, through both entry points
+PARSE_ERRORS = [
+    (parse_formula, '$ = 0 ->\n  0 = 0\n  -> 0 = 0',
+     "unexpected character '$' (line 1, column 1)"),
+    (parse_formula, '0 = 0 ->\n  0 $ 0\n  -> 0 = 0',
+     "unexpected character '$' (line 2, column 5)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> 0 = 0 $',
+     "unexpected character '$' (line 3, column 12)"),
+    (parse_term, '$(S(0)\n  + #1)',
+     "unexpected character '$' (line 1, column 1)"),
+    (parse_term, '(S(0)\n  $ #1)',
+     "unexpected character '$' (line 2, column 3)"),
+    (parse_term, '(S(0)\n  + #1) $',
+     "unexpected character '$' (line 2, column 9)"),
+    (parse_formula, 'T x ->\n  0 = 0\n  -> 0 = 0',
+     "expected '(', found 'x' (line 1, column 3)"),
+    (parse_formula, '0 = 0 ->\n  T(0 = 0\n  -> 0 = 0',
+     "expected ')', found '=' (line 2, column 7)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> T(0',
+     "expected ')', found 'end of input' (line 3, column 9)"),
+    (parse_term, 'S 0\n  + #1)',
+     "expected '(', found '0' (line 1, column 3)"),
+    (parse_term, '(S(0\n  + #1)',
+     "expected ')', found '+' (line 2, column 3)"),
+    (parse_term, '(S(0)\n  + #1',
+     "expected ')', found 'end of input' (line 2, column 7)"),
+    (parse_formula, 'T((x y)) ->\n  0 = 0\n  -> 0 = 0',
+     "expected '+' or '*', found 'y' (line 1, column 6)"),
+    (parse_formula, '0 = 0 ->\n  T((x y))\n  -> 0 = 0',
+     "expected '+' or '*', found 'y' (line 2, column 8)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> T((x',
+     "expected '+' or '*', found '' (line 3, column 10)"),
+    (parse_term, '(x y\n  + #1)',
+     "expected '+' or '*', found 'y' (line 1, column 4)"),
+    (parse_term, '(S(0)\n  + (x y))',
+     "expected '+' or '*', found 'y' (line 2, column 8)"),
+    (parse_term, '(S(0)\n  + (x',
+     "expected '+' or '*', found '' (line 2, column 7)"),
+    (parse_formula, 'foo = 0 ->\n  0 = 0\n  -> 0 = 0',
+     "unknown identifier 'foo' (line 1, column 1)"),
+    (parse_formula, '0 = 0 ->\n  T(foo)\n  -> 0 = 0',
+     "unknown identifier 'foo' (line 2, column 5)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> 0 = foo',
+     "unknown identifier 'foo' (line 3, column 10)"),
+    (parse_term, '(foo\n  + #1)',
+     "unknown identifier 'foo' (line 1, column 2)"),
+    (parse_term, '(S(0)\n  + iter(T, #1))',
+     "unknown identifier 'T' (line 2, column 10)"),
+    (parse_term, '(S(0)\n  + forall',
+     "unknown identifier 'forall' (line 2, column 5)"),
+    (parse_formula, 'forall 0. 0 = 0 ->\n  0 = 0\n  -> 0 = 0',
+     "expected a variable after 'forall', found '0' (line 1, column 8)"),
+    (parse_formula, '0 = 0 ->\n  (forall T. 0 = 0)\n  -> 0 = 0',
+     "expected a variable after 'forall', found 'T' (line 2, column 11)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> forall',
+     "expected a variable after 'forall', found '' (line 3, column 12)"),
+    (parse_term, 'forall x. x = x',
+     "unknown identifier 'forall' (line 1, column 1)"),
+    (parse_formula, '0 = 0 0 ->\n  0 = 0\n  -> 0 = 0',
+     "trailing input after formula, found '0' (line 1, column 7)"),
+    (parse_formula, '(0 = 0) ->\n  0 = 0)\n  -> 0 = 0',
+     "trailing input after formula, found ')' (line 2, column 8)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> 0 = 0 0',
+     "trailing input after formula, found '0' (line 3, column 12)"),
+    (parse_term, '0 (S(0)\n  + #1)',
+     "trailing input after term, found '(' (line 1, column 3)"),
+    (parse_term, '(S(0)\n  + #1))\n  + #1',
+     "trailing input after term, found ')' (line 2, column 8)"),
+    (parse_term, '(S(0)\n  + #1) #2',
+     "trailing input after term, found '#2' (line 2, column 9)"),
+    (parse_formula, ') = 0 ->\n  0 = 0\n  -> 0 = 0',
+     "expected a term, found ')' (line 1, column 1)"),
+    (parse_formula, '0 = 0 ->\n  0 = ,\n  -> 0 = 0',
+     "expected a term, found ',' (line 2, column 7)"),
+    (parse_formula, '0 = 0 ->\n  0 = 0\n  -> 0 =',
+     "expected a term, found 'end of input' (line 3, column 9)"),
+    (parse_term, ')(S(0)\n  + #1)',
+     "expected a term, found ')' (line 1, column 1)"),
+    (parse_term, '(S(0)\n  + ~)',
+     "expected a term, found '~' (line 2, column 5)"),
+    (parse_term, '(S(0)\n  +',
+     "expected a term, found 'end of input' (line 2, column 4)"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", PARSE_ERRORS)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_parse_rejects_trailing_input():
@@ -165,3 +262,50 @@ def test_subterm_navigation():
     assert subterm_at(f, (1, 1)) == Succ(ZERO)
     with pytest.raises(IndexError):
         subterm_at(f, (2,))
+
+
+# token-level mutations of printed expressions, for the parser differential
+_TOKENS = re.compile(r"#\d+|[A-Za-z_][A-Za-z0-9_]*|->|\S")
+_VOCABULARY = ["(", ")", "=", "+", "*", ",", ".", "~", "->", "0", "#7", "x",
+               "v12", "S", "T", "iter", "sub", "forall", "foo", "$", "#",
+               "-", "1", "\u00e9"]
+
+
+@st.composite
+def parser_inputs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    toks = _TOKENS.findall(pretty_print(random_expr(rng, draw(st.integers(0, 6)))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(toks)))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "insert"]))
+        if op == "insert" or i == len(toks):
+            toks.insert(i, draw(st.sampled_from(_VOCABULARY)))
+        elif op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "swap" and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        else:
+            toks[i] = draw(st.sampled_from(_VOCABULARY))
+    seps = draw(st.lists(st.sampled_from([" ", "", "\n  "]), min_size=len(toks), max_size=len(toks)))
+    return "".join(sep + tok for sep, tok in zip(seps, toks))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (str(e), e.pos)
+
+
+@settings(max_examples=500, deadline=None)
+@given(parser_inputs())
+def test_parser_agrees_with_the_reference_parser(text):
+    for parse, reference in ((parse_formula, reference_parse_formula),
+                             (parse_term, reference_parse_term)):
+        got, want = _outcome(parse, text), _outcome(reference, text)
+        if type(want) is tuple:
+            assert got == want, text
+        else:
+            assert got is want, text
