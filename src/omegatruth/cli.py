@@ -10,12 +10,10 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import replace
 
 from .coding import decode, encode, value
 from .kernel import (
-    CheckError, CheckedTheorem, GAMMA, MissingSchema, Refutation, SIGMA,
-    TheoryConfig, check,
+    CheckError, CheckedTheorem, MissingSchema, Refutation, TheoryConfig, check,
 )
 from .proofscript import parse_script
 from .syntax import (
@@ -47,11 +45,12 @@ _LOEB_NOTES = {
 
 
 def _config(args) -> TheoryConfig:
-    base = GAMMA if args.theory == "gamma" else SIGMA
-    kwargs = {"omega_samples": args.samples}
-    if args.max_omega != "unlimited":
-        kwargs["max_omega_count"] = int(args.max_omega)
-    return replace(base, **kwargs)
+    # sigma is gamma without internal consistency
+    return TheoryConfig(
+        has_cons=args.theory == "gamma",
+        omega_samples=args.samples,
+        max_omega_count=None if args.max_omega == "unlimited" else int(args.max_omega),
+    )
 
 
 def _print_cert(name: str, cert: CheckedTheorem, quiet: bool) -> None:
@@ -301,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # codes and quoted names of formulas that hold codes run past the
-    # 4300 decimal digits CPython converts by default
-    if hasattr(sys, "set_int_max_str_digits"):
+    # 4300 decimal digits CPython converts by default; the caller's limit
+    # is restored after
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
         sys.set_int_max_str_digits(0)
     # pause the cyclic collector for the command and restore the caller's
     # state after: interned nodes hold no cycles and live until the process
@@ -331,6 +332,8 @@ def main(argv=None) -> int:
     finally:
         if was_enabled:
             gc.enable()
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

@@ -22,7 +22,7 @@ arithmetic, and the sampled replay itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import coding
 from .syntax import (
@@ -68,8 +68,31 @@ class SchemaId(enum.Enum):
     COMP_SUCC = "COMP_SUCC"
 
 
-@dataclass(frozen=True)
-class TheoryConfig:
+class _Checked:
+    """Mixed in before a NamedTuple: every way of building the record runs
+    its ``_check``, ``_make`` and ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _TheoryFields(NamedTuple):
+    has_cons: bool = True
+    has_timp: bool = True
+    has_uinf: bool = True
+    omega_samples: int = 8
+    max_omega_count: int | None = None
+
+
+class TheoryConfig(_Checked, _TheoryFields):
     """Which axiom schemas are active, plus checker parameters.
 
     ``GAMMA`` activates all three truth schemas; ``SIGMA`` is ``GAMMA``
@@ -77,13 +100,9 @@ class TheoryConfig:
     the computation schemas are always available.
     """
 
-    has_cons: bool = True
-    has_timp: bool = True
-    has_uinf: bool = True
-    omega_samples: int = 8
-    max_omega_count: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.omega_samples < 1:
             raise ValueError("omega_samples must be at least 1")
 
@@ -753,8 +772,7 @@ def _nearest(phi: Formula, claimed: SchemaId, config: TheoryConfig) -> str:
 # checking
 
 
-@dataclass(frozen=True)
-class CheckedTheorem:
+class CheckedTheorem(NamedTuple):
     """A verified judgment.  ``omega_count`` is the maximum number of omega
     nodes on any root-to-leaf path; 0 means classical derivability."""
 
@@ -763,7 +781,7 @@ class CheckedTheorem:
     omega_count: int
     samples_checked: int
     proof_size: int
-    proof: Proof = field(repr=False, compare=False)
+    proof: Proof
 
     def certificate(self) -> dict:
         return {
@@ -775,15 +793,18 @@ class CheckedTheorem:
         }
 
 
-@dataclass(frozen=True)
-class Refutation:
-    """Proofs of a sentence and of its negation under one configuration."""
-
+class _RefutationFields(NamedTuple):
     positive: CheckedTheorem
     negative: CheckedTheorem
     narrative: tuple[tuple[str, Formula], ...]
 
-    def __post_init__(self):
+
+class Refutation(_Checked, _RefutationFields):
+    """Proofs of a sentence and of its negation under one configuration."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.negative.formula != Not(self.positive.formula):
             raise ValueError("refutation sides do not contradict each other")
         if self.negative.theory != self.positive.theory:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tactics as T
 from .coding import name_of
@@ -44,8 +44,7 @@ class ScriptError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     theory: str | None
     samples: int | None
     proof: Proof

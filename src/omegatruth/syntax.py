@@ -502,6 +502,9 @@ class _Parser:
         self.toks = toks = _TOKEN_RE.findall(text)
         toks.append("")
         self.i = 0
+        # indices of "(" tokens where a term was tried and failed; a term
+        # parse depends only on where it starts, so it is not tried again
+        self.no_term: set[int] = set()
         bad = toks.index("")
         if bad < len(toks) - 1:
             pos = self.offset(bad)
@@ -555,12 +558,17 @@ class _Parser:
             self.expect(")")
             return FnApp(tok, args)
         if tok == "(":
-            left = self.term()
-            op = self.next()
-            if op != "+" and op != "*":
-                raise _Miss(f"expected '+' or '*', found {op!r}", self.i - 1)
-            right = self.term()
-            self.expect(")")
+            start = self.i - 1
+            try:
+                left = self.term()
+                op = self.next()
+                if op != "+" and op != "*":
+                    raise _Miss(f"expected '+' or '*', found {op!r}", self.i - 1)
+                right = self.term()
+                self.expect(")")
+            except _Miss:
+                self.no_term.add(start)
+                raise
             return Add(left, right) if op == "+" else Mul(left, right)
         idx = var_index(tok)
         if idx is not None:
@@ -605,9 +613,9 @@ class _Parser:
         if tok == "(":
             # either a parenthesized formula or a parenthesized term of an
             # equation; T, ~ and forall start only formulas, so the term is
-            # tried only when another token follows
+            # tried only when another token follows, and only once
             mark = self.i
-            if self.toks[mark + 1] not in ("T", "~", "forall"):
+            if self.toks[mark + 1] not in ("T", "~", "forall") and mark not in self.no_term:
                 try:
                     left = self.term()
                 except _Miss:

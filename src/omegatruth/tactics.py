@@ -13,7 +13,6 @@ terms into canonical numerals through the computation schemas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
@@ -762,13 +761,12 @@ def derive_A1(phi: Formula) -> Thm:
 # the diagonal lemma
 
 
-@dataclass(frozen=True)
-class DiagonalResult:
+class DiagonalResult(NamedTuple):
     """Fixed point of a one-variable formula, with its equivalence proof."""
 
     theta: Formula
     gamma: Formula
-    equivalence_proof: Proof = field(repr=False)
+    equivalence_proof: Proof
     equivalence: Formula
 
     def thm(self) -> Thm:

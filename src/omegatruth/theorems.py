@@ -9,8 +9,7 @@ then instantiated with (M1, M2, M3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .coding import OMEGA_VAR, DIAG_VAR, name_of, omega_truth
 from .kernel import (
@@ -127,8 +126,7 @@ def m3(phi: Formula, config: TheoryConfig = SIGMA) -> CheckedTheorem:
     return check(_m3(phi).proof, config)
 
 
-@dataclass(frozen=True)
-class ProvabilityPredicate:
+class ProvabilityPredicate(NamedTuple):
     """A predicate applied to names, with the three derivability conditions.
 
     ``d1`` turns a proof of phi into a proof of P(#phi); ``d2`` and ``d3``
@@ -319,8 +317,7 @@ def mcgee_via_loeb(config: TheoryConfig = GAMMA) -> Refutation:
     return Refutation(positive, negative, narrative)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """A finitary exhibit of omega-inconsistency: the negated universal
     together with the first instances of the witness family."""
 

@@ -8,14 +8,13 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
 from omegatruth.cli import main
 from omegatruth.coding import decode, encode, sub_fn
 from omegatruth.kernel import (
-    CheckError, GAMMA, MissingSchema, SIGMA, SchemaId, check,
+    CheckError, GAMMA, MissingSchema, SIGMA, SchemaId, TheoryConfig, check,
 )
 from omegatruth.syntax import (
     Eq, Formula, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
@@ -181,14 +180,14 @@ def test_criterion_5d_eval_oracle():
 def test_criterion_6_mutation_fuzzing(mcgee):
     with criterion(6, "1000 single-node mutations: zero silent acceptances"):
         rng = random.Random(113)
-        fast = replace(GAMMA, omega_samples=2)
+        fast = TheoryConfig(omega_samples=2)
         a1 = derive_A1(Eq(ZERO, ZERO))
         a2 = derive_A2(Eq(ZERO, ZERO))
         ev = eval_closed(random_evaluable_term(rng, 3))
         from omegatruth.tactics import diagonal_lemma
 
         dg = diagonal_lemma(Tr(Var(5)), 5)
-        m2c = m2(Eq(ZERO, Succ(ZERO)), Eq(ZERO, ZERO), replace(GAMMA, omega_samples=2))
+        m2c = m2(Eq(ZERO, Succ(ZERO)), Eq(ZERO, ZERO), TheoryConfig(omega_samples=2))
         m1c = m1(check(refl(ZERO).proof, fast))
         pool = [
             (a1.proof, a1.formula, 200),
@@ -219,8 +218,8 @@ def test_criterion_7_sample_sweep():
     with criterion(7, "all bundled generators validate at 8 and at 16 samples, < 60 s"):
         t0 = time.monotonic()
         for samples in (8, 16):
-            config = replace(GAMMA, omega_samples=samples)
-            sconfig = replace(SIGMA, omega_samples=samples)
+            config = TheoryConfig(omega_samples=samples)
+            sconfig = TheoryConfig(has_cons=False, omega_samples=samples)
             ref = mcgee_original(config)
             assert ref.positive.samples_checked == samples
             ref2 = mcgee_via_loeb(config)

@@ -47,6 +47,8 @@ def test_demo_witness_samples(capsys):
     assert len(doc["instances"]) == 3
     assert doc["universal_negation"]["omega_count"] == 0
     assert all(c["omega_count"] == 0 for c in doc["instances"])
+    assert run(capsys, "demo", "witness", "--samples", "0") == (
+        2, "", "input error: omega_samples must be at least 1\n")
 
 
 def test_demo_loeb_sigma(capsys):
@@ -79,6 +81,8 @@ def test_check_respects_sample_counts(tmp_path, capsys):
     assert json.loads(out)["samples_checked"] == 3
     _, out, _ = run(capsys, "check", str(path), "--samples", "5", "--json")
     assert json.loads(out)["samples_checked"] == 5
+    assert run(capsys, "check", str(path), "--samples", "0") == (
+        2, "", "input error: omega_samples must be at least 1\n")
 
 
 def test_check_script_failure(tmp_path, capsys):
@@ -202,6 +206,9 @@ def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
     bad.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')
     seen = []
     frozen = gc.get_freeze_count()
+    # the int/str digit limit, which main lifts for the command (Python 3.11+)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    digits = limit()
 
     def exit_code(*argv):
         try:
@@ -209,12 +216,15 @@ def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
         except SystemExit as e:  # usage errors exit from argparse
             return e.code
         finally:
-            # main restores the caller's collector state and freezes nothing
-            seen.append((gc.isenabled(), gc.get_freeze_count()))
+            # main restores the caller's collector state and digit limit,
+            # and freezes nothing
+            seen.append((gc.isenabled(), gc.get_freeze_count(), limit()))
 
     before = gc.isenabled()
     try:
         (gc.enable if was_enabled else gc.disable)()
+        if digits is not None:
+            sys.set_int_max_str_digits(5000)
         codes = [
             exit_code("eval", "S(0)"),
             exit_code("check", str(bad)),
@@ -223,22 +233,25 @@ def test_main_restores_the_gc_state(capsys, tmp_path, was_enabled):
         ]
     finally:
         (gc.enable if before else gc.disable)()
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     capsys.readouterr()
     assert codes == [0, 1, 2, 2]
-    assert seen == [(was_enabled, frozen)] * 4
+    assert seen == [(was_enabled, frozen, None if digits is None else 5000)] * 4
 
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_fresh(*argv):
-    """``python -m omegatruth.cli`` in a fresh process, its output piped
-    and block-buffered, so output not flushed at exit would be lost."""
+def run_fresh(*argv, cli=True):
+    """``python -m omegatruth.cli`` (or ``python``, without ``cli``) in a
+    fresh process, its output piped and block-buffered, so output not
+    flushed at exit would be lost."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "omegatruth.cli", *argv],
+        [sys.executable, *(["-m", "omegatruth.cli"] if cli else []), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -271,3 +284,14 @@ def test_fresh_process_exit_codes_and_output(tmp_path):
     res = run_fresh("check", str(ill_formed))
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "input error: unterminated string literal\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the modules the import adds, so that what site loads is left out;
+    # dataclasses and the inspect it pulls in cost every command ~20 ms
+    code = "import sys; before = set(sys.modules); import omegatruth.cli; print(*sorted(set(sys.modules) - before))"
+    res = run_fresh("-c", code, cli=False)
+    assert res.returncode == 0, res.stderr
+    added = set(res.stdout.split())
+    assert "omegatruth.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})

@@ -29,6 +29,33 @@ def test_config_presets():
     assert SIGMA.active(SchemaId.TIMP) and SIGMA.active(SchemaId.UINF)
 
 
+def test_config_is_a_value():
+    assert GAMMA == TheoryConfig() and hash(GAMMA) == hash(TheoryConfig())
+    assert SIGMA == TheoryConfig(has_cons=False) and SIGMA != GAMMA
+    assert TheoryConfig(False, True, False, 3, 2) == TheoryConfig(
+        has_cons=False, has_timp=True, has_uinf=False, omega_samples=3, max_omega_count=2)
+    assert (GAMMA.omega_samples, GAMMA.max_omega_count) == (8, None)
+    with pytest.raises(ValueError, match="^omega_samples must be at least 1$"):
+        TheoryConfig(omega_samples=0)
+    with pytest.raises(ValueError, match="^omega_samples must be at least 1$"):
+        TheoryConfig(True, True, True, 0)
+
+
+def test_config_replace_is_checked():
+    assert GAMMA._replace(has_cons=False) == SIGMA
+    with pytest.raises(ValueError, match="^omega_samples must be at least 1$"):
+        GAMMA._replace(omega_samples=0)
+
+
+def test_records_are_immutable():
+    cert = check(refl(ZERO).proof, GAMMA)
+    with pytest.raises(AttributeError):
+        GAMMA.omega_samples = 1
+    with pytest.raises(AttributeError):
+        cert.proof_size = 0
+    assert GAMMA.omega_samples == 8 and cert.proof_size == 1
+
+
 def test_cons_instance_matches_under_gamma_only():
     inst = _cons_instance(Eq(ZERO, ZERO))
     assert schema_of(inst, GAMMA) is SchemaId.CONS
@@ -398,5 +425,9 @@ def test_missing_schema_message():
 def test_refutation_validates_contradiction(mcgee):
     from omegatruth.kernel import Refutation
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^refutation sides do not contradict each other$"):
         Refutation(mcgee.positive, mcgee.positive, ())
+    other = check(mcgee.negative.proof, TheoryConfig(omega_samples=2))
+    with pytest.raises(ValueError, match="^refutation sides use different theories$"):
+        Refutation(mcgee.positive, other, ())
+    assert Refutation(mcgee.positive, mcgee.negative, ()).negative is mcgee.negative
