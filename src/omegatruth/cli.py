@@ -11,6 +11,7 @@ import gc
 import json
 import sys
 
+from . import theorems as TH
 from .coding import decode, encode, value
 from .kernel import (
     CheckError, CheckedTheorem, MissingSchema, Refutation, TheoryConfig, check,
@@ -105,8 +106,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from . import theorems as TH
-
     config = _config(args)
     name = args.name
     if name == "mcgee":

@@ -150,21 +150,25 @@ class CheckError(ValueError):
 # proof objects
 
 
-class Proof:
-    """Base class for proof nodes, interned like terms and formulas.
+class _Interned:
+    """Base of the interned kernel objects: proofs and step combinators."""
 
-    ``_macro`` records the tactic call that built a node, so that scripts
-    can serialize it as the macro form; expanding that form rebuilds the
-    very same node.
-    """
-
-    __slots__ = ("_macro",)
+    __slots__ = ()
 
     @classmethod
     def _make(cls, key):
-        self = _INTERN[key] = object.__new__(cls)
-        self._macro = None
+        _INTERN[key] = self = object.__new__(cls)
         return self
+
+
+class Proof(_Interned):
+    """Base class for proof nodes, interned like terms and formulas.
+
+    A node holds only what the kernel checks; which macro call built it,
+    if any, is recorded by the tactics layer (``tactics.MACROS``).
+    """
+
+    __slots__ = ()
 
 
 class Axiom(Proof):
@@ -220,13 +224,8 @@ class TIntro(Proof):
         return self
 
 
-class StepCombinator:
+class StepCombinator(_Interned):
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, key):
-        _INTERN[key] = self = object.__new__(cls)
-        return self
 
 
 class ApplyTIntro(StepCombinator):

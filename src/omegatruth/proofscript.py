@@ -143,19 +143,9 @@ def _flat(sexp, budget: int) -> str | None:
 
 
 def _proof_sexp(p: Proof):
-    macro = p._macro
-    if macro is not None:
-        kind = macro[0]
-        if kind == "taut":
-            return ["taut", _Q(pretty_print(macro[1]))]
-        if kind == "eval":
-            return ["eval", _Q(pretty_print(macro[1]))]
-        if kind == "a1":
-            return ["a1", _Q(pretty_print(macro[1]))]
-        if kind == "a2":
-            return ["a2", _Q(pretty_print(macro[1]))]
-        if kind == "diag":
-            return ["diag", _Q(pretty_print(macro[1])), var_name(macro[2])]
+    macro = T.MACROS.get(p)
+    if macro is not None:  # (kind, formula or term[, var])
+        return [macro[0], _Q(pretty_print(macro[1])), *map(var_name, macro[2:])]
     t = type(p)
     if t is Axiom:
         return ["axiom", p.schema.value, _Q(pretty_print(p.instance))]

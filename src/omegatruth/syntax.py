@@ -397,7 +397,6 @@ def mk_iff(a: Formula, b: Formula) -> Formula:
 
 _CANONICAL_NAMES = ("x", "y", "z", "w", "u", "v")
 _NAME_TO_INDEX = {n: i for i, n in enumerate(_CANONICAL_NAMES)}
-_RESERVED = {"forall", "T", "S", "iter", "sub"}
 
 
 def var_name(idx: int) -> str:

@@ -30,7 +30,7 @@ from .syntax import (
 __all__ = [
     "Thm", "TacticError", "TautologyError",
     "ax", "mp", "gen", "tintro",
-    "hyp", "use", "happly", "discharge", "compile_tree",
+    "hyp", "happly", "discharge", "compile_tree",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
     "iff_intro", "iff_elim1", "iff_elim2", "iff_parts",
@@ -56,8 +56,21 @@ class TautologyError(TacticError):
 
 
 class Thm(NamedTuple):
+    """A kernel proof with the formula it proves.
+
+    A Thm is also the closed tree of the deduction compiler below: it
+    depends on no hypothesis.
+    """
+
     proof: Proof
     formula: Formula
+    hyps = frozenset()
+
+
+# The macro call that built a node, such as ("taut", phi) or ("diag", phi,
+# v), so that scripts serialize the node as that form; expanding the form
+# rebuilds the very same node.  The last call to build a node names it.
+MACROS: dict[Proof, tuple] = {}
 
 
 def ax(schema: SchemaId, instance: Formula) -> Thm:
@@ -85,6 +98,9 @@ def tintro(th: Thm) -> Thm:
 
 # ---------------------------------------------------------------------------
 # proofs from hypotheses and the deduction theorem
+#
+# A tree is an open hypothesis, modus ponens under an open hypothesis, or a
+# closed Thm, whose kernel node was built as soon as the tree closed.
 
 
 class _HNode:
@@ -97,17 +113,6 @@ class _HHyp(_HNode):
     def __init__(self, formula: Formula):
         self.formula = formula
         self.hyps = frozenset((formula,))
-
-
-class _HUse(_HNode):
-    """A closed tree: a kernel theorem, built as soon as the tree closed."""
-
-    __slots__ = ("thm",)
-
-    def __init__(self, thm: Thm):
-        self.thm = thm
-        self.formula = thm.formula
-        self.hyps = frozenset()
 
 
 class _HApp(_HNode):
@@ -126,10 +131,6 @@ def hyp(formula: Formula) -> _HNode:
     return _HHyp(formula)
 
 
-def use(th: Thm) -> _HNode:
-    return _HUse(th)
-
-
 def happly(minor: _HNode, major: _HNode) -> _HNode:
     f = major.formula
     if type(f) is not Imp or f.ant is not minor.formula:
@@ -141,7 +142,7 @@ def happly(minor: _HNode, major: _HNode) -> _HNode:
         return _HApp(minor, major, f.cons)
     # both sides are closed: emit the kernel node now, so that no closed
     # subtree is walked again when the hypotheses above it are discharged
-    return _HUse(Thm(MP(minor.thm.proof, major.thm.proof), f.cons))
+    return Thm(MP(minor.proof, major.proof), f.cons)
 
 
 def discharge(tree: _HNode, h: Formula) -> _HNode:
@@ -154,9 +155,9 @@ def discharge(tree: _HNode, h: Formula) -> _HNode:
             continue
         if h not in node.hyps:
             k = ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula)))
-            memo[id(node)] = happly(node, _HUse(k))
+            memo[id(node)] = happly(node, k)
         elif type(node) is _HHyp:  # node.formula is h
-            memo[id(node)] = _HUse(taut_id(h))
+            memo[id(node)] = taut_id(h)
         elif not ready:
             stack.append((node, True))
             stack.append((node.minor, False))
@@ -169,41 +170,23 @@ def discharge(tree: _HNode, h: Formula) -> _HNode:
                 SchemaId.PROP2,
                 Imp(Imp(h, Imp(a, b)), Imp(Imp(h, a), Imp(h, b))),
             )
-            memo[id(node)] = happly(dm, happly(dM, _HUse(s)))
+            memo[id(node)] = happly(dm, happly(dM, s))
     return memo[id(tree)]
 
 
 def compile_tree(tree: _HNode) -> Thm:
-    """The kernel proof of a hypothesis-free tree."""
+    """A hypothesis-free tree, which is a Thm; an open tree is an error."""
     if tree.hyps:
         raise TacticError(
             "undischarged hypotheses: " + "; ".join(pretty_print(f) for f in tree.hyps)
         )
-    return tree.thm
+    return tree
 
 
 def _close(tree: _HNode, *hs: Formula) -> Thm:
     for h in hs:
         tree = discharge(tree, h)
     return compile_tree(tree)
-
-
-def _t_trans(a: _HNode, b: _HNode) -> _HNode:
-    """Tree-level composition of a: X -> Y with b: Y -> Z."""
-    x = a.formula.ant
-    if x in a.hyps or x in b.hyps:
-        raise TacticError("composition would capture an open hypothesis")
-    return discharge(happly(happly(hyp(x), a), b), x)
-
-
-def _t_contra(t: _HNode) -> _HNode:
-    """Tree-level contraposition of t: X -> Y into ~Y -> ~X."""
-    f = t.formula
-    x, y = f.ant, f.cons
-    t1 = _t_trans(use(_l_dne(x)), t)
-    t2 = _t_trans(t1, use(_l_dni(y)))
-    p3 = ax(SchemaId.PROP3, Imp(t2.formula, Imp(Not(y), Not(x))))
-    return happly(t2, use(p3))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +213,9 @@ def _l_dne(a: Formula) -> Thm:
     n1, n2 = Not(a), Not(Not(a))
     n3, n4 = Not(Not(Not(a))), Not(Not(Not(Not(a))))
     h = hyp(n2)
-    t1 = happly(h, use(ax(SchemaId.PROP1, Imp(n2, Imp(n4, n2)))))
-    t2 = happly(t1, use(ax(SchemaId.PROP3, Imp(Imp(n4, n2), Imp(n1, n3)))))
-    t3 = happly(t2, use(ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(n2, a)))))
+    t1 = happly(h, ax(SchemaId.PROP1, Imp(n2, Imp(n4, n2))))
+    t2 = happly(t1, ax(SchemaId.PROP3, Imp(Imp(n4, n2), Imp(n1, n3))))
+    t3 = happly(t2, ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(n2, a))))
     return _close(happly(h, t3), n2)
 
 
@@ -243,26 +226,28 @@ def _l_dni(a: Formula) -> Thm:
     return mp(dne, ax(SchemaId.PROP3, Imp(dne.formula, Imp(a, Not(Not(a))))))
 
 
-def imp_trans(a: Thm, b: Thm) -> Thm:
-    """From a: X -> Y and b: Y -> Z conclude X -> Z."""
+def imp_trans(a: _HNode, b: _HNode) -> _HNode:
+    """From a: X -> Y and b: Y -> Z conclude X -> Z; a Thm when both are."""
     x = a.formula.ant
-    return _close(happly(happly(hyp(x), use(a)), use(b)), x)
+    if x in a.hyps or x in b.hyps:
+        raise TacticError("composition would capture an open hypothesis")
+    return discharge(happly(happly(hyp(x), a), b), x)
 
 
-def contrapose(th: Thm) -> Thm:
-    """From X -> Y conclude ~Y -> ~X."""
-    f = th.formula
-    c1 = imp_trans(_l_dne(f.ant), th)
+def contrapose(t: _HNode) -> _HNode:
+    """From X -> Y conclude ~Y -> ~X; a Thm when t is one."""
+    f = t.formula
+    c1 = imp_trans(_l_dne(f.ant), t)
     c2 = imp_trans(c1, _l_dni(f.cons))
-    return mp(c2, ax(SchemaId.PROP3, Imp(c2.formula, Imp(Not(f.cons), Not(f.ant)))))
+    return happly(c2, ax(SchemaId.PROP3, Imp(c2.formula, Imp(Not(f.cons), Not(f.ant)))))
 
 
 @cache
 def _l_efq(a: Formula, b: Formula) -> Thm:
     """~a -> (a -> b)."""
     na, nb = Not(a), Not(b)
-    k = happly(hyp(na), use(ax(SchemaId.PROP1, Imp(na, Imp(nb, na)))))
-    c = happly(k, use(ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b)))))
+    k = happly(hyp(na), ax(SchemaId.PROP1, Imp(na, Imp(nb, na))))
+    c = happly(k, ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b))))
     return _close(happly(hyp(a), c), a, na)
 
 
@@ -271,7 +256,7 @@ def _l_counter(a: Formula, b: Formula) -> Thm:
     """a -> (~b -> ~(a -> b))."""
     ab = Imp(a, b)
     t = discharge(happly(hyp(a), hyp(ab)), ab)  # (a->b) -> b, from a
-    return _close(_t_contra(t), a)
+    return _close(contrapose(t), a)
 
 
 @cache
@@ -280,9 +265,9 @@ def _l_caa(c: Formula) -> Thm:
     nc = Not(c)
     h = Imp(nc, c)
     a = happly(hyp(nc), hyp(h))
-    b = happly(hyp(nc), use(_l_efq(c, Not(h))))
+    b = happly(hyp(nc), _l_efq(c, Not(h)))
     d = discharge(happly(a, b), nc)  # ~c -> ~(~c -> c), from h
-    e = happly(d, use(ax(SchemaId.PROP3, Imp(d.formula, Imp(h, c)))))
+    e = happly(d, ax(SchemaId.PROP3, Imp(d.formula, Imp(h, c))))
     return _close(happly(hyp(h), e), h)
 
 
@@ -290,8 +275,8 @@ def _l_caa(c: Formula) -> Thm:
 def _l_cases(a: Formula, c: Formula) -> Thm:
     """(a -> c) -> ((~a -> c) -> c)."""
     p, q = Imp(a, c), Imp(Not(a), c)
-    t = _t_trans(_t_contra(hyp(p)), hyp(q))  # ~c -> c
-    r = happly(t, use(_l_caa(c)))
+    t = imp_trans(contrapose(hyp(p)), hyp(q))  # ~c -> c
+    r = happly(t, _l_caa(c))
     return _close(r, q, p)
 
 
@@ -335,15 +320,15 @@ def _branch(phi: Formula, v: dict[Formula, bool]) -> _HNode:
     if t is Not:
         body = phi.body
         if _t_eval(body, v):
-            return happly(_branch(body, v), use(_l_dni(body)))
+            return happly(_branch(body, v), _l_dni(body))
         return _branch(body, v)
     if t is Imp:
         a, b = phi.ant, phi.cons
         if not _t_eval(a, v):
-            return happly(_branch(a, v), use(_l_efq(a, b)))
+            return happly(_branch(a, v), _l_efq(a, b))
         if _t_eval(b, v):
-            return happly(_branch(b, v), use(ax(SchemaId.PROP1, Imp(b, phi))))
-        return happly(_branch(b, v), happly(_branch(a, v), use(_l_counter(a, b))))
+            return happly(_branch(b, v), ax(SchemaId.PROP1, Imp(b, phi)))
+        return happly(_branch(b, v), happly(_branch(a, v), _l_counter(a, b)))
     return hyp(phi) if v[phi] else hyp(Not(phi))
 
 
@@ -403,10 +388,10 @@ def taut(phi: Formula) -> Thm:
         v[a] = False
         t0 = discharge(build(i + 1, v), Not(a))
         del v[a]
-        return happly(t0, happly(t1, use(_l_cases(a, phi))))
+        return happly(t0, happly(t1, _l_cases(a, phi)))
 
     th = compile_tree(build(0, {}))
-    th.proof._macro = ("taut", phi)
+    MACROS[th.proof] = ("taut", phi)
     return th
 
 
@@ -503,7 +488,7 @@ def eval_closed(t: Term) -> Thm:
     if t.nv is not None:
         return refl(t)
     th = _eval_closed(t, v)
-    th.proof._macro = ("eval", t)
+    MACROS[th.proof] = ("eval", t)
     return th
 
 
@@ -581,7 +566,7 @@ def _imp_mono_ant(bwd: Thm, r: Formula) -> Thm:
     """From a' -> a conclude (a -> r) -> (a' -> r)."""
     a2, a = bwd.formula.ant, bwd.formula.cons
     ar = Imp(a, r)
-    tree = happly(happly(hyp(a2), use(bwd)), hyp(ar))
+    tree = happly(happly(hyp(a2), bwd), hyp(ar))
     return _close(tree, a2, ar)
 
 
@@ -589,7 +574,7 @@ def _imp_mono_cons(fwd: Thm, r: Formula) -> Thm:
     """From b -> b' conclude (r -> b) -> (r -> b')."""
     b2 = fwd.formula.cons
     rb = Imp(r, fwd.formula.ant)
-    tree = happly(happly(hyp(r), hyp(rb)), use(fwd))
+    tree = happly(happly(hyp(r), hyp(rb)), fwd)
     return _close(tree, r, rb)
 
 
@@ -713,7 +698,7 @@ def derive_A2(phi: Formula) -> Thm:
     i = mp(axm, ax(SchemaId.QUANT1, Imp(axm.formula, Eq(it0, nphi))))
     c = mp(i, ax(SchemaId.EQ3, Imp(i.formula, Imp(Tr(it0), Tr(nphi)))))
     out = imp_trans(q1, c)
-    out.proof._macro = ("a2", phi)
+    MACROS[out.proof] = ("a2", phi)
     return out
 
 
@@ -753,7 +738,7 @@ def derive_A1(phi: Formula) -> Thm:
 
     u = ax(SchemaId.UINF, Imp(Forall(x, Tr(dot)), Tr(name_of(w))))
     out = imp_trans(c2, u)
-    out.proof._macro = ("a1", phi)
+    MACROS[out.proof] = ("a1", phi)
     return out
 
 
@@ -793,5 +778,5 @@ def diagonal_lemma(phi: Formula, v: int) -> DiagonalResult:
     if fwd_acc is None or cur != target:
         raise TacticError("diagonalization failed to align the fixed point")
     acc = iff_intro(fwd_acc, bwd_acc)
-    acc.proof._macro = ("diag", phi, v)
+    MACROS[acc.proof] = ("diag", phi, v)
     return DiagonalResult(theta, gamma, acc.proof, acc.formula)

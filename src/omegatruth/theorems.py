@@ -25,7 +25,6 @@ from .tactics import (
     Thm, ax, compile_tree, contrapose, derive_A1, derive_A2,
     diagonal_lemma, discharge, gen, happly, hyp, iff_elim1, iff_elim2,
     iff_intro, imp_trans, lift_imp, mp, refl, rewrite_align, taut, tintro,
-    use,
 )
 
 __all__ = [
@@ -83,9 +82,9 @@ def _m2(phi: Formula, psi: Formula) -> Thm:
     inst = mp(om, ax(SchemaId.QUANT1, Imp(om.formula, fam)))
     pa = ax(SchemaId.QUANT1, Imp(p_w, fam.ant))
     pb = ax(SchemaId.QUANT1, Imp(q_w, fam.cons.ant))
-    got_a = happly(hyp(p_w), use(pa))
-    got_b = happly(hyp(q_w), use(pb))
-    r = happly(got_b, happly(got_a, use(inst)))
+    got_a = happly(hyp(p_w), pa)
+    got_b = happly(hyp(q_w), pb)
+    r = happly(got_b, happly(got_a, inst))
     h = compile_tree(discharge(discharge(r, q_w), p_w))  # P -> (Q -> R(y))
     gy = gen(h, y)
     s1 = mp(gy, ax(SchemaId.QUANT2, Imp(gy.formula, Imp(p_w, Forall(y, Imp(q_w, r_y))))))
@@ -277,7 +276,7 @@ def _not_zero_one() -> Thm:
     q2 = ax(SchemaId.Q2, q_axiom(SchemaId.Q2))
     inst = mp(q2, ax(SchemaId.QUANT1, Imp(q2.formula, Not(Eq(one, ZERO)))))
     e3 = ax(SchemaId.EQ3, Imp(z01, Imp(Eq(ZERO, ZERO), Eq(one, ZERO))))
-    flip = compile_tree(discharge(happly(use(refl(ZERO)), happly(hyp(z01), use(e3))), z01))
+    flip = compile_tree(discharge(happly(refl(ZERO), happly(hyp(z01), e3)), z01))
     return mp(inst, contrapose(flip))
 
 

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegatruth import tactics as T
 from omegatruth.kernel import GAMMA, SIGMA, check
 from omegatruth.proofscript import (
     Script, ScriptError, _Q, _read_forms, expand, parse_script,
     serialize_script,
 )
-from omegatruth.syntax import Eq, Imp, Tr, ZERO, numeral
+from omegatruth.syntax import Add, Eq, Imp, Tr, ZERO, numeral, parse_formula
 
 from helpers import reference_read_forms
 
@@ -43,6 +44,33 @@ def test_diag_macro():
     script = parse_script('(theory gamma) (prove (diag "~forall y. T(iter(y, v))" v))')
     cert = check(script.proof, GAMMA)
     assert cert.omega_count == 0
+
+
+ZZ = Eq(ZERO, ZERO)
+MACRO_BUILT = {
+    "taut": (lambda: T.taut(Imp(ZZ, ZZ)), ["taut", "0 = 0 -> 0 = 0"]),
+    "eval": (lambda: T.eval_closed(Add(numeral(2), numeral(3))), ["eval", "(#2 + #3)"]),
+    "a1": (lambda: T.derive_A1(ZZ), ["a1", "0 = 0"]),
+    "a2": (lambda: T.derive_A2(ZZ), ["a2", "0 = 0"]),
+    "diag": (
+        lambda: T.diagonal_lemma(parse_formula("~forall y. T(iter(y, v))"), 5).thm(),
+        ["diag", "~(forall y. T(iter(y, v)))", "v"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", MACRO_BUILT)
+def test_macro_built_node_serializes_as_its_macro_form(kind):
+    build, form = MACRO_BUILT[kind]
+    th = build()
+    text = serialize_script(th.proof, "gamma")
+    assert _read_forms(text)[-1] == ["prove", form]
+    assert parse_script(text).proof is th.proof
+    # also as a subproof of a larger proof
+    outer = T.gen(T.tintro(th), 0)
+    text = serialize_script(outer.proof, "gamma")
+    assert _read_forms(text)[-1] == ["prove", ["gen", "x", ["tintro", form]]]
+    assert parse_script(text).proof is outer.proof
 
 
 def test_omega_form_with_identity_step():

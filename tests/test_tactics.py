@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import encode, iter_fn, name_of, omega_truth, value
-from omegatruth.kernel import GAMMA, SIGMA, TheoryConfig, check
+from omegatruth.kernel import GAMMA, SIGMA, SchemaId, TheoryConfig, check
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral,
     parse_formula, pretty_print, replace_at, substitute, subterm_at,
 )
 from omegatruth.tactics import (
-    TacticError, TautologyError, Thm, contrapose, derive_A1, derive_A2,
-    diagonal_lemma, eval_closed, iff_elim1, iff_elim2, iff_intro, iff_parts,
-    imp_trans, lift_imp, mp, propositional_atoms, propositional_counterexample,
+    TacticError, TautologyError, Thm, ax, compile_tree, contrapose,
+    derive_A1, derive_A2, diagonal_lemma, discharge, eval_closed, happly,
+    hyp, iff_elim1, iff_elim2, iff_intro, iff_parts, imp_trans, lift_imp, mp, propositional_atoms, propositional_counterexample,
     refl, rewrite_imp, sym, taut, tintro, trans, _rw_pair,
 )
 
@@ -165,11 +165,40 @@ def test_taut_matches_oracle_on_random_skeletons():
 def test_imp_trans_and_contrapose():
     ab = taut(Imp(Imp(A, B), Imp(A, B)))
     p = imp_trans(iff_elim1(iff_intro(taut(Imp(A, A)), taut(Imp(A, A)))), taut(Imp(A, A)))
+    assert type(p) is Thm
     _checked(p)
     cp = contrapose(taut(Imp(A, A)))
-    assert cp.formula == Imp(Not(A), Not(A))
+    assert type(cp) is Thm and cp.formula == Imp(Not(A), Not(A))
     _checked(cp)
     assert ab.formula == Imp(Imp(A, B), Imp(A, B))
+
+
+def test_compile_tree_rejects_an_open_tree():
+    with pytest.raises(TacticError, match=r"^undischarged hypotheses: 0 = 0$"):
+        compile_tree(hyp(A))
+
+
+def test_imp_trans_refuses_to_capture_an_open_hypothesis():
+    # A -> A from the open hypothesis A: composing at A would discharge it
+    under_a = happly(hyp(A), ax(SchemaId.PROP1, Imp(A, Imp(A, A))))
+    for a, b in ((under_a, taut(Imp(A, A))), (taut(Imp(A, A)), under_a)):
+        with pytest.raises(TacticError, match=r"^composition would capture an open hypothesis$"):
+            imp_trans(a, b)
+
+
+def test_imp_trans_and_contrapose_on_open_trees():
+    hab, hbc = Imp(A, B), Imp(B, C)
+    ac = imp_trans(hyp(hab), hyp(hbc))
+    assert type(ac) is not Thm and ac.formula == Imp(A, C) and ac.hyps == {hab, hbc}
+    closed = compile_tree(discharge(discharge(ac, hbc), hab))
+    assert closed.formula == Imp(hab, Imp(hbc, Imp(A, C)))
+    _checked(closed)
+
+    nba = contrapose(hyp(hab))
+    assert type(nba) is not Thm and nba.formula == Imp(Not(B), Not(A)) and nba.hyps == {hab}
+    closed = compile_tree(discharge(nba, hab))
+    assert closed.formula == Imp(hab, Imp(Not(B), Not(A)))
+    _checked(closed)
 
 
 def test_iff_machinery():
