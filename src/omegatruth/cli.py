@@ -96,7 +96,7 @@ def _cmd_check(args) -> int:
     # command-line options override the script's header
     args.theory = args.theory or script.theory or "gamma"
     if args.samples is None:
-        args.samples = script.samples or 8
+        args.samples = 8 if script.samples is None else script.samples
     cert = check(script.proof, _config(args))
     if args.json:
         print(json.dumps(cert.certificate()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .syntax import (
     Add, Eq, Expr, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ,
-    Term, Tr, Var, ZERO, Zero, numeral, substitute,
+    Term, Tr, Var, ZERO, Zero, _children, numeral, substitute,
 )
 
 __all__ = [
@@ -45,6 +45,13 @@ class EvalError(CodingError):
 _T_VAR, _T_ZERO, _T_SUCC, _T_ADD, _T_MUL, _T_ITER, _T_SUB, _T_NUM = range(8)
 _T_EQ, _T_TR, _T_NOT, _T_IMP, _T_FORALL = range(8, 13)
 
+# the tag of each compound kind: its class, or its symbol for ``FnApp``
+_TAG = {
+    Succ: _T_SUCC, Add: _T_ADD, Mul: _T_MUL, ITER: _T_ITER, SUB: _T_SUB,
+    Eq: _T_EQ, Tr: _T_TR, Not: _T_NOT, Imp: _T_IMP, Forall: _T_FORALL,
+}
+_KIND = {tag: kind for kind, tag in _TAG.items()}
+
 _TAG_BITS = 4
 
 
@@ -62,50 +69,24 @@ def _chunk(e: Expr) -> tuple[int, int]:
     cached = e._code
     if cached is not None:
         return cached
+    t = type(e)
     if isinstance(e, Term) and e.nv is not None:
         nv, nb = _nat_chunk(e.nv)
         out = ((_T_NUM << nb) | nv, _TAG_BITS + nb)
-        e._code = out
-        return out
-    t = type(e)
-    if t is Var:
+    elif t is Var:
         nv, nb = _nat_chunk(e.idx)
         out = ((_T_VAR << nb) | nv, _TAG_BITS + nb)
-    elif t is Succ:
-        out = _cat(_T_SUCC, [_chunk(e.arg)])
-    elif t is Add:
-        out = _cat(_T_ADD, [_chunk(e.left), _chunk(e.right)])
-    elif t is Mul:
-        out = _cat(_T_MUL, [_chunk(e.left), _chunk(e.right)])
-    elif t is FnApp:
-        tag = _T_ITER if e.sym == ITER else _T_SUB
-        out = _cat(tag, [_chunk(a) for a in e.args])
-    elif t is Eq:
-        out = _cat(_T_EQ, [_chunk(e.left), _chunk(e.right)])
-    elif t is Tr:
-        out = _cat(_T_TR, [_chunk(e.arg)])
-    elif t is Not:
-        out = _cat(_T_NOT, [_chunk(e.body)])
-    elif t is Imp:
-        out = _cat(_T_IMP, [_chunk(e.ant), _chunk(e.cons)])
-    elif t is Forall:
-        nv, nb = _nat_chunk(e.var)
-        out = _cat_raw((_T_FORALL << nb) | nv, _TAG_BITS + nb, [_chunk(e.body)])
     else:
-        raise CodingError(f"cannot encode {t.__name__}")
+        val, nbits = _TAG[e.sym if t is FnApp else t], _TAG_BITS
+        if t is Forall:
+            nv, nb = _nat_chunk(e.var)
+            val, nbits = (val << nb) | nv, nbits + nb
+        for v, n in map(_chunk, _children(e)):
+            val = (val << n) | v
+            nbits += n
+        out = (val, nbits)
     e._code = out
     return out
-
-
-def _cat(tag: int, chunks: list[tuple[int, int]]) -> tuple[int, int]:
-    return _cat_raw(tag, _TAG_BITS, chunks)
-
-
-def _cat_raw(val: int, nbits: int, chunks: list[tuple[int, int]]) -> tuple[int, int]:
-    for v, n in chunks:
-        val = (val << n) | v
-        nbits += n
-    return val, nbits
 
 
 def encode(e: Expr) -> int:
@@ -145,33 +126,18 @@ _ARITY = {
     _T_SUCC: 1, _T_ADD: 2, _T_MUL: 2, _T_ITER: 2, _T_SUB: 3,
     _T_EQ: 2, _T_TR: 1, _T_NOT: 1, _T_IMP: 2, _T_FORALL: 1,
 }
-_TERM_SLOTS = {_T_SUCC, _T_ADD, _T_MUL, _T_ITER, _T_SUB, _T_EQ, _T_TR}
 
 
 def _build(tag: int, var: int | None, kids: list[Expr]) -> Expr:
-    if tag in _TERM_SLOTS and not all(isinstance(k, Term) for k in kids):
+    if tag in (_T_NOT, _T_IMP, _T_FORALL):
+        if not all(isinstance(k, Formula) for k in kids):
+            raise DecodeError("term code in a formula position")
+    elif not all(isinstance(k, Term) for k in kids):
         raise DecodeError("formula code in a term position")
-    if tag in (_T_NOT, _T_IMP, _T_FORALL) and not all(isinstance(k, Formula) for k in kids):
-        raise DecodeError("term code in a formula position")
-    if tag == _T_SUCC:
-        return Succ(kids[0])
-    if tag == _T_ADD:
-        return Add(kids[0], kids[1])
-    if tag == _T_MUL:
-        return Mul(kids[0], kids[1])
-    if tag == _T_ITER:
-        return FnApp(ITER, kids)
-    if tag == _T_SUB:
-        return FnApp(SUB, kids)
-    if tag == _T_EQ:
-        return Eq(kids[0], kids[1])
-    if tag == _T_TR:
-        return Tr(kids[0])
-    if tag == _T_NOT:
-        return Not(kids[0])
-    if tag == _T_IMP:
-        return Imp(kids[0], kids[1])
-    return Forall(var, kids[0])
+    kind = _KIND[tag]
+    if type(kind) is str:
+        return FnApp(kind, kids)
+    return Forall(var, kids[0]) if kind is Forall else kind(*kids)
 
 
 _decode_cache: dict[int, Expr] = {}

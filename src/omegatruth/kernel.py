@@ -22,7 +22,7 @@ arithmetic, and the sampled replay itself.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import coding
 from .syntax import (
@@ -69,7 +69,7 @@ class SchemaId(enum.Enum):
 
 
 class _Checked:
-    """Mixed in before a NamedTuple: every way of building the record runs
+    """Mixed in before a namedtuple: every way of building the record runs
     its ``_check``, ``_make`` and ``_replace`` included."""
 
     __slots__ = ()
@@ -84,15 +84,10 @@ class _Checked:
         return cls(*iterable)
 
 
-class _TheoryFields(NamedTuple):
-    has_cons: bool = True
-    has_timp: bool = True
-    has_uinf: bool = True
-    omega_samples: int = 8
-    max_omega_count: int | None = None
-
-
-class TheoryConfig(_Checked, _TheoryFields):
+class TheoryConfig(_Checked, namedtuple(
+    "TheoryConfig", "has_cons has_timp has_uinf omega_samples max_omega_count",
+    defaults=(True, True, True, 8, None),
+)):
     """Which axiom schemas are active, plus checker parameters.
 
     ``GAMMA`` activates all three truth schemas; ``SIGMA`` is ``GAMMA``
@@ -239,8 +234,7 @@ class ApplyTIntro(StepCombinator):
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
 
-        th = T.tintro(T.Thm(proof, formula))
-        return th.proof, th.formula
+        return T.tintro(T.Thm(proof, formula))
 
 
 class LiftImp(StepCombinator):
@@ -265,8 +259,7 @@ class LiftImp(StepCombinator):
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
 
-        th = T.lift_imp(T.Thm(proof, formula), self.depth)
-        return th.proof, th.formula
+        return T.lift_imp(T.Thm(proof, formula), self.depth)
 
 
 class RewriteEval(StepCombinator):
@@ -287,8 +280,7 @@ class RewriteEval(StepCombinator):
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
 
-        th = T.rewrite_align(T.Thm(proof, formula), expected, [self.position])
-        return th.proof, th.formula
+        return T.rewrite_align(T.Thm(proof, formula), expected, [self.position])
 
 
 class ChainWith(StepCombinator):
@@ -308,8 +300,7 @@ class ChainWith(StepCombinator):
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
 
-        th = T.chain(T.Thm(proof, formula), T.Thm(self.lemma, self.conclusion))
-        return th.proof, th.formula
+        return T.chain(T.Thm(proof, formula), T.Thm(self.lemma, self.conclusion))
 
 
 class Omega(Proof):
@@ -771,16 +762,13 @@ def _nearest(phi: Formula, claimed: SchemaId, config: TheoryConfig) -> str:
 # checking
 
 
-class CheckedTheorem(NamedTuple):
+class CheckedTheorem(namedtuple(
+    "CheckedTheorem", "formula theory omega_count samples_checked proof_size proof",
+)):
     """A verified judgment.  ``omega_count`` is the maximum number of omega
     nodes on any root-to-leaf path; 0 means classical derivability."""
 
-    formula: Formula
-    theory: TheoryConfig
-    omega_count: int
-    samples_checked: int
-    proof_size: int
-    proof: Proof
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -792,14 +780,10 @@ class CheckedTheorem(NamedTuple):
         }
 
 
-class _RefutationFields(NamedTuple):
-    positive: CheckedTheorem
-    negative: CheckedTheorem
-    narrative: tuple[tuple[str, Formula], ...]
-
-
-class Refutation(_Checked, _RefutationFields):
-    """Proofs of a sentence and of its negation under one configuration."""
+class Refutation(_Checked, namedtuple("Refutation", "positive negative narrative")):
+    """Proofs of a sentence and of its negation under one configuration:
+    two :class:`CheckedTheorem`, and the ``(label, formula)`` pairs of the
+    derivation's narrative."""
 
     __slots__ = ()
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import tactics as T
 from .coding import name_of
@@ -44,10 +44,7 @@ class ScriptError(ValueError):
     pass
 
 
-class Script(NamedTuple):
-    theory: str | None
-    samples: int | None
-    proof: Proof
+Script = namedtuple("Script", "theory samples proof")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +242,8 @@ def _term(tok) -> Term:
     return parse_term(str(tok))
 
 
-def _expand_proof(sexp, parsed: dict):
-    """Expand a proof expression into a (Proof, claimed formula) pair;
+def _expand_proof(sexp, parsed: dict) -> T.Thm:
+    """Expand a proof expression into its proof and claimed formula;
     ``parsed`` maps the formula strings met so far to their parses."""
     _want(sexp, "a proof form")
     head = sexp[0].lower()
@@ -260,22 +257,22 @@ def _expand_proof(sexp, parsed: dict):
         except ValueError:
             raise ScriptError(f"unknown schema {args[0]!r}") from None
         inst = _formula(args[1], parsed)
-        return Axiom(schema, inst), inst
+        return T.Thm(Axiom(schema, inst), inst)
     if head == "mp":
         _arity(sexp, 2)
         (p1, f1), (p2, f2) = _expand_proof(args[0], parsed), _expand_proof(args[1], parsed)
         if type(f2) is not Imp or f2.ant != f1:
             raise ScriptError(f"mp premises do not fit: {pretty_print(f1)} vs {pretty_print(f2)}")
-        return MP(p1, p2), f2.cons
+        return T.Thm(MP(p1, p2), f2.cons)
     if head == "gen":
         _arity(sexp, 2)
         v = _var(args[0])
         p, f = _expand_proof(args[1], parsed)
-        return Gen(v, p), Forall(v, f)
+        return T.Thm(Gen(v, p), Forall(v, f))
     if head == "tintro":
         _arity(sexp, 1)
         p, f = _expand_proof(args[0], parsed)
-        return TIntro(p), Tr(name_of(f))
+        return T.Thm(TIntro(p), Tr(name_of(f)))
     if head == "omega":
         fam_form = base_form = None
         steps_form = None
@@ -293,30 +290,25 @@ def _expand_proof(sexp, parsed: dict):
         _arity(base_form, 1)
         v = _var(fam_form[1])
         family = _formula(fam_form[2], parsed)
-        base, base_f = _expand_proof(base_form[1], parsed)
+        base = _expand_proof(base_form[1], parsed).proof
         steps = tuple(_expand_step(s, parsed) for s in steps_form[1:])
         node = Omega(v, family, base, steps)
-        return node, node.conclusion
+        return T.Thm(node, node.conclusion)
     if head == "taut":
         _arity(sexp, 1)
-        th = T.taut(_formula(args[0], parsed))
-        return th.proof, th.formula
+        return T.taut(_formula(args[0], parsed))
     if head == "eval":
         _arity(sexp, 1)
-        th = T.eval_closed(_term(args[0]))
-        return th.proof, th.formula
+        return T.eval_closed(_term(args[0]))
     if head == "a1":
         _arity(sexp, 1)
-        th = T.derive_A1(_formula(args[0], parsed))
-        return th.proof, th.formula
+        return T.derive_A1(_formula(args[0], parsed))
     if head == "a2":
         _arity(sexp, 1)
-        th = T.derive_A2(_formula(args[0], parsed))
-        return th.proof, th.formula
+        return T.derive_A2(_formula(args[0], parsed))
     if head == "diag":
         _arity(sexp, 2)
-        dr = T.diagonal_lemma(_formula(args[0], parsed), _var(args[1]))
-        return dr.equivalence_proof, dr.equivalence
+        return T.diagonal_lemma(_formula(args[0], parsed), _var(args[1])).thm()
     raise ScriptError(f"unknown proof form {sexp[0]!r}")
 
 
@@ -333,8 +325,7 @@ def _expand_step(sexp, parsed: dict):
         return RewriteEval(tuple(_nat(i, "a position index") for i in sexp[1:]))
     if head == "chain":
         _arity(sexp, 1)
-        p, f = _expand_proof(sexp[1], parsed)
-        return ChainWith(p, f)
+        return ChainWith(*_expand_proof(sexp[1], parsed))
     raise ScriptError(f"unknown step combinator {sexp[0]!r}")
 
 
@@ -343,7 +334,7 @@ def expand(sexp) -> Proof:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        return _expand_proof(sexp, {})[0]
+        return _expand_proof(sexp, {}).proof
     finally:
         sys.setrecursionlimit(limit)
 

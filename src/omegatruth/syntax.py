@@ -21,6 +21,11 @@ costs one node and the bits of its value.
 
 Each node caches its free-variable set and, for terms, the natural it
 denotes when it is a canonical numeral.
+
+The shape of each node kind, its children in order and how a node of that
+kind is rebuilt over new children, is written down once, in ``_children``
+and ``_rebuild``.  Substitution, position navigation, the Goedel coder and
+the kernel's walkers read nodes through these two.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ __all__ = [
     "Term", "Var", "Zero", "Succ", "Add", "Mul", "FnApp",
     "Formula", "Eq", "Tr", "Not", "Imp", "Forall",
     "Expr", "Path", "ZERO", "TWO", "ITER", "SUB", "FN_ARITY",
-    "numeral", "substitute", "term_substitute",
+    "numeral", "substitute",
     "subterm_at", "replace_at", "free_var_positions",
     "var_name", "parse_term", "parse_formula", "pretty_print",
     "ParseError", "mk_iff",
@@ -275,26 +280,13 @@ def _children(e: Expr) -> tuple:
 
 
 def _rebuild(e: Expr, children: tuple) -> Expr:
+    """The node of ``e``'s kind and payload over ``children``."""
     t = type(e)
-    if t is Succ:
-        return Succ(children[0])
-    if t is Add:
-        return Add(children[0], children[1])
-    if t is Mul:
-        return Mul(children[0], children[1])
     if t is FnApp:
         return FnApp(e.sym, children)
-    if t is Eq:
-        return Eq(children[0], children[1])
-    if t is Tr:
-        return Tr(children[0])
-    if t is Not:
-        return Not(children[0])
-    if t is Imp:
-        return Imp(children[0], children[1])
     if t is Forall:
         return Forall(e.var, children[0])
-    raise ValueError(f"{t.__name__} has no children")
+    return t(*children)
 
 
 def numeral(n: int) -> Term:
@@ -311,34 +303,22 @@ def numeral(n: int) -> Term:
     return (Succ if n & 1 else Mul)._make(n, _EMPTY, n)
 
 
-def term_substitute(t: Term, v: int, s: Term) -> Term:
-    if v not in t.fv:
-        return t
-    if type(t) is Var:
-        return s
-    kids = tuple(term_substitute(c, v, s) for c in _children(t))
-    return _rebuild(t, kids)
-
-
-def substitute(phi: Formula, v: int, s: Term) -> Formula:
-    """Replace every free occurrence of ``v`` in ``phi`` by ``s``.
+def substitute(e: Expr, v: int, s: Term) -> Expr:
+    """Replace every free occurrence of ``v`` in the term or formula ``e``
+    by ``s``.
 
     Bound variables that would capture a variable of ``s`` are renamed to the
     smallest fresh index first.
     """
-    if v not in phi.fv:
-        return phi
-    t = type(phi)
-    if t is Eq:
-        return Eq(term_substitute(phi.left, v, s), term_substitute(phi.right, v, s))
-    if t is Tr:
-        return Tr(term_substitute(phi.arg, v, s))
-    if t is Not:
-        return Not(substitute(phi.body, v, s))
-    if t is Imp:
-        return Imp(substitute(phi.ant, v, s), substitute(phi.cons, v, s))
-    # Forall; phi.var != v since v is free in phi
-    w, body = phi.var, phi.body
+    if v not in e.fv:
+        return e
+    t = type(e)
+    if t is Var:
+        return s
+    if t is not Forall:
+        return _rebuild(e, tuple(substitute(c, v, s) for c in _children(e)))
+    # e.var != v since v is free in e
+    w, body = e.var, e.body
     if w in s.fv:
         fresh = 0
         taken = body.fv | s.fv | {v}

@@ -13,8 +13,8 @@ terms into canonical numerals through the computation schemas.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .coding import (
     K0, OMEGA_VAR, TEMPLATE_CODE_VAR, UINF_BOUND_VAR, diagonal_pair,
@@ -55,15 +55,14 @@ class TautologyError(TacticError):
         self.counterexample = counterexample
 
 
-class Thm(NamedTuple):
+class Thm(namedtuple("Thm", "proof formula")):
     """A kernel proof with the formula it proves.
 
     A Thm is also the closed tree of the deduction compiler below: it
     depends on no hypothesis.
     """
 
-    proof: Proof
-    formula: Formula
+    __slots__ = ()
     hyps = frozenset()
 
 
@@ -505,10 +504,10 @@ def _eval_closed(t: Term, v: int) -> Thm:
     if tt is Add or tt is Mul:
         e1 = _eval_closed(t.left, value(t.left))
         e2 = _eval_closed(t.right, value(t.right))
-        mid = _rebuild2(tt, e1.formula.right, t.right)
+        mid = tt(e1.formula.right, t.right)
         c1 = cong_term(e1, t, (0,))
         c2 = cong_term(e2, mid, (1,))
-        a = ax(SchemaId.COMP_SUCC, Eq(_rebuild2(tt, e1.formula.right, e2.formula.right), numeral(v)))
+        a = ax(SchemaId.COMP_SUCC, Eq(tt(e1.formula.right, e2.formula.right), numeral(v)))
         return _trans_chain([c1, c2, a])
     if tt is FnApp and t.sym == SUB:
         links = []
@@ -552,10 +551,6 @@ def _eval_closed(t: Term, v: int) -> Thm:
         links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(v))))
         return _trans_chain(links)
     raise TacticError(f"cannot evaluate {pretty_print(t)}")
-
-
-def _rebuild2(tt, a: Term, b: Term) -> Term:
-    return Add(a, b) if tt is Add else Mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +741,10 @@ def derive_A1(phi: Formula) -> Thm:
 # the diagonal lemma
 
 
-class DiagonalResult(NamedTuple):
+class DiagonalResult(namedtuple("DiagonalResult", "theta gamma equivalence_proof equivalence")):
     """Fixed point of a one-variable formula, with its equivalence proof."""
 
-    theta: Formula
-    gamma: Formula
-    equivalence_proof: Proof
-    equivalence: Formula
+    __slots__ = ()
 
     def thm(self) -> Thm:
         return Thm(self.equivalence_proof, self.equivalence)

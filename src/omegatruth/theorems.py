@@ -9,7 +9,7 @@ then instantiated with (M1, M2, M3).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .coding import OMEGA_VAR, DIAG_VAR, name_of, omega_truth
 from .kernel import (
@@ -125,18 +125,15 @@ def m3(phi: Formula, config: TheoryConfig = SIGMA) -> CheckedTheorem:
     return check(_m3(phi).proof, config)
 
 
-class ProvabilityPredicate(NamedTuple):
+class ProvabilityPredicate(namedtuple("ProvabilityPredicate", "template var d1 d2 d3")):
     """A predicate applied to names, with the three derivability conditions.
 
-    ``d1`` turns a proof of phi into a proof of P(#phi); ``d2`` and ``d3``
-    produce the distribution and internal-iteration schemas.
+    ``template`` is a formula whose variable ``var`` takes the name.  ``d1``
+    turns a proof of phi into a proof of P(#phi); ``d2`` and ``d3`` produce
+    the distribution and internal-iteration schemas.
     """
 
-    template: Formula
-    var: int
-    d1: Callable[[Thm], Thm]
-    d2: Callable[[Formula, Formula], Thm]
-    d3: Callable[[Formula], Thm]
+    __slots__ = ()
 
     def apply(self, phi: Formula) -> Formula:
         return substitute(self.template, self.var, name_of(phi))
@@ -316,14 +313,11 @@ def mcgee_via_loeb(config: TheoryConfig = GAMMA) -> Refutation:
     return Refutation(positive, negative, narrative)
 
 
-class WitnessReport(NamedTuple):
+class WitnessReport(namedtuple("WitnessReport", "family var universal_negation instances")):
     """A finitary exhibit of omega-inconsistency: the negated universal
     together with the first instances of the witness family."""
 
-    family: Formula
-    var: int
-    universal_negation: CheckedTheorem
-    instances: tuple[CheckedTheorem, ...]
+    __slots__ = ()
 
 
 def omega_witness(config: TheoryConfig = GAMMA, count: int = 3) -> WitnessReport:

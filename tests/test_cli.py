@@ -85,6 +85,14 @@ def test_check_respects_sample_counts(tmp_path, capsys):
         2, "", "input error: omega_samples must be at least 1\n")
 
 
+def test_check_rejects_zero_samples_in_the_header(tmp_path, capsys):
+    # the header's count is used as given, like the command-line option
+    path = tmp_path / "zero.proof"
+    path.write_text('(theory sigma)\n(samples 0)\n(prove (axiom EQ1 "0 = 0"))\n')
+    assert run(capsys, "check", str(path)) == (
+        2, "", "input error: omega_samples must be at least 1\n")
+
+
 def test_check_script_failure(tmp_path, capsys):
     path = tmp_path / "bad.proof"
     path.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')

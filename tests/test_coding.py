@@ -9,8 +9,8 @@ from omegatruth.coding import (
     value,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral,
-    pretty_print, substitute,
+    Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
+    parse_term, pretty_print, substitute,
 )
 
 from helpers import (
@@ -22,6 +22,29 @@ from helpers import (
 def test_encode_decode_round_trip_simple():
     e = Eq(ZERO, ZERO)
     assert decode(encode(e)) == e
+
+
+# one expression per node kind, with its code as the coder first produced
+# it: a tag table wired wrong in a consistent way still round-trips, so
+# only fixed values pin it
+@pytest.mark.parametrize("parse, text, code", [
+    (parse_term, "x", 33),
+    (parse_term, "#6", 751),
+    (parse_term, "S(x)", 577),
+    (parse_term, "(x + 0)", 19503),
+    (parse_term, "(x * #2)", 164213),
+    (parse_term, "iter(y, #3)", 2754796),
+    (parse_term, "sub(x, #5, x)", 11558337),
+    (parse_formula, "x = 0", 24623),
+    (parse_formula, "T(z)", 6405),
+    (parse_formula, "~0 = 0", 434671),
+    (parse_formula, "0 = 0 -> T(0)", 230940463),
+    (parse_formula, "forall y. y = y", 474481668),
+])
+def test_golden_codes(parse, text, code):
+    e = parse(text)
+    assert encode(e) == code
+    assert decode(code) is e
 
 
 def test_encode_distinguishes_expressions():
@@ -67,6 +90,20 @@ def test_decode_rejects_noncanonical_numeral_coding():
     # tag 1 (structural Zero) is never emitted by encode
     with pytest.raises(DecodeError):
         decode(0b10001)
+
+
+def _node_code(tag: int, kid) -> int:
+    """The code of a one-child node with the 4-bit ``tag`` over ``kid``."""
+    return int("1" + format(tag, "04b") + bin(encode(kid))[3:], 2)
+
+
+def test_decode_rejects_children_of_the_wrong_sort():
+    with pytest.raises(DecodeError, match="^formula code in a term position$"):
+        decode(_node_code(2, Eq(ZERO, ZERO)))  # S over a formula
+    with pytest.raises(DecodeError, match="^term code in a formula position$"):
+        decode(_node_code(10, Var(0)))  # ~ over a term
+    assert decode(_node_code(2, Var(0))) is Succ(Var(0))
+    assert decode(_node_code(10, Eq(ZERO, ZERO))) is Not(Eq(ZERO, ZERO))
 
 
 def test_numeral_value_oracle_sweep():

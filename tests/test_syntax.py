@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from omegatruth.syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError, Succ, Term,
-    Tr, Var, ZERO, mk_iff, numeral, parse_formula, parse_term, pretty_print,
-    substitute, subterm_at, var_name,
+    Tr, Var, ZERO, _children, _rebuild, mk_iff, numeral, parse_formula,
+    parse_term, pretty_print, substitute, subterm_at,
+    var_name,
 )
 
 from helpers import (
@@ -160,6 +161,17 @@ def test_numeral_is_one_node_until_read():
     assert numeral(2 * k).left is Succ(Succ(ZERO))
 
 
+@pytest.mark.parametrize("e", [
+    numeral(7), numeral(6), Succ(Var(0)), Add(Var(0), ZERO),
+    Mul(Var(0), numeral(2)), FnApp("iter", [Var(1), numeral(3)]),
+    FnApp("sub", [Var(0), numeral(5), Var(0)]), Eq(Var(0), ZERO), Tr(Var(2)),
+    Not(Eq(ZERO, ZERO)), Imp(Eq(ZERO, ZERO), Tr(ZERO)),
+    Forall(1, Eq(Var(1), Var(1))),
+], ids=pretty_print)
+def test_rebuild_from_own_children_is_identity(e):
+    assert _rebuild(e, _children(e)) is e
+
+
 def test_noncanonical_terms_print_structurally():
     two = Succ(Succ(ZERO))
     assert two.nv is None
@@ -242,6 +254,15 @@ def test_substitute_with_open_term_tracks_variables(phi, v):
         assert out.fv == (phi.fv - {v}) | {6}
     else:
         assert out is phi
+
+
+def test_substitute_into_terms():
+    t = parse_term("iter(x, S(y))")
+    assert substitute(t, 1, numeral(4)) is parse_term("iter(x, S(#4))")
+    u = parse_term("sub(x, #5, (x * y))")
+    assert substitute(u, 0, Var(2)) is parse_term("sub(z, #5, (z * y))")
+    assert substitute(u, 3, ZERO) is u
+    assert substitute(Var(3), 3, numeral(9)) is numeral(9)
 
 
 def test_variable_names_round_trip():
