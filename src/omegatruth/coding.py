@@ -277,20 +277,23 @@ def diagonal_pair(phi: Formula, v: int) -> tuple[Formula, Formula]:
     return theta, gamma
 
 
-def iter_zero_axiom() -> Formula:
+def iter_zero_axiom(x: int = UINF_BOUND_VAR) -> Formula:
     """``forall x. iter(0, x) = x``."""
-    x = UINF_BOUND_VAR
     return Forall(x, Eq(FnApp(ITER, [ZERO, Var(x)]), Var(x)))
 
 
-def iter_step_axiom() -> Formula:
-    """``forall x. forall z. iter(S(x), z) = sub(sub(#K0, #z-slot, z), #y-slot, x)``.
+def iter_step_axiom(
+    x: int = UINF_BOUND_VAR, z: int = TEMPLATE_CODE_VAR, k: Term = numeral(K0),
+    z_slot: Term = numeral(TEMPLATE_CODE_VAR), y_slot: Term = numeral(OMEGA_VAR),
+) -> Formula:
+    """``forall x. forall z. iter(S(x), z) = sub(sub(k, z_slot, z), y_slot, x)``,
+    by default with ``k`` the name of the step template and the slots its
+    code and iteration variables.
 
     The code slot is substituted first, so that instantiating ``z`` with a
     closed name and evaluating the inner application leaves exactly the
     one-variable template used by the UInf schema.
     """
-    x, z = UINF_BOUND_VAR, TEMPLATE_CODE_VAR
-    inner = FnApp(SUB, [numeral(K0), numeral(TEMPLATE_CODE_VAR), Var(z)])
-    outer = FnApp(SUB, [inner, numeral(OMEGA_VAR), Var(x)])
+    inner = FnApp(SUB, [k, z_slot, Var(z)])
+    outer = FnApp(SUB, [inner, y_slot, Var(x)])
     return Forall(x, Forall(z, Eq(FnApp(ITER, [Succ(Var(x)), Var(z)]), outer)))

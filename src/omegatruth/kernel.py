@@ -14,9 +14,11 @@ Trust statement.  Soundness of an accepted omega node for *all* n rests on
 the step combinators being parametric: each one builds its output from the
 shape of its input conclusion, delegating every numeral computation to the
 COMP_* axiom schemas, whose instances the checker verifies by running the
-meta-level functions.  The trusted computing base is exactly: evaluation of
-the substitution function, the iteration template identities, numeral
-arithmetic, and the sampled replay itself.
+meta-level functions.  The trusted computing base is exactly: this module,
+the sampled replay, and the functions the matchers evaluate or rebuild an
+instance with: ``substitute``, ``free_var_positions`` and ``subterm_at``
+(QUANT1), ``iter_zero_axiom`` / ``iter_step_axiom`` (the iteration
+template), ``value`` (numeral arithmetic) and ``sub_fn`` (substitution).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from collections import namedtuple
 from . import coding
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ, Term,
-    Tr, Var, ZERO, TWO, _INTERN, _children, numeral, pretty_print, substitute,
+    Tr, Var, ZERO, TWO, _INTERN, _children, free_var_positions, numeral,
+    pretty_print, substitute, subterm_at,
 )
 
 __all__ = [
@@ -100,6 +103,8 @@ class TheoryConfig(_Checked, namedtuple(
     def _check(self):
         if self.omega_samples < 1:
             raise ValueError("omega_samples must be at least 1")
+        if self.max_omega_count is not None and self.max_omega_count < 0:
+            raise ValueError("max_omega_count must be at least 0")
 
     def active(self, schema: SchemaId) -> bool:
         if schema is SchemaId.CONS:
@@ -418,66 +423,37 @@ def _m_prop3(phi):
     return ok, None
 
 
-def _find_instance_term(body: Formula, inst: Formula, v: int):
-    """Solve ``inst == substitute(body, v, t)`` for ``t`` (no bound renaming).
-
-    Returns (True, t) on success (t is None for a vacuous instantiation) and
-    (False, None) otherwise.
-    """
-    cands: list[Term] = []
-
-    def walk(a, b, bound: frozenset[int]) -> bool:
-        if v not in a.fv:
-            return a == b
-        ta = type(a)
-        if ta is Var:
-            if a.idx != v:
-                return type(b) is Var and b.idx == a.idx
-            if b.fv & bound:
-                return False  # a variable of t would be captured here
-            cands.append(b)
-            return True
-        if ta is not type(b):
-            return False
-        if ta is Forall:
-            if a.var != b.var:
-                return False
-            return walk(a.body, b.body, bound | {a.var})
-        if ta is FnApp and a.sym != b.sym:
-            return False
-        ka, kb = _children(a), _children(b)
-        if len(ka) != len(kb):
-            return False
-        return all(walk(p, q, bound) for p, q in zip(ka, kb))
-
-    if not walk(body, inst, frozenset()):
-        return False, None
-    t0 = cands[0] if cands else None
-    for t in cands[1:]:
-        if t != t0:
-            return False, None
-    return True, t0
-
-
 def _m_quant1(phi):
     if not (type(phi) is Imp and type(phi.ant) is Forall):
         return False, None
-    ok, _t = _find_instance_term(phi.ant.body, phi.cons, phi.ant.var)
-    if not ok:
-        return False, "consequent is not a substitution instance of the quantified body"
-    return True, None
+    v, body = phi.ant.var, phi.ant.body
+    # t is read at the first occurrence of v and substitute checks them all;
+    # it renames no binder, as none on the way to an occurrence binds in t
+    paths = free_var_positions(body, v)
+    try:
+        t = subterm_at(phi.cons, paths[0]) if paths else Var(v)
+    except IndexError:
+        t = None
+    ok = (
+        isinstance(t, Term) and substitute(body, v, t) is phi.cons
+        and not any(w in t.fv for p in paths for w in _binders(body, p))
+    )
+    return ok, (None if ok else "consequent is not a substitution instance of the quantified body")
+
+
+def _binders(e, path):
+    """The variables of the quantifiers that ``path`` passes in ``e``."""
+    for i in path:
+        if type(e) is Forall:
+            yield e.var
+        e = _children(e)[i]
 
 
 def _m_quant2(phi):
-    if not (
-        type(phi) is Imp
-        and type(phi.ant) is Forall and type(phi.ant.body) is Imp
-        and type(phi.cons) is Imp and type(phi.cons.cons) is Forall
-    ):
+    if not (type(phi) is Imp and type(phi.ant) is Forall and type(phi.ant.body) is Imp):
         return False, None
-    v = phi.ant.var
-    a, b = phi.ant.body.ant, phi.ant.body.cons
-    if phi.cons.ant != a or phi.cons.cons.var != v or phi.cons.cons.body != b:
+    v, (a, b) = phi.ant.var, _children(phi.ant.body)
+    if phi.cons is not Imp(a, Forall(v, b)):
         return False, None
     if v in a.fv:
         return False, f"variable {v} occurs free in the antecedent"
@@ -614,7 +590,7 @@ def _m_uinf(phi):
     if not (type(arg) is FnApp and arg.sym == SUB):
         return False, None
     cn, vn, xv = arg.args
-    if not (type(xv) is Var and xv.idx == x):
+    if xv is not Var(x):
         return False, "inner substitution is not applied at the quantified variable"
     if cn.nv is None or vn.nv is None:
         return False, "name or variable-index argument is not a canonical numeral"
@@ -647,67 +623,36 @@ def _m_comp_sub(phi):
 
 
 def _m_comp_iter0(phi):
-    ok = (
-        type(phi) is Forall
-        and type(phi.body) is Eq
-        and type(phi.body.left) is FnApp and phi.body.left.sym == ITER
-        and phi.body.left.args[0].nv == 0
-        and type(phi.body.left.args[1]) is Var and phi.body.left.args[1].idx == phi.var
-        and type(phi.body.right) is Var and phi.body.right.idx == phi.var
-    )
-    return ok, None
+    return type(phi) is Forall and phi is coding.iter_zero_axiom(phi.var), None
 
 
 def _m_comp_iter_step(phi):
-    if not (
-        type(phi) is Forall and type(phi.body) is Forall
-        and type(phi.body.body) is Eq
-    ):
+    if not (type(phi) is Forall and type(phi.body) is Forall and type(phi.body.body) is Eq):
         return False, None
-    a, b = phi.var, phi.body.var
-    eq = phi.body.body
-    lhs, rhs = eq.left, eq.right
-    if not (
-        a != b
-        and type(lhs) is FnApp and lhs.sym == ITER
-        and type(lhs.args[0]) is Succ and type(lhs.args[0].arg) is Var
-        and lhs.args[0].arg.idx == a
-        and type(lhs.args[1]) is Var and lhs.args[1].idx == b
-        and type(rhs) is FnApp and rhs.sym == SUB
-    ):
+    x, z, rhs = phi.var, phi.body.var, phi.body.body.right
+    try:
+        k, z_slot, y_slot = (subterm_at(rhs, p) for p in ((0, 0), (0, 1), (1,)))
+    except IndexError:
         return False, None
-    inner, yi, xv = rhs.args
-    if not (
-        type(inner) is FnApp and inner.sym == SUB
-        and type(xv) is Var and xv.idx == a
-        and type(inner.args[2]) is Var and inner.args[2].idx == b
-    ):
+    if x == z or phi is not coding.iter_step_axiom(x, z, k, z_slot, y_slot):
         return False, None
-    k0n, zi = inner.args[0], inner.args[1]
-    if k0n.nv is None or zi.nv is None or yi.nv is None:
+    if k.nv is None or z_slot.nv is None or y_slot.nv is None:
         return False, "template arguments are not canonical numerals"
-    if zi.nv == yi.nv:
+    if z_slot.nv == y_slot.nv:
         return False, "template slots coincide"
-    template = _named(k0n)
-    want = Tr(FnApp(ITER, [Var(yi.nv), Var(zi.nv)]))
-    if template != want:
+    if _named(k) is not Tr(FnApp(ITER, [Var(y_slot.nv), Var(z_slot.nv)])):
         return False, "first argument does not name the iteration step template"
     return True, None
 
 
 def _m_comp_succ(phi):
-    if type(phi) is not Eq or phi.right.nv is None:
+    if not (
+        type(phi) is Eq and phi.right.nv is not None
+        and type(phi.left) in (Succ, Add, Mul)
+        and all(c.nv is not None for c in _children(phi.left))
+    ):
         return False, None
-    lhs, k = phi.left, phi.right.nv
-    t = type(lhs)
-    if t is Succ and lhs.arg.nv is not None:
-        ok = k == lhs.arg.nv + 1
-    elif t is Add and lhs.left.nv is not None and lhs.right.nv is not None:
-        ok = k == lhs.left.nv + lhs.right.nv
-    elif t is Mul and lhs.left.nv is not None and lhs.right.nv is not None:
-        ok = k == lhs.left.nv * lhs.right.nv
-    else:
-        return False, None
+    ok = coding.value(phi.left) == phi.right.nv
     return ok, (None if ok else "right side disagrees with numeral arithmetic")
 
 
@@ -810,7 +755,6 @@ class _Checker:
         # distinct subproof is checked once however often it occurs
         self.memo: dict[Proof, tuple[Formula, int]] = {}
         self.samples = 0
-        self.size = 0
 
     def run(self, root: Proof, path: tuple[int, ...] = ()) -> tuple[Formula, int]:
         # a stack entry names its node by a link (parent link, child index)
@@ -828,7 +772,6 @@ class _Checker:
                     stack.append((child, (link, i), False))
             else:
                 memo[node] = self._reduce(node, path, link)
-                self.size += 1
         return memo[root]
 
     def _reduce(self, node: Proof, prefix: tuple[int, ...], link) -> tuple[Formula, int]:
@@ -889,4 +832,4 @@ def check(proof: Proof, config: TheoryConfig = GAMMA) -> CheckedTheorem:
     formula, ocount = st.run(proof)
     if config.max_omega_count is not None and ocount > config.max_omega_count:
         raise CheckError((), "omega", f"omega_count {ocount} exceeds the configured cap {config.max_omega_count}")
-    return CheckedTheorem(formula, config, ocount, st.samples, st.size, proof)
+    return CheckedTheorem(formula, config, ocount, st.samples, len(st.memo), proof)

@@ -208,13 +208,10 @@ def _arity(sexp, n: int) -> None:
 
 
 def _nat(tok, what: str) -> int:
-    try:
-        if isinstance(tok, str) and not isinstance(tok, _Q):
-            value = int(tok)
-            if value >= 0:
-                return value
-    except ValueError:
-        pass
+    # ASCII digits only: int() would also take signs, underscores and
+    # other scripts' digits
+    if isinstance(tok, str) and not isinstance(tok, _Q) and tok.isascii() and tok.isdigit():
+        return int(tok)
     raise ScriptError(f"expected {what}, got {tok!r}")
 
 

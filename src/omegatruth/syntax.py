@@ -389,7 +389,7 @@ def var_index(name: str) -> int | None:
     """Index of a variable name in the concrete grammar, or None."""
     if name in _NAME_TO_INDEX:
         return _NAME_TO_INDEX[name]
-    m = re.fullmatch(r"v(\d+)", name)
+    m = re.fullmatch(r"v([0-9]+)", name)
     if m:
         return int(m.group(1))
     return None
@@ -462,7 +462,7 @@ class ParseError(ValueError):
 
 # One match per token, skipping whitespace: group 1 is the token, or "" for
 # a character that starts no token.
-_TOKEN_RE = re.compile(r"(#\d+|0|[A-Za-z_][A-Za-z0-9_]*|->|[()=+*,.~])|\S")
+_TOKEN_RE = re.compile(r"(#[0-9]+|0|[A-Za-z_][A-Za-z0-9_]*|->|[()=+*,.~])|\S")
 
 
 class _Miss(Exception):

@@ -22,14 +22,14 @@ from .coding import (
 )
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
-    Add, Eq, FnApp, Forall, Formula, ITER, Imp, Mul, Not, SUB, Succ, Term,
-    Tr, Var, ZERO, free_var_positions, mk_iff, numeral, pretty_print,
+    Eq, FnApp, Forall, Formula, ITER, Imp, Not, SUB, Succ, Term, Tr, Var,
+    ZERO, _children, free_var_positions, mk_iff, numeral, pretty_print,
     replace_at, substitute, subterm_at,
 )
 
 __all__ = [
     "Thm", "TacticError", "TautologyError",
-    "ax", "mp", "gen", "tintro",
+    "ax", "mp", "gen", "inst", "tintro",
     "hyp", "happly", "discharge", "compile_tree",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
@@ -87,6 +87,12 @@ def mp(minor: Thm, major: Thm) -> Thm:
 
 def gen(th: Thm, var: int) -> Thm:
     return Thm(Gen(var, th.proof), Forall(var, th.formula))
+
+
+def inst(th: Thm, t: Term) -> Thm:
+    """Forall-elimination: from forall v. phi conclude phi with t for v."""
+    f = th.formula
+    return mp(th, ax(SchemaId.QUANT1, Imp(f, substitute(f.body, f.var, t))))
 
 
 def tintro(th: Thm) -> Thm:
@@ -483,45 +489,19 @@ def eval_closed(t: Term) -> Thm:
     """Prove t = n for the canonical numeral n of t's value."""
     if t.fv:
         raise TacticError(f"eval needs a closed term: {pretty_print(t)}")
-    v = value(t)
     if t.nv is not None:
         return refl(t)
-    th = _eval_closed(t, v)
+    th = _eval_closed(t)
     MACROS[th.proof] = ("eval", t)
     return th
 
 
-def _eval_closed(t: Term, v: int) -> Thm:
+def _eval_closed(t: Term) -> Thm:
     if t.nv is not None:
         return refl(t)
-    tt = type(t)
-    if tt is Succ:
-        u = t.arg
-        eu = _eval_closed(u, value(u))
-        un = eu.formula.right
-        a = ax(SchemaId.COMP_SUCC, Eq(Succ(un), numeral(v)))
-        return _trans_chain([cong_term(eu, t, (0,)), a])
-    if tt is Add or tt is Mul:
-        e1 = _eval_closed(t.left, value(t.left))
-        e2 = _eval_closed(t.right, value(t.right))
-        mid = tt(e1.formula.right, t.right)
-        c1 = cong_term(e1, t, (0,))
-        c2 = cong_term(e2, mid, (1,))
-        a = ax(SchemaId.COMP_SUCC, Eq(tt(e1.formula.right, e2.formula.right), numeral(v)))
-        return _trans_chain([c1, c2, a])
-    if tt is FnApp and t.sym == SUB:
-        links = []
-        cur = t
-        for i, arg in enumerate(t.args):
-            ea = _eval_closed(arg, value(arg))
-            nxt = replace_at(cur, (i,), ea.formula.right)
-            links.append(cong_term(ea, cur, (i,)))
-            cur = nxt
-        links.append(ax(SchemaId.COMP_SUB, Eq(cur, numeral(v))))
-        return _trans_chain(links)
-    if tt is FnApp and t.sym == ITER:
-        e1 = _eval_closed(t.args[0], value(t.args[0]))
-        e2 = _eval_closed(t.args[1], value(t.args[1]))
+    if type(t) is FnApp and t.sym == ITER:
+        e1 = _eval_closed(t.args[0])
+        e2 = _eval_closed(t.args[1])
         an, bn = e1.formula.right, e2.formula.right
         cur = FnApp(ITER, [an, bn])
         links = [
@@ -530,27 +510,31 @@ def _eval_closed(t: Term, v: int) -> Thm:
         ]
         n0 = an.nv
         if n0 == 0:
-            axm = ax(SchemaId.COMP_ITER0, iter_zero_axiom())
-            inst = mp(axm, ax(SchemaId.QUANT1, Imp(axm.formula, Eq(FnApp(ITER, [ZERO, bn]), bn))))
-            links.append(inst)
+            links.append(inst(ax(SchemaId.COMP_ITER0, iter_zero_axiom()), bn))
             return _trans_chain(links)
         m = numeral(n0 - 1)
         sa = sym(ax(SchemaId.COMP_SUCC, Eq(Succ(m), an)))
         links.append(cong_term(sa, cur, (0,)))
-        st = ax(SchemaId.COMP_ITER_STEP, iter_step_axiom())
-        body = st.formula.body  # forall z. ...
-        i1 = mp(st, ax(SchemaId.QUANT1, Imp(st.formula, substitute(body, st.formula.var, m))))
-        e_inst = substitute(i1.formula.body, i1.formula.var, bn)
-        i2 = mp(i1, ax(SchemaId.QUANT1, Imp(i1.formula, e_inst)))  # iter(S m, bn) = sub(sub(#K0,..,bn),..,m)
-        links.append(i2)
-        rhs = e_inst.right
+        # iter(S m, bn) = sub(sub(#K0, .., bn), .., m)
+        step = inst(inst(ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), m), bn)
+        links.append(step)
+        rhs = step.formula.right
         inner = rhs.args[0]
         ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(sub_fn(K0, TEMPLATE_CODE_VAR, bn.nv))))
         links.append(cong_term(ei, rhs, (0,)))
         outer = replace_at(rhs, (0,), ei.formula.right)
-        links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(v))))
+        links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(t)))))
         return _trans_chain(links)
-    raise TacticError(f"cannot evaluate {pretty_print(t)}")
+    # S, + and * (COMP_SUCC) or sub (COMP_SUB): evaluate the arguments in
+    # place, then apply the operation to their numerals
+    links, cur = [], t
+    for i, arg in enumerate(_children(t)):
+        ea = _eval_closed(arg)
+        links.append(cong_term(ea, cur, (i,)))
+        cur = replace_at(cur, (i,), ea.formula.right)
+    schema = SchemaId.COMP_SUB if type(t) is FnApp else SchemaId.COMP_SUCC
+    links.append(ax(schema, Eq(cur, numeral(value(t)))))
+    return _trans_chain(links)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +673,7 @@ def derive_A2(phi: Formula) -> Thm:
     w = omega_truth(nphi)
     it0 = FnApp(ITER, [ZERO, nphi])
     q1 = ax(SchemaId.QUANT1, Imp(w, Tr(it0)))
-    axm = ax(SchemaId.COMP_ITER0, iter_zero_axiom())
-    i = mp(axm, ax(SchemaId.QUANT1, Imp(axm.formula, Eq(it0, nphi))))
+    i = inst(ax(SchemaId.COMP_ITER0, iter_zero_axiom()), nphi)
     c = mp(i, ax(SchemaId.EQ3, Imp(i.formula, Imp(Tr(it0), Tr(nphi)))))
     out = imp_trans(q1, c)
     MACROS[out.proof] = ("a2", phi)
@@ -712,10 +695,8 @@ def derive_A1(phi: Formula) -> Thm:
     sx = Succ(Var(x))
     q1 = ax(SchemaId.QUANT1, Imp(w, Tr(FnApp(ITER, [sx, nphi]))))
 
-    st = ax(SchemaId.COMP_ITER_STEP, iter_step_axiom())
-    i1 = mp(st, ax(SchemaId.QUANT1, Imp(st.formula, st.formula.body)))  # x := x
-    e_inst = substitute(i1.formula.body, i1.formula.var, nphi)
-    i2 = mp(i1, ax(SchemaId.QUANT1, Imp(i1.formula, e_inst)))
+    i2 = inst(inst(ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), Var(x)), nphi)
+    e_inst = i2.formula
 
     chi = Tr(FnApp(ITER, [Var(OMEGA_VAR), nphi]))
     inner = e_inst.right.args[0]

@@ -24,7 +24,8 @@ from .syntax import (
 from .tactics import (
     Thm, ax, compile_tree, contrapose, derive_A1, derive_A2,
     diagonal_lemma, discharge, gen, happly, hyp, iff_elim1, iff_elim2,
-    iff_intro, imp_trans, lift_imp, mp, refl, rewrite_align, taut, tintro,
+    iff_intro, imp_trans, inst, lift_imp, mp, refl, rewrite_align, taut,
+    tintro,
 )
 
 __all__ = [
@@ -79,12 +80,12 @@ def _m2(phi: Formula, psi: Formula) -> Thm:
 
     p_w, q_w = omega_truth(nf), omega_truth(na)
     r_y = Tr(FnApp(ITER, [Var(y), nb]))
-    inst = mp(om, ax(SchemaId.QUANT1, Imp(om.formula, fam)))
+    at_y = inst(om, Var(y))
     pa = ax(SchemaId.QUANT1, Imp(p_w, fam.ant))
     pb = ax(SchemaId.QUANT1, Imp(q_w, fam.cons.ant))
     got_a = happly(hyp(p_w), pa)
     got_b = happly(hyp(q_w), pb)
-    r = happly(got_b, happly(got_a, inst))
+    r = happly(got_b, happly(got_a, at_y))
     h = compile_tree(discharge(discharge(r, q_w), p_w))  # P -> (Q -> R(y))
     gy = gen(h, y)
     s1 = mp(gy, ax(SchemaId.QUANT2, Imp(gy.formula, Imp(p_w, Forall(y, Imp(q_w, r_y))))))
@@ -270,11 +271,10 @@ def _not_zero_one() -> Thm:
     """~(0 = 1) from Robinson arithmetic and equality logic."""
     one = Succ(ZERO)
     z01 = Eq(ZERO, one)
-    q2 = ax(SchemaId.Q2, q_axiom(SchemaId.Q2))
-    inst = mp(q2, ax(SchemaId.QUANT1, Imp(q2.formula, Not(Eq(one, ZERO)))))
+    at_zero = inst(ax(SchemaId.Q2, q_axiom(SchemaId.Q2)), ZERO)
     e3 = ax(SchemaId.EQ3, Imp(z01, Imp(Eq(ZERO, ZERO), Eq(one, ZERO))))
     flip = compile_tree(discharge(happly(refl(ZERO), happly(hyp(z01), e3)), z01))
-    return mp(inst, contrapose(flip))
+    return mp(at_zero, contrapose(flip))
 
 
 def _reflection_for_zero_one(config: TheoryConfig) -> Thm:

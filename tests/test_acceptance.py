@@ -17,7 +17,7 @@ from omegatruth.kernel import (
     CheckError, GAMMA, MissingSchema, SIGMA, SchemaId, TheoryConfig, check,
 )
 from omegatruth.syntax import (
-    Eq, Formula, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
+    Eq, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
 )
 from omegatruth.tactics import (
     derive_A1, derive_A2, eval_closed, propositional_counterexample, refl,

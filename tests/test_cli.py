@@ -93,6 +93,27 @@ def test_check_rejects_zero_samples_in_the_header(tmp_path, capsys):
         2, "", "input error: omega_samples must be at least 1\n")
 
 
+def test_check_rejects_a_negative_omega_cap(capsys):
+    # a cap below 0 is an input error, not a failure of a proof without omega
+    path = str(Path(__file__).resolve().parent.parent / "scripts" / "proofs" / "not_zero_one.proof")
+    assert run(capsys, "check", path, "--max-omega", "-1") == (
+        2, "", "input error: max_omega_count must be at least 0\n")
+    code, out, err = run(capsys, "check", path, "--max-omega", "0", "--quiet")
+    assert (code, err) == (0, "") and "omega_count=0" in out
+
+
+@pytest.mark.parametrize("script, message", [
+    ('(samples +3)\n(prove (axiom EQ1 "0 = 0"))', "expected a sample count, got '+3'"),
+    ('(samples 1_0)\n(prove (axiom EQ1 "0 = 0"))', "expected a sample count, got '1_0'"),
+    ('(prove (axiom EQ1 "#٣ = #3"))', "unexpected character '#' (line 1, column 1)"),
+    ('(prove (gen v١ (axiom EQ1 "0 = 0")))', "expected a variable name, got 'v١'"),
+])
+def test_naturals_are_ascii_digits(tmp_path, capsys, script, message):
+    path = tmp_path / "digits.proof"
+    path.write_text(f"(theory sigma)\n{script}\n", encoding="utf-8")
+    assert run(capsys, "check", str(path)) == (2, "", f"input error: {message}\n")
+
+
 def test_check_script_failure(tmp_path, capsys):
     path = tmp_path / "bad.proof"
     path.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')

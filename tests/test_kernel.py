@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import (
-    encode, iter_step_axiom, iter_zero_axiom, name_of, omega_truth, sub_fn,
+    K0, encode, iter_step_axiom, iter_zero_axiom, name_of, sub_fn,
 )
 from omegatruth.kernel import (
     ApplyTIntro, Axiom, CheckError, GAMMA, Gen, MP, MissingSchema, Omega,
@@ -39,6 +39,9 @@ def test_config_is_a_value():
         TheoryConfig(omega_samples=0)
     with pytest.raises(ValueError, match="^omega_samples must be at least 1$"):
         TheoryConfig(True, True, True, 0)
+    with pytest.raises(ValueError, match="^max_omega_count must be at least 0$"):
+        TheoryConfig(max_omega_count=-1)
+    assert TheoryConfig(max_omega_count=0).max_omega_count == 0
 
 
 def test_config_replace_is_checked():
@@ -253,6 +256,55 @@ def test_quant1_rejects_capture():
     body = Forall(1, Eq(Var(0), Var(1)))
     inst = Imp(Forall(0, body), Forall(1, Eq(Var(1), Var(1))))
     assert schema_of(inst, SIGMA) is None
+
+
+_K0 = f"#{K0}"
+_NOT_AN_INSTANCE = "consequent is not a substitution instance of the quantified body"
+
+
+@pytest.mark.parametrize("schema, text, reason", [
+    # QUANT1: capture, a renamed binder, a formula at the instance position,
+    # a path that does not exist, and occurrences with different terms
+    ("QUANT1", "(forall x. forall y. x = y) -> forall y. y = y", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. forall y. x = y) -> forall z. y = z", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. (x = x -> forall y. x = y)) -> (y = y -> forall z. y = z)", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. x = 0) -> ~(0 = 0)", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. S(x) = 0) -> 0 = 0", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. S(S(x)) = 0) -> #6 = 0", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. x = x) -> 0 = S(0)", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. 0 = 0) -> S(0) = 0", _NOT_AN_INSTANCE),
+    ("QUANT1", "(forall x. forall y. x = y) -> forall y. S(0) = y", None),
+    ("QUANT1", "(forall x. 0 = 0) -> 0 = 0", None),
+    ("QUANT2", "(forall x. (0 = 0 -> x = x)) -> (0 = 0 -> forall x. x = x)", None),
+    ("QUANT2", "(forall x. (x = 0 -> x = x)) -> (x = 0 -> forall x. x = x)",
+     f"variable 0 occurs free in the antecedent (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
+    ("QUANT2", "(forall x. (0 = 0 -> x = x)) -> (0 = 0 -> forall y. x = x)",
+     f"instance does not match the schema (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
+    ("COMP_ITER0", "forall y. iter(0, y) = y", None),
+    ("COMP_ITER0", "forall y. iter(0, y) = x", "instance does not match the schema"),
+    ("COMP_ITER_STEP", f"forall u. forall w. iter(S(u), w) = sub(sub({_K0}, #2, w), #1, u)", None),
+    ("COMP_ITER_STEP", f"forall x. forall x. iter(S(x), x) = sub(sub({_K0}, #2, x), #1, x)",
+     "instance does not match the schema"),
+    ("COMP_ITER_STEP", f"forall x. forall z. iter(S(x), z) = sub(sub({_K0}, y, z), #1, x)",
+     "template arguments are not canonical numerals"),
+    ("COMP_ITER_STEP", f"forall x. forall z. iter(S(x), z) = sub(sub({_K0}, #1, z), #1, x)",
+     "template slots coincide"),
+    ("COMP_ITER_STEP", "forall x. forall z. iter(S(x), z) = sub(sub(#7, #2, z), #1, x)",
+     "first argument does not name the iteration step template"),
+    ("COMP_SUCC", "(#3 * #4) = #13", "right side disagrees with numeral arithmetic"),
+    ("COMP_SUCC", "#9 = #9", None),
+    ("COMP_SUCC", "S(x) = #9", "instance does not match the schema"),
+    ("UINF", "(forall x. T(sub(#5, #5, y))) -> T(#5)",
+     f"inner substitution is not applied at the quantified variable (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
+])
+def test_matcher_verdicts_and_messages(schema, text, reason):
+    phi = parse_formula(text)
+    if reason is None:
+        assert check(Axiom(SchemaId[schema], phi), SIGMA).formula is phi
+        return
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId[schema], phi), SIGMA)
+    assert str(err.value) == f"at node <root> [axiom]: {schema}: {reason}: {pretty_print(phi)}"
 
 
 def test_q_axioms_are_fixed_sentences():

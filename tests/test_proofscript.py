@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from omegatruth import tactics as T
 from omegatruth.kernel import GAMMA, SIGMA, check
 from omegatruth.proofscript import (
-    Script, ScriptError, _Q, _read_forms, expand, parse_script,
-    serialize_script,
+    ScriptError, _Q, _read_forms, parse_script, serialize_script,
 )
-from omegatruth.syntax import Add, Eq, Imp, Tr, ZERO, numeral, parse_formula
+from omegatruth.syntax import Add, Eq, Imp, ZERO, numeral, parse_formula
 
 from helpers import reference_read_forms
 

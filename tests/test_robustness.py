@@ -10,7 +10,7 @@ import pytest
 
 from omegatruth.coding import DecodeError, decode, encode
 from omegatruth.proofscript import ScriptError, parse_script
-from omegatruth.syntax import Expr, Formula, ParseError, Term, parse_formula
+from omegatruth.syntax import Formula, ParseError, Term, parse_formula
 
 
 def test_decode_random_integers_fail_cleanly():

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.syntax import (
-    Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError, Succ, Term,
-    Tr, Var, ZERO, _children, _rebuild, mk_iff, numeral, parse_formula,
+    Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError, Succ, Tr,
+    Var, ZERO, _children, _rebuild, mk_iff, numeral, parse_formula,
     parse_term, pretty_print, substitute, subterm_at,
     var_name,
 )
 
 from helpers import (
-    random_expr, random_formula, random_term, reference_parse_formula,
+    random_expr, random_formula, reference_parse_formula,
     reference_parse_term,
 )
 

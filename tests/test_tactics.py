@@ -4,16 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegatruth.coding import encode, iter_fn, name_of, omega_truth, value
+from omegatruth.coding import encode, name_of, omega_truth, value
 from omegatruth.kernel import GAMMA, SIGMA, SchemaId, TheoryConfig, check
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral,
-    parse_formula, pretty_print, replace_at, substitute, subterm_at,
+    parse_term, pretty_print, replace_at,
 )
 from omegatruth.tactics import (
     TacticError, TautologyError, Thm, ax, compile_tree, contrapose,
     derive_A1, derive_A2, diagonal_lemma, discharge, eval_closed, happly,
-    hyp, iff_elim1, iff_elim2, iff_intro, iff_parts, imp_trans, lift_imp, mp, propositional_atoms, propositional_counterexample,
+    hyp, iff_elim1, iff_intro, iff_parts, imp_trans, lift_imp, mp,
+    propositional_atoms, propositional_counterexample,
     refl, rewrite_imp, sym, taut, tintro, trans, _rw_pair,
 )
 
@@ -250,6 +251,23 @@ def test_eval_closed_matches_independent_evaluator():
 def test_eval_closed_rejects_open_terms():
     with pytest.raises(TacticError):
         eval_closed(Succ(Var(0)))
+
+
+@pytest.mark.parametrize("text, size", [
+    ("S((#2 + #3))", 7),
+    ("((#1 + #2) + S(#3))", 13),
+    ("(S(#2) * (#1 + #1))", 7),
+    # 196751 is the code of y = 0
+    ("sub(#196751, (#0 + #1), (#1 + #2))", 13),
+    ("iter(0, S(#7))", 9),
+    ("iter(S(#2), (#1 + #2))", 21),
+])
+def test_eval_closed_proof_sizes(text, size):
+    # one term of each kind, each with an argument to evaluate first
+    t = parse_term(text)
+    th = eval_closed(t)
+    assert th.formula.right is numeral(value(t))
+    assert check(th.proof, GAMMA).proof_size == size
 
 
 def _checked_both_ways(eq, phi, path, want):

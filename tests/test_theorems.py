@@ -5,7 +5,7 @@ from omegatruth.kernel import (
     GAMMA, MissingSchema, SIGMA, SchemaId, check,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, ZERO, numeral, substitute,
 )
 from omegatruth.tactics import Thm, ax, mp, refl
 from omegatruth.theorems import (
