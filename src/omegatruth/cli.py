@@ -45,12 +45,27 @@ _LOEB_NOTES = {
 }
 
 
-def _config(args) -> TheoryConfig:
-    # sigma is gamma without internal consistency
+def _count(text: str, what: str) -> int:
+    """A count given on the command line, read as scripts read theirs:
+    ASCII digits only, since int() would also take a plus sign, underscores
+    and other scripts' digits.  A leading minus is kept, so that a negative
+    count reaches the bound that :class:`TheoryConfig` names."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected {what}, got {text!r}")
+    return int(text)
+
+
+def _config(args, samples: int = 8) -> TheoryConfig:
+    # sigma is gamma without internal consistency; --samples, when given,
+    # overrides the default count
     return TheoryConfig(
         has_cons=args.theory == "gamma",
-        omega_samples=args.samples,
-        max_omega_count=None if args.max_omega == "unlimited" else int(args.max_omega),
+        omega_samples=samples if args.samples is None else _count(args.samples, "a sample count"),
+        max_omega_count=(
+            None if args.max_omega == "unlimited"
+            else _count(args.max_omega, "an omega cap or 'unlimited'")
+        ),
     )
 
 
@@ -95,9 +110,7 @@ def _cmd_check(args) -> int:
     script = parse_script(text)
     # command-line options override the script's header
     args.theory = args.theory or script.theory or "gamma"
-    if args.samples is None:
-        args.samples = 8 if script.samples is None else script.samples
-    cert = check(script.proof, _config(args))
+    cert = check(script.proof, _config(args, 8 if script.samples is None else script.samples))
     if args.json:
         print(json.dumps(cert.certificate()))
     else:
@@ -143,7 +156,7 @@ def _cmd_demo(args) -> int:
                 _print_cert(k, v, args.quiet)
         return 0
     # witness
-    report = TH.omega_witness(config, args.samples)
+    report = TH.omega_witness(config, config.omega_samples)
     if args.json:
         print(json.dumps({
             "demo": "witness",
@@ -243,7 +256,7 @@ def _cmd_eval(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theory", choices=["gamma", "sigma"], default="gamma",
                    help="axiom schema preset (default gamma)")
-    p.add_argument("--samples", type=int, default=8,
+    p.add_argument("--samples", default=None,
                    help="omega-rule generator samples (default 8)")
     p.add_argument("--max-omega", default="unlimited",
                    help="cap on nested omega applications, or 'unlimited'")
@@ -262,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check a proof script and print its certificate")
     p.add_argument("script", help="path to a proof script")
     p.add_argument("--theory", choices=["gamma", "sigma"], default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", default=None)
     p.add_argument("--max-omega", default="unlimited")
     p.add_argument("--json", action="store_true")
     p.add_argument("--quiet", action="store_true")

@@ -15,8 +15,8 @@ re-serializes the result and rejects any mismatch.
 from __future__ import annotations
 
 from .syntax import (
-    Add, Eq, Expr, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ,
-    Term, Tr, Var, ZERO, Zero, _children, numeral, substitute,
+    Add, Eq, Expr, FN_ARITY, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB,
+    Succ, Term, Tr, Var, ZERO, Zero, _children, numeral, substitute,
 )
 
 __all__ = [
@@ -65,8 +65,14 @@ def _nat_chunk(n: int) -> tuple[int, int]:
     return val, (2 * l - 1) + (nbits - 1)
 
 
+# the (bits, length) chunk of each node coded so far, and the value of each
+# term evaluated so far; nodes are interned, so these are keyed by identity
+_chunks: dict[Expr, tuple[int, int]] = {}
+_values: dict[Term, int] = {}
+
+
 def _chunk(e: Expr) -> tuple[int, int]:
-    cached = e._code
+    cached = _chunks.get(e)
     if cached is not None:
         return cached
     t = type(e)
@@ -85,7 +91,7 @@ def _chunk(e: Expr) -> tuple[int, int]:
             val = (val << n) | v
             nbits += n
         out = (val, nbits)
-    e._code = out
+    _chunks[e] = out
     return out
 
 
@@ -122,9 +128,11 @@ class _Reader:
         return m - 1
 
 
+# the number of children of each compound tag: the arity of its function
+# symbol, or the slots of its class but for the bound variable of a Forall
 _ARITY = {
-    _T_SUCC: 1, _T_ADD: 2, _T_MUL: 2, _T_ITER: 2, _T_SUB: 3,
-    _T_EQ: 2, _T_TR: 1, _T_NOT: 1, _T_IMP: 2, _T_FORALL: 1,
+    tag: FN_ARITY[kind] if type(kind) is str else len(kind.__slots__) - (kind is Forall)
+    for tag, kind in _KIND.items()
 }
 
 
@@ -194,8 +202,9 @@ def value(t: Term) -> int:
     """Value of a closed term under the standard interpretation."""
     if t.nv is not None:
         return t.nv
-    if t._val is not None:
-        return t._val
+    v = _values.get(t)
+    if v is not None:
+        return v
     tt = type(t)
     if tt is Var:
         raise EvalError(f"open term: variable {t.idx} has no value")
@@ -213,7 +222,7 @@ def value(t: Term) -> int:
         v = sub_fn(value(t.args[0]), value(t.args[1]), value(t.args[2]))
     else:
         raise EvalError(f"cannot evaluate {tt.__name__}")
-    t._val = v
+    _values[t] = v
     return v
 
 

@@ -29,7 +29,7 @@ from collections import namedtuple
 from . import coding
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ, Term,
-    Tr, Var, ZERO, TWO, _INTERN, _children, free_var_positions, numeral,
+    Tr, Var, ZERO, TWO, _children, free_var_positions, numeral,
     pretty_print, substitute, subterm_at,
 )
 
@@ -150,18 +150,20 @@ class CheckError(ValueError):
 # proof objects
 
 
-class _Interned:
-    """Base of the interned kernel objects: proofs and step combinators."""
+# the intern tables of proofs, one per kind, keyed without the class: an
+# Axiom by its instance in the table of its schema, a TIntro by its premise,
+# the first MP over a major premise by that major alone and every later one
+# by (minor, major)
+_AXIOMS: dict = {schema: {} for schema in SchemaId}
+_MP: dict = {}
+_MP_PAIRS: dict = {}
+_GEN: dict = {}
+_TINTRO: dict = {}
+_OMEGA: dict = {}
+_STEPS: dict = {}
 
-    __slots__ = ()
 
-    @classmethod
-    def _make(cls, key):
-        _INTERN[key] = self = object.__new__(cls)
-        return self
-
-
-class Proof(_Interned):
+class Proof:
     """Base class for proof nodes, interned like terms and formulas.
 
     A node holds only what the kernel checks; which macro call built it,
@@ -175,10 +177,10 @@ class Axiom(Proof):
     __slots__ = ("schema", "instance")
 
     def __new__(cls, schema: SchemaId, instance: Formula):
-        key = (cls, schema, instance)
-        self = _INTERN.get(key)
+        table = _AXIOMS[schema]
+        self = table.get(instance)
         if self is None:
-            self = cls._make(key)
+            self = table[instance] = object.__new__(cls)
             self.schema = schema
             self.instance = instance
         return self
@@ -190,12 +192,19 @@ class MP(Proof):
     __slots__ = ("minor", "major")
 
     def __new__(cls, minor: Proof, major: Proof):
-        key = (cls, minor, major)
-        self = _INTERN.get(key)
+        self = _MP.get(major)
         if self is None:
-            self = cls._make(key)
-            self.minor = minor
-            self.major = major
+            table, key = _MP, major
+        elif self.minor is minor:
+            return self
+        else:
+            table, key = _MP_PAIRS, (minor, major)
+            self = table.get(key)
+            if self is not None:
+                return self
+        self = table[key] = object.__new__(cls)
+        self.minor = minor
+        self.major = major
         return self
 
 
@@ -203,10 +212,10 @@ class Gen(Proof):
     __slots__ = ("var", "premise")
 
     def __new__(cls, var: int, premise: Proof):
-        key = (cls, var, premise)
-        self = _INTERN.get(key)
+        key = (var, premise)
+        self = _GEN.get(key)
         if self is None:
-            self = cls._make(key)
+            self = _GEN[key] = object.__new__(cls)
             self.var = var
             self.premise = premise
         return self
@@ -216,16 +225,23 @@ class TIntro(Proof):
     __slots__ = ("premise",)
 
     def __new__(cls, premise: Proof):
-        key = (cls, premise)
-        self = _INTERN.get(key)
+        self = _TINTRO.get(premise)
         if self is None:
-            self = cls._make(key)
+            self = _TINTRO[premise] = object.__new__(cls)
             self.premise = premise
         return self
 
 
-class StepCombinator(_Interned):
+class StepCombinator:
+    """Base class of the omega steps, interned in one table under a tuple
+    that starts with their class."""
+
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, key):
+        _STEPS[key] = self = object.__new__(cls)
+        return self
 
 
 class ApplyTIntro(StepCombinator):
@@ -234,7 +250,7 @@ class ApplyTIntro(StepCombinator):
     __slots__ = ()
 
     def __new__(cls):
-        return _INTERN.get((cls,)) or cls._make((cls,))
+        return _STEPS.get((cls,)) or cls._make((cls,))
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -253,7 +269,7 @@ class LiftImp(StepCombinator):
 
     def __new__(cls, depth: int = 1):
         key = (cls, depth)
-        self = _INTERN.get(key)
+        self = _STEPS.get(key)
         if self is None:
             if depth not in (1, 2):
                 raise ValueError("LiftImp depth must be 1 or 2")
@@ -276,7 +292,7 @@ class RewriteEval(StepCombinator):
     def __new__(cls, position):
         position = tuple(position)
         key = (cls, position)
-        self = _INTERN.get(key)
+        self = _STEPS.get(key)
         if self is None:
             self = cls._make(key)
             self.position = position
@@ -295,7 +311,7 @@ class ChainWith(StepCombinator):
 
     def __new__(cls, lemma: Proof, conclusion: Formula):
         key = (cls, lemma, conclusion)
-        self = _INTERN.get(key)
+        self = _STEPS.get(key)
         if self is None:
             self = cls._make(key)
             self.lemma = lemma
@@ -321,10 +337,10 @@ class Omega(Proof):
 
     def __new__(cls, var: int, family: Formula, base: Proof, steps):
         steps = tuple(steps)
-        key = (cls, var, family, base, steps)
-        self = _INTERN.get(key)
+        key = (var, family, base, steps)
+        self = _OMEGA.get(key)
         if self is None:
-            self = cls._make(key)
+            self = _OMEGA[key] = object.__new__(cls)
             self.var = var
             self.family = family
             self.base = base
@@ -752,31 +768,37 @@ class _Checker:
     def __init__(self, config: TheoryConfig):
         self.config = config
         # keyed by identity: proof nodes are interned, so each structurally
-        # distinct subproof is checked once however often it occurs
-        self.memo: dict[Proof, tuple[Formula, int]] = {}
+        # distinct subproof is checked once however often it occurs.  memo
+        # holds every checked node's conclusion; omega holds its omega count
+        # only when that is above 0
+        self.memo: dict[Proof, Formula] = {}
+        self.omega: dict[Proof, int] = {}
         self.samples = 0
 
     def run(self, root: Proof, path: tuple[int, ...] = ()) -> tuple[Formula, int]:
         # a stack entry names its node by a link (parent link, child index)
         # back to the root, whose link is None; the path is spelled out
         # only for an error or an omega node
-        memo = self.memo
+        memo, omega = self.memo, self.omega
         stack: list[tuple[Proof, tuple | None, bool]] = [(root, None, False)]
         while stack:
             node, link, ready = stack.pop()
-            if node in memo:
-                continue
-            if not ready:
+            if ready:
+                memo[node], count = self._reduce(node, path, link)
+                if count:
+                    omega[node] = count
+            elif node not in memo:
                 stack.append((node, link, True))
                 for i, child in enumerate(_proof_children(node)):
-                    stack.append((child, (link, i), False))
-            else:
-                memo[node] = self._reduce(node, path, link)
-        return memo[root]
+                    if child not in memo:
+                        stack.append((child, (link, i), False))
+        return memo[root], omega.get(root, 0)
 
     def _reduce(self, node: Proof, prefix: tuple[int, ...], link) -> tuple[Formula, int]:
+        """The conclusion and the omega count of ``node``, whose children
+        are checked."""
         t = type(node)
-        memo = self.memo
+        memo, omega = self.memo, self.omega
         if t is Axiom:
             if not self.config.active(node.schema):
                 raise CheckError(_spell(prefix, link), "axiom", f"schema {node.schema.value} is inactive under this theory")
@@ -787,8 +809,8 @@ class _Checker:
                 raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
             return node.instance, 0
         if t is MP:
-            fa, oa = memo[node.minor]
-            fb, ob = memo[node.major]
+            fa = memo[node.minor]
+            fb = memo[node.major]
             if type(fb) is not Imp:
                 raise CheckError(_spell(prefix, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
             if fb.ant != fa:
@@ -796,18 +818,17 @@ class _Checker:
                     _spell(prefix, link), "mp",
                     f"minor premise {pretty_print(fa)} does not match antecedent {pretty_print(fb.ant)}",
                 )
-            return fb.cons, max(oa, ob)
+            return fb.cons, max(omega.get(node.minor, 0), omega.get(node.major, 0)) if omega else 0
         if t is Gen:
-            f, o = memo[node.premise]
-            return Forall(node.var, f), o
+            return Forall(node.var, memo[node.premise]), omega.get(node.premise, 0)
         if t is TIntro:
-            f, o = memo[node.premise]
+            f = memo[node.premise]
             if f.fv:
                 raise CheckError(_spell(prefix, link), "t-intro", f"premise is not a sentence: {pretty_print(f)}")
-            return Tr(coding.name_of(f)), o
+            return Tr(coding.name_of(f)), omega.get(node.premise, 0)
         # Omega
         path = _spell(prefix, link)
-        base_f, worst = memo[node.base]
+        base_f, worst = memo[node.base], omega.get(node.base, 0)
         fam0 = node.instance(0)
         if base_f != fam0:
             raise CheckError(path, "omega", f"base proves {pretty_print(base_f)}, not instance 0 {pretty_print(fam0)}")

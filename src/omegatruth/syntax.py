@@ -7,19 +7,23 @@ every other connective is a derived abbreviation that is expanded before
 anything reaches the checker.
 
 Nodes are immutable and hash-consed: every constructor looks its node up in
-one process-wide table, keyed by (class, payload, child objects), and
-returns the existing object when there is one.  Structurally equal nodes
-are therefore the same object, and equality is identity.  A canonical
-compact numeral (see :func:`numeral`) is keyed by its value instead, so
-``numeral(n)`` is a single lookup.  The table is a plain dict: nodes live as
-long as the process.  The proof objects of :mod:`kernel` share the table.
+an intern table and returns the existing object when there is one.
+Structurally equal nodes are therefore the same object, and equality is
+identity.  Terms share one table, ``_INTERN``, keyed by (class, payload,
+child objects); a canonical compact numeral (see :func:`numeral`) is keyed
+by its value instead, so ``numeral(n)`` is a single lookup.  Each formula
+kind has a table of its own, whose key holds no class: ``Tr`` and ``Not``
+are keyed by their one child, ``Eq`` and ``Forall`` by a pair, and ``Imp``
+by its consequent, with a pair-keyed table for every further antecedent of
+the same consequent.  The tables are plain dicts: nodes live as long as the
+process.
 
 ``numeral(n)`` makes one node, whatever the size of ``n``: a ``Succ`` for odd
 n, a ``Mul`` for even n.  Its children, which are numerals again, are made
 the first time something reads them, so a numeral whose spine nobody walks
 costs one node and the bits of its value.
 
-Each node caches its free-variable set and, for terms, the natural it
+Each node holds its free-variable set and, for terms, the natural it
 denotes when it is a canonical numeral.
 
 The shape of each node kind, its children in order and how a node of that
@@ -45,9 +49,19 @@ __all__ = [
 
 _EMPTY: frozenset[int] = frozenset()
 
-# the intern table: canonical numerals under their value, every other node
-# under a tuple that starts with its class
+# the intern table of terms: canonical numerals under their value, every
+# other term under a tuple that starts with its class
 _INTERN: dict = {}
+
+# the intern tables of formulas, one per kind: the first Imp over a
+# consequent is keyed by that consequent alone, every later one by
+# (antecedent, consequent)
+_EQ: dict = {}
+_TR: dict = {}
+_NOT: dict = {}
+_IMP: dict = {}
+_IMP_PAIRS: dict = {}
+_FORALL: dict = {}
 
 ITER = "iter"
 SUB = "sub"
@@ -57,15 +71,13 @@ FN_ARITY = {ITER: 2, SUB: 3}
 class Term:
     """Base class for term nodes."""
 
-    __slots__ = ("fv", "nv", "_code", "_val")
+    __slots__ = ("fv", "nv")
 
     @classmethod
     def _make(cls, key, fv: frozenset[int], nv: int | None = None):
         self = _INTERN[key] = object.__new__(cls)
         self.fv = fv
         self.nv = nv  # value when the node is a canonical numeral, else None
-        self._code = None
-        self._val = None
         return self
 
     def __repr__(self) -> str:
@@ -171,13 +183,12 @@ class FnApp(Term):
 class Formula:
     """Base class for formula nodes."""
 
-    __slots__ = ("fv", "_code")
+    __slots__ = ("fv",)
 
     @classmethod
-    def _make(cls, key, fv: frozenset[int]):
-        self = _INTERN[key] = object.__new__(cls)
+    def _make(cls, fv: frozenset[int]):
+        self = object.__new__(cls)
         self.fv = fv
-        self._code = None
         return self
 
     def __repr__(self) -> str:
@@ -188,10 +199,10 @@ class Eq(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Term, right: Term):
-        key = (cls, left, right)
-        self = _INTERN.get(key)
+        key = (left, right)
+        self = _EQ.get(key)
         if self is None:
-            self = cls._make(key, _union(left.fv, right.fv))
+            self = _EQ[key] = cls._make(_union(left.fv, right.fv))
             self.left = left
             self.right = right
         return self
@@ -201,10 +212,9 @@ class Tr(Formula):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Term):
-        key = (cls, arg)
-        self = _INTERN.get(key)
+        self = _TR.get(arg)
         if self is None:
-            self = cls._make(key, arg.fv)
+            self = _TR[arg] = cls._make(arg.fv)
             self.arg = arg
         return self
 
@@ -213,10 +223,9 @@ class Not(Formula):
     __slots__ = ("body",)
 
     def __new__(cls, body: Formula):
-        key = (cls, body)
-        self = _INTERN.get(key)
+        self = _NOT.get(body)
         if self is None:
-            self = cls._make(key, body.fv)
+            self = _NOT[body] = cls._make(body.fv)
             self.body = body
         return self
 
@@ -225,12 +234,19 @@ class Imp(Formula):
     __slots__ = ("ant", "cons")
 
     def __new__(cls, ant: Formula, cons: Formula):
-        key = (cls, ant, cons)
-        self = _INTERN.get(key)
+        self = _IMP.get(cons)
         if self is None:
-            self = cls._make(key, _union(ant.fv, cons.fv))
-            self.ant = ant
-            self.cons = cons
+            table, key = _IMP, cons
+        elif self.ant is ant:
+            return self
+        else:
+            table, key = _IMP_PAIRS, (ant, cons)
+            self = table.get(key)
+            if self is not None:
+                return self
+        self = table[key] = cls._make(_union(ant.fv, cons.fv))
+        self.ant = ant
+        self.cons = cons
         return self
 
 
@@ -238,12 +254,12 @@ class Forall(Formula):
     __slots__ = ("var", "body")
 
     def __new__(cls, var: int, body: Formula):
-        key = (cls, var, body)
-        self = _INTERN.get(key)
+        key = (var, body)
+        self = _FORALL.get(key)
         if self is None:
             if var < 0:
                 raise ValueError("variable index must be a natural")
-            self = cls._make(key, body.fv - {var} if var in body.fv else body.fv)
+            self = _FORALL[key] = cls._make(body.fv - {var} if var in body.fv else body.fv)
             self.var = var
             self.body = body
         return self

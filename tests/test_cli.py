@@ -114,6 +114,54 @@ def test_naturals_are_ascii_digits(tmp_path, capsys, script, message):
     assert run(capsys, "check", str(path)) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "{m1}", "--max-omega", "١"], "expected an omega cap or 'unlimited', got '١'"),
+    (["check", "{m1}", "--max-omega", "+1"], "expected an omega cap or 'unlimited', got '+1'"),
+    (["check", "{m1}", "--max-omega", "1_0"], "expected an omega cap or 'unlimited', got '1_0'"),
+    (["check", "{m1}", "--samples", "٣"], "expected a sample count, got '٣'"),
+    (["check", "{m1}", "--samples", "+3"], "expected a sample count, got '+3'"),
+    (["demo", "witness", "--samples", "٣"], "expected a sample count, got '٣'"),
+    (["demo", "witness", "--samples", "1_0"], "expected a sample count, got '1_0'"),
+    (["demo", "mcgee", "--max-omega", "١"], "expected an omega cap or 'unlimited', got '١'"),
+])
+def test_command_line_naturals_are_ascii_digits(capsys, argv, message):
+    # the command line reads its counts as scripts do
+    m1 = str(Path(__file__).resolve().parent.parent / "scripts" / "proofs" / "m1_zero.proof")
+    argv = [a.format(m1=m1) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+_PROVES_0_EQ_1 = """(theory sigma)
+(prove (mp (axiom EQ1 "0 = 0")
+  (mp (taut "0 = 0 -> 0 = 0")
+    (mp (axiom PROP1 "0 = 0 -> 0 = 0 -> 0 = 0")
+      (axiom PROP2 "(0 = 0 -> 0 = 0 -> 0 = 0) -> (0 = 0 -> 0 = 0) -> 0 = 0 -> 0 = #1")))))
+"""
+
+
+@pytest.mark.parametrize("script, message", [
+    # a PROP2 that keeps three of its four identities and so would prove 0 = #1
+    (_PROVES_0_EQ_1,
+     "at node 1/1/1 [axiom]: PROP2: instance does not match the schema: "
+     "(0 = 0 -> 0 = 0 -> 0 = 0) -> (0 = 0 -> 0 = 0) -> 0 = 0 -> 0 = #1"),
+    ('(theory gamma)\n(prove (axiom CONS "T(x) -> ~T(x)"))\n',
+     "at node <root> [axiom]: CONS: arguments are not names of formulas: T(x) -> ~T(x)"),
+    # #47 is the code of the term 0, not of a formula
+    ('(theory gamma)\n(prove (axiom UINF "(forall x. T(sub(#47, #5, x))) -> T(#29135)"))\n',
+     "at node <root> [axiom]: UINF: first argument is not the name of a formula (nearest: QUANT1: "
+     "consequent is not a substitution instance of the quantified body): "
+     "(forall x. T(sub(#47, #5, x))) -> T(#29135)"),
+    ('(theory gamma)\n(prove (axiom UINF "(forall x. T(sub(#47, y, x))) -> T(#29135)"))\n',
+     "at node <root> [axiom]: UINF: name or variable-index argument is not a canonical numeral "
+     "(nearest: QUANT1: consequent is not a substitution instance of the quantified body): "
+     "(forall x. T(sub(#47, y, x))) -> T(#29135)"),
+], ids=["prop2-proving-0-eq-1", "cons-on-open-terms", "uinf-on-a-term-name", "uinf-variable-index"])
+def test_unsound_axioms_are_check_failures(tmp_path, capsys, script, message):
+    path = tmp_path / "unsound.proof"
+    path.write_text(script)
+    assert run(capsys, "check", str(path)) == (1, "", f"check failure: {message}\n")
+
+
 def test_check_script_failure(tmp_path, capsys):
     path = tmp_path / "bad.proof"
     path.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')

@@ -296,6 +296,12 @@ _NOT_AN_INSTANCE = "consequent is not a substitution instance of the quantified 
     ("COMP_SUCC", "S(x) = #9", "instance does not match the schema"),
     ("UINF", "(forall x. T(sub(#5, #5, y))) -> T(#5)",
      f"inner substitution is not applied at the quantified variable (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
+    ("UINF", "(forall x. T(sub(#47, #5, x))) -> T(#29135)",  # #47 names the term 0
+     f"first argument is not the name of a formula (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
+    ("UINF", "(forall x. T(sub(#47, y, x))) -> T(#29135)",
+     f"name or variable-index argument is not a canonical numeral (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
+    ("UINF", "(forall x. T(iter(x, x))) -> T(0)",
+     f"instance does not match the schema (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
 ])
 def test_matcher_verdicts_and_messages(schema, text, reason):
     phi = parse_formula(text)
@@ -305,6 +311,54 @@ def test_matcher_verdicts_and_messages(schema, text, reason):
     with pytest.raises(CheckError) as err:
         check(Axiom(SchemaId[schema], phi), SIGMA)
     assert str(err.value) == f"at node <root> [axiom]: {schema}: {reason}: {pretty_print(phi)}"
+
+
+_P, _Q, _R, _S = "0 = 0", "0 = #1", "#1 = 0", "#1 = #1"
+
+
+# One near miss per conjunct of each propositional schema's shape, each
+# falsifying that conjunct alone, then the instance itself.
+@pytest.mark.parametrize("schema, text", [
+    # PROP1: A -> (B -> A)
+    ("PROP1", f"~({_P} -> {_Q} -> {_P})"),
+    ("PROP1", f"~{_P} -> {_Q}"),
+    ("PROP1", f"~{_P} -> {_Q} -> {_R}"),
+    # PROP2: (A -> (B -> C)) -> ((A -> B) -> (A -> C))
+    ("PROP2", f"~(({_P} -> {_Q} -> {_R}) -> ({_P} -> {_Q}) -> {_P} -> {_R})"),
+    ("PROP2", f"{_P} -> ({_P} -> {_Q}) -> {_P} -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q}) -> ({_P} -> {_Q}) -> {_P} -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> {_Q} -> {_P} -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> ({_P} -> {_Q}) -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> ({_S} -> {_Q}) -> {_P} -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> ({_P} -> {_S}) -> {_P} -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> ({_P} -> {_Q}) -> {_S} -> {_R}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> ({_P} -> {_Q}) -> {_P} -> {_S}"),
+    # PROP3: (~A -> ~B) -> (B -> A)
+    ("PROP3", f"~((~{_P} -> ~{_Q}) -> {_Q} -> {_P})"),
+    ("PROP3", f"~{_P} -> {_Q} -> {_P}"),
+    ("PROP3", f"({_P} -> ~{_Q}) -> {_Q} -> {_P}"),
+    ("PROP3", f"(~{_P} -> {_Q}) -> {_Q} -> {_P}"),
+    ("PROP3", f"(~{_P} -> ~{_Q}) -> {_P}"),
+    ("PROP3", f"(~{_P} -> ~{_Q}) -> {_S} -> {_P}"),
+    ("PROP3", f"(~{_P} -> ~{_Q}) -> {_Q} -> {_S}"),
+])
+def test_propositional_near_misses(schema, text):
+    phi = parse_formula(text)
+    with pytest.raises(CheckError) as err:
+        check(Axiom(SchemaId[schema], phi), SIGMA)
+    assert str(err.value) == (
+        f"at node <root> [axiom]: {schema}: instance does not match the schema: {pretty_print(phi)}")
+
+
+@pytest.mark.parametrize("schema, text", [
+    ("PROP1", f"{_P} -> {_Q} -> {_P}"),
+    ("PROP2", f"({_P} -> {_Q} -> {_R}) -> ({_P} -> {_Q}) -> {_P} -> {_R}"),
+    ("PROP3", f"(~{_P} -> ~{_Q}) -> {_Q} -> {_P}"),
+])
+def test_propositional_instances(schema, text):
+    phi = parse_formula(text)
+    assert check(Axiom(SchemaId[schema], phi), SIGMA).formula is phi
 
 
 def test_q_axioms_are_fixed_sentences():
