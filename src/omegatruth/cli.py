@@ -338,7 +338,8 @@ def main(argv=None) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and several walkers still recurse once per nesting level
+        # recursive per level: the parser at parentheses and S( / iter( /
+        # sub(, substitute, replace_at, value, eval and rewrite tactics
         print("input error: expression nested too deeply", file=sys.stderr)
         return 2
     finally:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from .syntax import (
     Add, Eq, Expr, FN_ARITY, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB,
-    Succ, Term, Tr, Var, ZERO, Zero, _children, numeral, substitute,
+    Succ, Term, Tr, Var, ZERO, Zero, _children, _postorder, numeral,
+    substitute,
 )
 
 __all__ = [
@@ -71,33 +72,33 @@ _chunks: dict[Expr, tuple[int, int]] = {}
 _values: dict[Term, int] = {}
 
 
-def _chunk(e: Expr) -> tuple[int, int]:
-    cached = _chunks.get(e)
-    if cached is not None:
-        return cached
+def _chunk_parts(e: Expr) -> tuple:
+    # a numeral is coded by its value, so its children are not read
+    return () if isinstance(e, Term) and e.nv is not None else _children(e)
+
+
+def _chunk_of(e: Expr, parts: list) -> tuple[int, int]:
+    """The chunk of ``e`` from the chunks of its children."""
     t = type(e)
     if isinstance(e, Term) and e.nv is not None:
         nv, nb = _nat_chunk(e.nv)
-        out = ((_T_NUM << nb) | nv, _TAG_BITS + nb)
-    elif t is Var:
+        return (_T_NUM << nb) | nv, _TAG_BITS + nb
+    if t is Var:
         nv, nb = _nat_chunk(e.idx)
-        out = ((_T_VAR << nb) | nv, _TAG_BITS + nb)
-    else:
-        val, nbits = _TAG[e.sym if t is FnApp else t], _TAG_BITS
-        if t is Forall:
-            nv, nb = _nat_chunk(e.var)
-            val, nbits = (val << nb) | nv, nbits + nb
-        for v, n in map(_chunk, _children(e)):
-            val = (val << n) | v
-            nbits += n
-        out = (val, nbits)
-    _chunks[e] = out
-    return out
+        return (_T_VAR << nb) | nv, _TAG_BITS + nb
+    val, nbits = _TAG[e.sym if t is FnApp else t], _TAG_BITS
+    if t is Forall:
+        nv, nb = _nat_chunk(e.var)
+        val, nbits = (val << nb) | nv, nbits + nb
+    for v, n in parts:
+        val = (val << n) | v
+        nbits += n
+    return val, nbits
 
 
 def encode(e: Expr) -> int:
     """Injective code of a term or formula, as a natural number."""
-    val, nbits = _chunk(e)
+    val, nbits = _postorder(e, _chunk_parts, _chunk_of, _chunks)
     return (1 << nbits) | val
 
 
@@ -159,32 +160,20 @@ def decode(code: int) -> Expr:
     if code < 2:
         raise DecodeError("code lacks the sentinel bit")
     r = _Reader(bin(code)[3:])
-    stack: list[tuple[int, int | None, int, list[Expr]]] = []
-    node: Expr | None = None
-    while True:
+
+    def read(slot: list) -> list:
+        # a slot, an empty list, stands for the next node of the code; it gets
+        # the leaf, or a compound's tag and bound variable and child slots
         tag = r.read(_TAG_BITS)
         if tag > _T_FORALL:
             raise DecodeError(f"invalid node tag {tag}")
-        if tag == _T_NUM:
-            node = numeral(r.read_nat())
-        elif tag == _T_VAR:
-            node = Var(r.read_nat())
-        elif tag == _T_ZERO:
-            node = ZERO
-        else:
-            var = r.read_nat() if tag == _T_FORALL else None
-            stack.append((tag, var, _ARITY[tag], []))
-            continue
-        while stack:
-            tag0, var0, arity, kids = stack[-1]
-            kids.append(node)
-            if len(kids) < arity:
-                node = None
-                break
-            stack.pop()
-            node = _build(tag0, var0, kids)
-        if node is not None and not stack:
-            break
+        if tag in (_T_NUM, _T_VAR, _T_ZERO):
+            slot.append(ZERO if tag == _T_ZERO else (numeral if tag == _T_NUM else Var)(r.read_nat()))
+            return []
+        slot += (tag, r.read_nat() if tag == _T_FORALL else None)
+        return [[] for _ in range(_ARITY[tag])]
+
+    node = _postorder([], read, lambda slot, kids: _build(*slot, kids) if kids else slot[0])
     if r.pos != len(r.bits):
         raise DecodeError("trailing bits after a complete expression")
     if encode(node) != code:

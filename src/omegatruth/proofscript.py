@@ -1,7 +1,8 @@
 """The proof-script exchange format.
 
-Scripts are s-expressions.  A file holds a ``(theory gamma|sigma)`` header,
-an optional ``(samples N)``, and one ``(prove <p>)`` form, where ``<p>`` is:
+Scripts are s-expressions.  A file holds one ``(prove <p>)`` form and at
+most one each of the headers ``(theory gamma|sigma)`` and ``(samples N)``,
+where ``<p>`` is:
 
     (axiom <SCHEMA> "<formula>")
     (mp <p> <p>)                      first premise A, second A -> B
@@ -23,18 +24,17 @@ the original certificate.
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 
 from . import tactics as T
 from .coding import name_of
 from .kernel import (
     ApplyTIntro, Axiom, ChainWith, Gen, LiftImp, MP, Omega, Proof,
-    RewriteEval, SchemaId, TIntro,
+    RewriteEval, SchemaId, TIntro, _proof_children,
 )
 from .syntax import (
-    Forall, Formula, Imp, Term, Tr, parse_formula, parse_term, pretty_print,
-    var_index, var_name,
+    Forall, Formula, Imp, Term, Tr, _postorder, parse_formula, parse_term,
+    pretty_print, var_index, var_name,
 )
 
 __all__ = ["Script", "ScriptError", "parse_script", "serialize_script", "expand"]
@@ -103,43 +103,44 @@ def _atom(sexp) -> str:
     return sexp
 
 
-def _render(sexp, out: list[str], indent: int) -> None:
-    if isinstance(sexp, str):
-        out.append(_atom(sexp))
-        return
-    flat = _flat(sexp, 100 - indent)
-    if flat is not None:
-        out.append(flat)
-        return
-    out.append("(" + _atom(sexp[0]))
-    for item in sexp[1:]:
-        out.append("\n" + " " * (indent + 2))
-        _render(item, out, indent + 2)
-    out.append(")")
+def _render(sexp: list, out: list[str]) -> None:
+    """Append ``sexp``: on one line if shorter than 100 columns less its
+    indent, else its head, then each item on a line indented two more."""
+    flat: dict[int, str] = {}  # by id, each list's one-line text shorter than 100
 
+    def measure(x, texts: list):
+        if type(x) is not list:
+            return _atom(x)
+        if None not in texts:
+            text = "(" + " ".join(texts) + ")"
+            if len(text) < 100:
+                flat[id(x)] = text
+                return text
 
-def _flat(sexp, budget: int) -> str | None:
-    """Single-line rendering if it fits the budget (atoms always fit)."""
-    if isinstance(sexp, str):
-        return _atom(sexp)
-    parts = []
-    total = 2
-    for item in sexp:
-        f = _flat(item, budget)
-        if f is None:
-            return None
-        total += len(f) + 1
-        if total > budget:
-            return None
-        parts.append(f)
-    return "(" + " ".join(parts) + ")"
+    _postorder(sexp, lambda x: x if type(x) is list else (), measure)
+    stack: list = [(sexp, 0)]  # text, or (list, indent)
+    while stack:
+        entry = stack.pop()
+        if type(entry) is str:
+            out.append(entry)
+            continue
+        x, indent = entry
+        text = flat.get(id(x))
+        if text is not None and len(text) < 100 - indent:
+            out.append(text)
+            continue
+        pieces = ["(" + _atom(x[0])]
+        for item in x[1:]:
+            pieces += ("\n" + " " * (indent + 2), (item, indent + 2) if type(item) is list else _atom(item))
+        pieces.append(")")
+        stack.extend(reversed(pieces))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _proof_sexp(p: Proof):
+def _proof_form(p: Proof, parts: list):
     macro = T.MACROS.get(p)
     if macro is not None:  # (kind, formula or term[, var])
         return [macro[0], _Q(pretty_print(macro[1])), *map(var_name, macro[2:])]
@@ -147,12 +148,13 @@ def _proof_sexp(p: Proof):
     if t is Axiom:
         return ["axiom", p.schema.value, _Q(pretty_print(p.instance))]
     if t is MP:
-        return ["mp", _proof_sexp(p.minor), _proof_sexp(p.major)]
+        return ["mp", *parts]
     if t is Gen:
-        return ["gen", var_name(p.var), _proof_sexp(p.premise)]
+        return ["gen", var_name(p.var), parts[0]]
     if t is TIntro:
-        return ["tintro", _proof_sexp(p.premise)]
-    # Omega
+        return ["tintro", parts[0]]
+    # Omega: its base, then the lemma of each chain step
+    lemmas = iter(parts[1:])
     steps = []
     for s in p.steps:
         if isinstance(s, ApplyTIntro):
@@ -162,30 +164,27 @@ def _proof_sexp(p: Proof):
         elif isinstance(s, RewriteEval):
             steps.append(["rewrite", *map(str, s.position)])
         else:
-            steps.append(["chain", _proof_sexp(s.lemma)])
+            steps.append(["chain", next(lemmas)])
     return [
         "omega",
         ["family", var_name(p.var), _Q(pretty_print(p.family))],
-        ["base", _proof_sexp(p.base)],
+        ["base", parts[0]],
         ["step", *steps],
     ]
 
 
 def serialize_script(proof: Proof, theory: str, samples: int | None = None) -> str:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100_000))
-    try:
-        forms = [["theory", theory]]
-        if samples is not None:
-            forms.append(["samples", str(samples)])
-        forms.append(["prove", _proof_sexp(proof)])
-        out: list[str] = []
-        for f in forms:
-            _render(f, out, 0)
-            out.append("\n")
-        return "".join(out)
-    finally:
-        sys.setrecursionlimit(limit)
+    forms = [["theory", theory]]
+    if samples is not None:
+        forms.append(["samples", str(samples)])
+    # a macro's node is written as the macro call, whatever it is made of
+    sexp = _postorder(proof, lambda p: () if p in T.MACROS else _proof_children(p), _proof_form, {})
+    forms.append(["prove", sexp])
+    out: list[str] = []
+    for f in forms:
+        _render(f, out)
+        out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +238,64 @@ def _term(tok) -> Term:
     return parse_term(str(tok))
 
 
-def _expand_proof(sexp, parsed: dict) -> T.Thm:
-    """Expand a proof expression into its proof and claimed formula;
-    ``parsed`` maps the formula strings met so far to their parses."""
-    _want(sexp, "a proof form")
-    head = sexp[0].lower()
-    args = sexp[1:]
+def _parts(node) -> tuple:
+    """The nodes that ``node`` is built from, once its head and arity are
+    checked; a node without parts is checked whole by ``_build``.  So that
+    errors come in script order, an omega form's family and steps are nodes
+    of the walk too, as ("family", form) and ("step", form)."""
+    if type(node) is tuple:
+        kind, form = node
+        if kind == "step":
+            _want(form, "a step combinator")
+            if form[0].lower() == "chain":
+                _arity(form, 1)
+                return (form[1],)
+        return ()
+    _want(node, "a proof form")
+    head = node[0].lower()
+    if head in ("mp", "gen", "tintro"):
+        _arity(node, 1 if head == "tintro" else 2)
+        if head == "gen":
+            _var(node[1])
+        return tuple(node[2:] if head == "gen" else node[1:])
+    if head != "omega":
+        return ()
+    found = {}
+    for part in node[1:]:
+        _want(part, "an omega part")
+        found[part[0]] = part
+    fam_form, base_form, steps_form = map(found.get, ("family", "base", "step"))
+    if fam_form is None or base_form is None or steps_form is None:
+        raise ScriptError("omega needs (family ...), (base ...) and (step ...)")
+    _arity(fam_form, 2)
+    _arity(base_form, 1)
+    return (("family", fam_form), base_form[1], *(("step", s) for s in steps_form[1:]))
+
+
+def _build(node, parts: list, parsed: dict):
+    """The Thm of a proof form, the combinator of a step or the (variable,
+    formula) of a family, from the values of its parts; ``parsed`` maps the
+    formula strings met so far to their parses."""
+    if type(node) is tuple:
+        kind, form = node
+        if kind == "family":
+            return _var(form[1]), _formula(form[2], parsed)
+        head = form[0].lower()
+        if head == "t-intro":
+            _arity(form, 0)
+            return ApplyTIntro()
+        if head == "lift":
+            _arity(form, 1)
+            return LiftImp(_nat(form[1], "a lift depth"))
+        if head == "rewrite":
+            return RewriteEval(tuple(_nat(i, "a position index") for i in form[1:]))
+        if head == "chain":
+            return ChainWith(*parts[0])
+        raise ScriptError(f"unknown step combinator {form[0]!r}")
+    head = node[0].lower()
+    args = node[1:]
     if head == "axiom":
-        _arity(sexp, 2)
+        _arity(node, 2)
         if not isinstance(args[0], str) or isinstance(args[0], _Q):
             raise ScriptError(f"expected a schema name, got {args[0]!r}")
         try:
@@ -256,107 +305,55 @@ def _expand_proof(sexp, parsed: dict) -> T.Thm:
         inst = _formula(args[1], parsed)
         return T.Thm(Axiom(schema, inst), inst)
     if head == "mp":
-        _arity(sexp, 2)
-        (p1, f1), (p2, f2) = _expand_proof(args[0], parsed), _expand_proof(args[1], parsed)
+        (p1, f1), (p2, f2) = parts
         if type(f2) is not Imp or f2.ant != f1:
             raise ScriptError(f"mp premises do not fit: {pretty_print(f1)} vs {pretty_print(f2)}")
         return T.Thm(MP(p1, p2), f2.cons)
     if head == "gen":
-        _arity(sexp, 2)
         v = _var(args[0])
-        p, f = _expand_proof(args[1], parsed)
-        return T.Thm(Gen(v, p), Forall(v, f))
+        return T.Thm(Gen(v, parts[0].proof), Forall(v, parts[0].formula))
     if head == "tintro":
-        _arity(sexp, 1)
-        p, f = _expand_proof(args[0], parsed)
-        return T.Thm(TIntro(p), Tr(name_of(f)))
+        return T.Thm(TIntro(parts[0].proof), Tr(name_of(parts[0].formula)))
     if head == "omega":
-        fam_form = base_form = None
-        steps_form = None
-        for part in args:
-            _want(part, "an omega part")
-            if part[0] == "family":
-                fam_form = part
-            elif part[0] == "base":
-                base_form = part
-            elif part[0] == "step":
-                steps_form = part
-        if fam_form is None or base_form is None or steps_form is None:
-            raise ScriptError("omega needs (family ...), (base ...) and (step ...)")
-        _arity(fam_form, 2)
-        _arity(base_form, 1)
-        v = _var(fam_form[1])
-        family = _formula(fam_form[2], parsed)
-        base = _expand_proof(base_form[1], parsed).proof
-        steps = tuple(_expand_step(s, parsed) for s in steps_form[1:])
-        node = Omega(v, family, base, steps)
-        return T.Thm(node, node.conclusion)
-    if head == "taut":
-        _arity(sexp, 1)
-        return T.taut(_formula(args[0], parsed))
+        (v, family), base, *steps = parts
+        omega = Omega(v, family, base.proof, tuple(steps))
+        return T.Thm(omega, omega.conclusion)
+    if head in ("taut", "a1", "a2"):
+        _arity(node, 1)
+        make = {"taut": T.taut, "a1": T.derive_A1, "a2": T.derive_A2}[head]
+        return make(_formula(args[0], parsed))
     if head == "eval":
-        _arity(sexp, 1)
+        _arity(node, 1)
         return T.eval_closed(_term(args[0]))
-    if head == "a1":
-        _arity(sexp, 1)
-        return T.derive_A1(_formula(args[0], parsed))
-    if head == "a2":
-        _arity(sexp, 1)
-        return T.derive_A2(_formula(args[0], parsed))
     if head == "diag":
-        _arity(sexp, 2)
+        _arity(node, 2)
         return T.diagonal_lemma(_formula(args[0], parsed), _var(args[1])).thm()
-    raise ScriptError(f"unknown proof form {sexp[0]!r}")
-
-
-def _expand_step(sexp, parsed: dict):
-    _want(sexp, "a step combinator")
-    head = sexp[0].lower()
-    if head == "t-intro":
-        _arity(sexp, 0)
-        return ApplyTIntro()
-    if head == "lift":
-        _arity(sexp, 1)
-        return LiftImp(_nat(sexp[1], "a lift depth"))
-    if head == "rewrite":
-        return RewriteEval(tuple(_nat(i, "a position index") for i in sexp[1:]))
-    if head == "chain":
-        _arity(sexp, 1)
-        return ChainWith(*_expand_proof(sexp[1], parsed))
-    raise ScriptError(f"unknown step combinator {sexp[0]!r}")
+    raise ScriptError(f"unknown proof form {node[0]!r}")
 
 
 def expand(sexp) -> Proof:
     """Expand one proof form (including macros) into a kernel proof."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100_000))
-    try:
-        return _expand_proof(sexp, {}).proof
-    finally:
-        sys.setrecursionlimit(limit)
+    parsed: dict = {}
+    return _postorder(sexp, _parts, lambda node, parts: _build(node, parts, parsed)).proof
 
 
 def parse_script(text: str) -> Script:
     forms = _read_forms(text)
-    theory = None
-    samples = None
-    proof = None
+    header: dict = {}
     for form in forms:
         _want(form, "a top-level form")
         head = form[0].lower()
+        if head not in ("theory", "samples", "prove"):
+            raise ScriptError(f"unknown top-level form {form[0]!r}")
+        if head in header:
+            raise ScriptError(f"script holds more than one ({head} ...) form")
         if head == "theory":
             if len(form) != 2 or form[1] not in ("gamma", "sigma"):
                 raise ScriptError("theory must be gamma or sigma")
-            theory = form[1]
-        elif head == "samples":
-            _arity(form, 1)
-            samples = _nat(form[1], "a sample count")
-        elif head == "prove":
-            if proof is not None:
-                raise ScriptError("script holds more than one (prove ...) form")
-            proof = expand(form[1])
+            header[head] = form[1]
         else:
-            raise ScriptError(f"unknown top-level form {form[0]!r}")
-    if proof is None:
+            _arity(form, 1)
+            header[head] = _nat(form[1], "a sample count") if head == "samples" else expand(form[1])
+    if "prove" not in header:
         raise ScriptError("script holds no (prove ...) form")
-    return Script(theory=theory, samples=samples, proof=proof)
+    return Script(theory=header.get("theory"), samples=header.get("samples"), proof=header["prove"])

@@ -305,6 +305,31 @@ def _rebuild(e: Expr, children: tuple) -> Expr:
     return t(*children)
 
 
+def _postorder(root, children, combine, memo: dict | None = None):
+    """The value ``combine(node, values)`` at ``root``, ``values`` being those
+    at ``children(node)``, found on a stack of its own, not by recursion.
+    Children are asked for before any is walked, and walked left to right.
+    A ``memo`` keeps each value, and a node found in it is not walked again."""
+    results: list = []
+    stack: list = [(root, None)]  # (node, None) to visit, (node, kids) to combine
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if memo is not None and node in memo:
+                results.append(memo[node])
+                continue
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend([(k, None) for k in reversed(kids)])
+                continue
+        n = len(results) - len(kids)
+        results[n:] = [combine(node, results[n:])]
+        if memo is not None:
+            memo[node] = results[-1]
+    return results[0]
+
+
 def numeral(n: int) -> Term:
     """Canonical compact numeral: ``S(#(n-1))`` for odd n, ``(S(S(0)) * #(n/2))``
     for even n >= 2, and ``0`` for 0.
@@ -366,21 +391,13 @@ def replace_at(e: Expr, path: Path, new: Expr) -> Expr:
 
 def free_var_positions(phi: Expr, v: int) -> list[Path]:
     """Paths of all free occurrences of ``Var(v)``, in left-to-right order."""
-    out: list[Path] = []
 
-    def walk(e: Expr, path: Path) -> None:
-        if v not in e.fv:
-            return
+    def occurrences(e: Expr, below: list) -> list[Path]:
         if type(e) is Var:
-            out.append(path)
-            return
-        if type(e) is Forall and e.var == v:
-            return
-        for i, c in enumerate(_children(e)):
-            walk(c, path + (i,))
+            return [()] if e.idx == v else []
+        return [(i, *p) for i, paths in enumerate(below) for p in paths]
 
-    walk(phi, ())
-    return out
+    return _postorder(phi, lambda e: _children(e) if v in e.fv else (), occurrences)
 
 
 def mk_iff(a: Formula, b: Formula) -> Formula:
@@ -575,30 +592,38 @@ class _Parser:
 
     # formulas ---------------------------------------------------------------
     def formula(self) -> Formula:
-        if self.toks[self.i] == "forall":
-            return self.forall()
-        left = self.unary()
-        if self.toks[self.i] == "->":
-            self.i += 1
-            return Imp(left, self.formula())
-        return left
-
-    def forall(self) -> Formula:
-        self.i += 1  # 'forall'; the body extends maximally to the right
-        name = self.next()
-        idx = var_index(name)
-        if idx is None:
-            raise _Miss(f"expected a variable after 'forall', found {name!r}", self.i - 1)
-        self.expect(".")
-        return Forall(idx, self.formula())
+        # prefixes and '->' chains loop, only parentheses recurse; outer
+        # holds the (constructor, first argument) to wrap around the rest
+        toks, outer, nots = self.toks, [], 0
+        while True:
+            tok = toks[self.i]
+            if tok == "~":
+                self.i += 1
+                nots += 1
+            elif tok == "forall":
+                self.i += 1  # the body extends maximally to the right
+                name = self.next()
+                idx = var_index(name)
+                if idx is None:
+                    raise _Miss(f"expected a variable after 'forall', found {name!r}", self.i - 1)
+                self.expect(".")
+                outer += [(Not, None)] * nots + [(Forall, idx)]
+                nots = 0
+            else:
+                f = self.unary()
+                for _ in range(nots):
+                    f = Not(f)
+                if toks[self.i] != "->":
+                    break
+                self.i += 1
+                outer.append((Imp, f))
+                nots = 0
+        for make, first in reversed(outer):
+            f = make(f) if first is None else make(first, f)
+        return f
 
     def unary(self) -> Formula:
         tok = self.toks[self.i]
-        if tok == "~":
-            self.i += 1
-            if self.toks[self.i] == "forall":
-                return Not(self.forall())
-            return Not(self.unary())
         if tok == "T":
             self.i += 1
             self.expect("(")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from itertools import product
 
 from .coding import (
     K0, OMEGA_VAR, TEMPLATE_CODE_VAR, UINF_BOUND_VAR, diagonal_pair,
@@ -23,8 +24,8 @@ from .coding import (
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
     Eq, FnApp, Forall, Formula, ITER, Imp, Not, SUB, Succ, Term, Tr, Var,
-    ZERO, _children, free_var_positions, mk_iff, numeral, pretty_print,
-    replace_at, substitute, subterm_at,
+    ZERO, _children, _postorder, free_var_positions, mk_iff, numeral,
+    pretty_print, replace_at, substitute, subterm_at,
 )
 
 __all__ = [
@@ -152,31 +153,21 @@ def happly(minor: _HNode, major: _HNode) -> _HNode:
 
 def discharge(tree: _HNode, h: Formula) -> _HNode:
     """Deduction theorem: turn a proof of B from h into a proof of h -> B."""
-    memo: dict[int, _HNode] = {}
-    stack: list[tuple[_HNode, bool]] = [(tree, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
+
+    def parts(node: _HNode) -> tuple:
+        return (node.major, node.minor) if type(node) is _HApp and h in node.hyps else ()
+
+    def close(node: _HNode, done: list) -> _HNode:
         if h not in node.hyps:
-            k = ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula)))
-            memo[id(node)] = happly(node, k)
-        elif type(node) is _HHyp:  # node.formula is h
-            memo[id(node)] = taut_id(h)
-        elif not ready:
-            stack.append((node, True))
-            stack.append((node.minor, False))
-            stack.append((node.major, False))
-        else:
-            dm = memo[id(node.minor)]
-            dM = memo[id(node.major)]
-            a, b = node.minor.formula, node.formula
-            s = ax(
-                SchemaId.PROP2,
-                Imp(Imp(h, Imp(a, b)), Imp(Imp(h, a), Imp(h, b))),
-            )
-            memo[id(node)] = happly(dm, happly(dM, s))
-    return memo[id(tree)]
+            return happly(node, ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula))))
+        if type(node) is _HHyp:  # node.formula is h
+            return taut_id(h)
+        dM, dm = done
+        a, b = node.minor.formula, node.formula
+        s = ax(SchemaId.PROP2, Imp(Imp(h, Imp(a, b)), Imp(Imp(h, a), Imp(h, b))))
+        return happly(dm, happly(dM, s))
+
+    return _postorder(tree, parts, close, {})
 
 
 def compile_tree(tree: _HNode) -> Thm:
@@ -291,16 +282,19 @@ def _l_cases(a: Formula, c: Formula) -> Thm:
 _TAUT_ATOM_LIMIT = 8
 
 
-def _collect_atoms(phi: Formula, order: list[Formula], seen: set[Formula]) -> None:
+def _connectives(phi: Formula) -> tuple:
+    """The parts of a negation or an implication; an atom has none."""
     t = type(phi)
     if t is Not:
-        _collect_atoms(phi.body, order, seen)
-    elif t is Imp:
-        _collect_atoms(phi.ant, order, seen)
-        _collect_atoms(phi.cons, order, seen)
-    elif phi not in seen:
-        seen.add(phi)
-        order.append(phi)
+        return (phi.body,)
+    if t is Imp:
+        return (phi.ant, phi.cons)
+    return ()
+
+
+def _truth(phi: Formula, values: list) -> bool:
+    """Truth value of a negation or an implication from those of its parts."""
+    return not values[0] if type(phi) is Not else not values[0] or values[1]
 
 
 def _t_eval(phi: Formula, v: dict[Formula, bool]) -> bool:
@@ -310,38 +304,39 @@ def _t_eval(phi: Formula, v: dict[Formula, bool]) -> bool:
     valuation evaluates each distinct subformula once.
     """
     r = v.get(phi)
-    if r is None:  # phi is a negation or an implication
-        if type(phi) is Not:
-            r = not _t_eval(phi.body, v)
-        else:
-            r = (not _t_eval(phi.ant, v)) or _t_eval(phi.cons, v)
-        v[phi] = r
-    return r
+    return _postorder(phi, _connectives, _truth, v) if r is None else r
 
 
 def _branch(phi: Formula, v: dict[Formula, bool]) -> _HNode:
     """Prove phi when true under v, ~phi when false, from literal hypotheses."""
-    t = type(phi)
-    if t is Not:
-        body = phi.body
-        if _t_eval(body, v):
-            return happly(_branch(body, v), _l_dni(body))
-        return _branch(body, v)
-    if t is Imp:
-        a, b = phi.ant, phi.cons
-        if not _t_eval(a, v):
-            return happly(_branch(a, v), _l_efq(a, b))
-        if _t_eval(b, v):
-            return happly(_branch(b, v), ax(SchemaId.PROP1, Imp(b, phi)))
-        return happly(_branch(b, v), happly(_branch(a, v), _l_counter(a, b)))
-    return hyp(phi) if v[phi] else hyp(Not(phi))
+
+    def parts(f: Formula) -> tuple:
+        if type(f) is not Imp:
+            return _connectives(f)
+        if not _t_eval(f.ant, v):
+            return (f.ant,)
+        return (f.cons,) if _t_eval(f.cons, v) else (f.cons, f.ant)
+
+    def prove(f: Formula, done: list) -> _HNode:
+        if type(f) is Not:
+            return happly(done[0], _l_dni(f.body)) if _t_eval(f.body, v) else done[0]
+        if type(f) is not Imp:
+            return hyp(f) if v[f] else hyp(Not(f))
+        a, b = f.ant, f.cons
+        if not v[a]:
+            return happly(done[0], _l_efq(a, b))
+        if v[b]:
+            return happly(done[0], ax(SchemaId.PROP1, Imp(b, f)))
+        return happly(done[0], happly(done[1], _l_counter(a, b)))
+
+    return _postorder(phi, parts, prove)
 
 
 def propositional_atoms(phi: Formula) -> list[Formula]:
     """Maximal subformulas that are not negations or implications."""
-    order: list[Formula] = []
-    _collect_atoms(phi, order, set())
-    return order
+    seen: dict = {}  # every subformula, atoms in order of first occurrence
+    _postorder(phi, _connectives, lambda f, _: None, seen)
+    return [f for f in seen if not _connectives(f)]
 
 
 def propositional_counterexample(phi: Formula) -> dict[Formula, bool] | None:
@@ -353,21 +348,13 @@ def propositional_counterexample(phi: Formula) -> dict[Formula, bool] | None:
 
 
 def _counterexample(phi: Formula, order: list[Formula]) -> dict[Formula, bool] | None:
-    """A falsifying assignment to the atoms ``order`` of phi, or None."""
-    v: dict[Formula, bool] = {}
-
-    def sweep(i: int) -> dict[Formula, bool] | None:
-        if i == len(order):
-            return None if _t_eval(phi, dict(v)) else dict(v)
-        for b in (True, False):
-            v[order[i]] = b
-            bad = sweep(i + 1)
-            if bad is not None:
-                return bad
-        del v[order[i]]
-        return None
-
-    return sweep(0)
+    """A falsifying assignment to the atoms ``order`` of phi, or None; the
+    first atom varies slowest, true before false."""
+    for values in product((True, False), repeat=len(order)):
+        v = dict(zip(order, values))
+        if not _t_eval(phi, dict(v)):
+            return v
+    return None
 
 
 @cache

@@ -93,6 +93,14 @@ def test_check_rejects_zero_samples_in_the_header(tmp_path, capsys):
         2, "", "input error: omega_samples must be at least 1\n")
 
 
+def test_check_rejects_a_second_theory_header(tmp_path, capsys):
+    # the second header is an input error, not a check under sigma
+    path = tmp_path / "two_theories.proof"
+    path.write_text('(theory gamma)\n(theory sigma)\n(prove (axiom CONS "T(#434671) -> ~T(#25071)"))\n')
+    assert run(capsys, "check", str(path)) == (
+        2, "", "input error: script holds more than one (theory ...) form\n")
+
+
 def test_check_rejects_a_negative_omega_cap(capsys):
     # a cap below 0 is an input error, not a failure of a proof without omega
     path = str(Path(__file__).resolve().parent.parent / "scripts" / "proofs" / "not_zero_one.proof")

@@ -47,3 +47,47 @@ def test_no_unused_imports():
     files = [p for p in sorted((root / "src" / "omegatruth").glob("*.py")) if p.name != "__init__.py"]
     files += sorted((root / "tests").glob("*.py"))
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def _recursive_functions(path):
+    """The functions of a module that can call themselves, directly or
+    through other functions of the module: a function calls each function
+    it names, as ``name`` or as ``self.name``, in its body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    calls = {f.name: set() for f in funcs}
+    for f in funcs:
+        for n in ast.walk(f):
+            if isinstance(n, ast.Name):
+                calls[f.name].add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self":
+                calls[f.name].add(n.attr)
+    out = []
+    for name in calls:
+        seen, todo = set(), [name]
+        while todo:
+            for callee in calls[todo.pop()] & (calls.keys() - seen):
+                seen.add(callee)
+                todo.append(callee)
+        if name in seen:
+            out.append(f"{path.stem}.{name}")
+    return out
+
+
+# What still recurses once per level of its input: the parser at
+# parentheses and S( / iter( / sub(, substitution, replacement at a path,
+# term values, the evaluation and rewriting tactics, taut's case split
+# over at most 8 atoms, and the checker once per nested omega.  Every
+# other walker keeps a stack of its own, most through syntax._postorder.
+RECURSIVE = {
+    "coding.value", "kernel._reduce", "kernel.run",
+    "syntax.formula", "syntax.replace_at", "syntax.substitute", "syntax.term", "syntax.unary",
+    "tactics._eval_closed", "tactics._rw_pair", "tactics.build",
+}
+
+
+def test_recursion_is_pinned():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = sorted((root / "src" / "omegatruth").glob("*.py"))
+    assert {f for p in files for f in _recursive_functions(p)} == RECURSIVE
+    assert [p.name for p in files if "setrecursionlimit" in p.read_text(encoding="utf-8")] == []

@@ -101,6 +101,21 @@ def test_unknown_forms_rejected():
         parse_script("(theory gamma)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('(theory gamma) (theory sigma) (prove (axiom EQ1 "0 = 0"))',
+     "script holds more than one (theory ...) form"),
+    ('(samples 3) (theory gamma) (SAMPLES 4) (prove (axiom EQ1 "0 = 0"))',
+     "script holds more than one (samples ...) form"),
+    ('(prove (axiom EQ1 "0 = 0")) (prove (axiom EQ1 "0 = 0"))',
+     "script holds more than one (prove ...) form"),
+    ("(theory gamma) (prove)", "prove takes 1 argument(s), got 0"),
+])
+def test_each_header_form_at_most_once(text, message):
+    with pytest.raises(ScriptError) as err:
+        parse_script(text)
+    assert str(err.value) == message
+
+
 def test_unbalanced_parens_rejected():
     with pytest.raises(ScriptError):
         parse_script("(prove (axiom EQ1 ")

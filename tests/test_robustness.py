@@ -1,5 +1,6 @@
 """Garbage-in fuzzing: failures must be the documented typed errors."""
 
+import json
 import os
 import random
 import subprocess
@@ -96,3 +97,48 @@ def test_deep_nesting_ends_without_a_traceback(argv):
     assert res.returncode in (0, 2), res.stderr
     if res.returncode == 2:
         assert res.stderr.splitlines()[-1].startswith("input error: ")
+
+
+DEEP = 40_000
+_EQ1_REJECTS = "check failure: at node <root> [axiom]: EQ1: instance does not match the schema: "
+
+
+def _deep_case(kind):
+    """A script nesting one construct DEEP times, and the exit code, stdout
+    certificate entries and stderr it must give."""
+    n = DEEP
+    if kind == "gen":
+        proof = "(gen x " * n + '(axiom EQ1 "0 = 0")' + ")" * n
+        return proof, 0, {"proof_size": n + 1}, ""
+    formula = {
+        "negations": "~" * n + "0 = 0",
+        "foralls": "forall x. " * n + "0 = 0",
+        "implications": "0 = 0 -> " * n + "0 = 0",
+        "successors": "S(" * n + "0" + ")" * n + " = 0",
+        "parentheses": "(" * n + "0 = 0" + ")" * n,
+    }[kind]
+    if kind in ("successors", "parentheses"):
+        return f'(axiom EQ1 "{formula}")', 2, None, "input error: expression nested too deeply\n"
+    return f'(axiom EQ1 "{formula}")', 1, None, _EQ1_REJECTS + formula + "\n"
+
+
+@pytest.mark.parametrize("kind", ["gen", "negations", "foralls", "implications", "successors", "parentheses"])
+def test_deep_scripts_in_a_fresh_process(kind, tmp_path):
+    # nothing raises the recursion limit, so the C stack is never what
+    # ends a deep input, on any Python version
+    proof, code, cert, err = _deep_case(kind)
+    script = tmp_path / f"{kind}.proof"
+    script.write_text(f"(theory gamma)\n(prove {proof})\n", encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "omegatruth.cli", "check", str(script), "--json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode >= 0, f"killed by signal {-res.returncode}"
+    assert "Traceback" not in res.stderr
+    assert (res.returncode, res.stderr) == (code, err)
+    if cert is not None:
+        got = json.loads(res.stdout)
+        assert {k: got[k] for k in cert} == cert

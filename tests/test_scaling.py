@@ -28,16 +28,17 @@ def _taut_script(k: int) -> str:
 
 
 def test_truth_evaluation_is_linear_in_taut_depth(monkeypatch):
-    # truth values are computed once per subformula and valuation
+    # truth values are computed once per subformula and valuation: count
+    # the step that computes one node's value from its parts' values
     calls = 0
-    body = tactics._t_eval
+    body = tactics._truth
 
-    def counted(phi, v):
+    def counted(phi, values):
         nonlocal calls
         calls += 1
-        return body(phi, v)
+        return body(phi, values)
 
-    monkeypatch.setattr(tactics, "_t_eval", counted)
+    monkeypatch.setattr(tactics, "_truth", counted)
     counts = []
     for k in (500, 1000):
         tactics.taut.cache_clear()
