@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 
 from . import theorems as TH
@@ -202,8 +203,10 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    code = int(args.code, 16 if args.code.lower().startswith("0x") else 10)
-    expr = decode(code)
+    # int() would also take signs, blanks, underscores and other scripts' digits
+    if not re.fullmatch(r"[0-9]+|0[xX][0-9a-fA-F]+", args.code):
+        raise ValueError(f"expected a code in decimal or 0x hex, got {args.code!r}")
+    expr = decode(int(args.code, 16 if args.code[1:2] in ("x", "X") else 10))
     kind = "formula" if isinstance(expr, Formula) else "term"
     if args.json:
         print(json.dumps({"kind": kind, "text": pretty_print(expr)}))
@@ -338,8 +341,8 @@ def main(argv=None) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # recursive per level: the parser at parentheses and S( / iter( /
-        # sub(, substitute, replace_at, value, eval and rewrite tactics
+        # only the parser recurses per level of its input, at parentheses
+        # and at S( / iter( / sub(
         print("input error: expression nested too deeply", file=sys.stderr)
         return 2
     finally:

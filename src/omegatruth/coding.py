@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from .syntax import (
     Add, Eq, Expr, FN_ARITY, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB,
-    Succ, Term, Tr, Var, ZERO, Zero, _children, _postorder, numeral,
-    substitute,
+    Succ, Term, Tr, Var, ZERO, _children, _postorder, numeral, substitute,
 )
 
 __all__ = [
@@ -72,8 +71,8 @@ _chunks: dict[Expr, tuple[int, int]] = {}
 _values: dict[Term, int] = {}
 
 
-def _chunk_parts(e: Expr) -> tuple:
-    # a numeral is coded by its value, so its children are not read
+def _parts(e: Expr) -> tuple:
+    # a numeral is read by its value, so no walk reads its children
     return () if isinstance(e, Term) and e.nv is not None else _children(e)
 
 
@@ -98,7 +97,7 @@ def _chunk_of(e: Expr, parts: list) -> tuple[int, int]:
 
 def encode(e: Expr) -> int:
     """Injective code of a term or formula, as a natural number."""
-    val, nbits = _postorder(e, _chunk_parts, _chunk_of, _chunks)
+    val, nbits = _postorder(e, _parts, _chunk_of, _chunks)
     return (1 << nbits) | val
 
 
@@ -187,32 +186,25 @@ def name_of(e: Expr) -> Term:
     return numeral(encode(e))
 
 
-def value(t: Term) -> int:
-    """Value of a closed term under the standard interpretation."""
+def _value_of(t: Term, vals: list) -> int:
+    """The value of ``t`` from the values of its children."""
+    tt = type(t)
     if t.nv is not None:
         return t.nv
-    v = _values.get(t)
-    if v is not None:
-        return v
-    tt = type(t)
     if tt is Var:
         raise EvalError(f"open term: variable {t.idx} has no value")
-    if tt is Zero:
-        v = 0
-    elif tt is Succ:
-        v = value(t.arg) + 1
-    elif tt is Add:
-        v = value(t.left) + value(t.right)
-    elif tt is Mul:
-        v = value(t.left) * value(t.right)
-    elif tt is FnApp and t.sym == ITER:
-        v = iter_fn(value(t.args[0]), value(t.args[1]))
-    elif tt is FnApp:
-        v = sub_fn(value(t.args[0]), value(t.args[1]), value(t.args[2]))
-    else:
-        raise EvalError(f"cannot evaluate {tt.__name__}")
-    _values[t] = v
-    return v
+    if tt is Succ:
+        return vals[0] + 1
+    if tt is Add:
+        return vals[0] + vals[1]
+    if tt is Mul:
+        return vals[0] * vals[1]
+    return (iter_fn if t.sym == ITER else sub_fn)(*vals)
+
+
+def value(t: Term) -> int:
+    """Value of a closed term under the standard interpretation."""
+    return t.nv if t.nv is not None else _postorder(t, _parts, _value_of, _values)
 
 
 def sub_fn(c: int, v: int, n: int) -> int:

@@ -17,8 +17,10 @@ COMP_* axiom schemas, whose instances the checker verifies by running the
 meta-level functions.  The trusted computing base is exactly: this module,
 the sampled replay, and the functions the matchers evaluate or rebuild an
 instance with: ``substitute``, ``free_var_positions`` and ``subterm_at``
-(QUANT1), ``iter_zero_axiom`` / ``iter_step_axiom`` (the iteration
-template), ``value`` (numeral arithmetic) and ``sub_fn`` (substitution).
+(QUANT1, whose side condition, that the term is free for the variable,
+is ``substitute``'s refusal to let a quantifier capture it),
+``iter_zero_axiom`` / ``iter_step_axiom`` (the iteration template),
+``value`` (numeral arithmetic) and ``sub_fn`` (substitution).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from collections import namedtuple
 
 from . import coding
 from .syntax import (
-    Add, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB, Succ, Term,
-    Tr, Var, ZERO, TWO, _children, free_var_positions, numeral,
+    Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB,
+    Succ, Term, Tr, Var, ZERO, TWO, _children, free_var_positions, numeral,
     pretty_print, substitute, subterm_at,
 )
 
@@ -444,25 +446,14 @@ def _m_quant1(phi):
         return False, None
     v, body = phi.ant.var, phi.ant.body
     # t is read at the first occurrence of v and substitute checks them all;
-    # it renames no binder, as none on the way to an occurrence binds in t
+    # it refuses a t that a quantifier of body would capture
     paths = free_var_positions(body, v)
     try:
         t = subterm_at(phi.cons, paths[0]) if paths else Var(v)
-    except IndexError:
-        t = None
-    ok = (
-        isinstance(t, Term) and substitute(body, v, t) is phi.cons
-        and not any(w in t.fv for p in paths for w in _binders(body, p))
-    )
+        ok = isinstance(t, Term) and substitute(body, v, t) is phi.cons
+    except (IndexError, CaptureError):
+        ok = False
     return ok, (None if ok else "consequent is not a substitution instance of the quantified body")
-
-
-def _binders(e, path):
-    """The variables of the quantifiers that ``path`` passes in ``e``."""
-    for i in path:
-        if type(e) is Forall:
-            yield e.var
-        e = _children(e)[i]
 
 
 def _m_quant2(phi):

@@ -103,9 +103,14 @@ def _atom(sexp) -> str:
     return sexp
 
 
+# the deepest indent, so that a proof's text grows linearly with its depth
+_MAX_INDENT = 120
+
+
 def _render(sexp: list, out: list[str]) -> None:
     """Append ``sexp``: on one line if shorter than 100 columns less its
-    indent, else its head, then each item on a line indented two more."""
+    indent, else its head, then each item on a line indented two more, up
+    to ``_MAX_INDENT``."""
     flat: dict[int, str] = {}  # by id, each list's one-line text shorter than 100
 
     def measure(x, texts: list):
@@ -129,9 +134,10 @@ def _render(sexp: list, out: list[str]) -> None:
         if text is not None and len(text) < 100 - indent:
             out.append(text)
             continue
+        inner = min(indent + 2, _MAX_INDENT)
         pieces = ["(" + _atom(x[0])]
         for item in x[1:]:
-            pieces += ("\n" + " " * (indent + 2), (item, indent + 2) if type(item) is list else _atom(item))
+            pieces += ("\n" + " " * inner, (item, inner) if type(item) is list else _atom(item))
         pieces.append(")")
         stack.extend(reversed(pieces))
 

@@ -44,7 +44,7 @@ __all__ = [
     "numeral", "substitute",
     "subterm_at", "replace_at", "free_var_positions",
     "var_name", "parse_term", "parse_formula", "pretty_print",
-    "ParseError", "mk_iff",
+    "ParseError", "CaptureError", "mk_iff",
 ]
 
 _EMPTY: frozenset[int] = frozenset()
@@ -344,30 +344,33 @@ def numeral(n: int) -> Term:
     return (Succ if n & 1 else Mul)._make(n, _EMPTY, n)
 
 
+class CaptureError(ValueError):
+    """A substitution refused because a quantifier would bind the term."""
+
+
 def substitute(e: Expr, v: int, s: Term) -> Expr:
     """Replace every free occurrence of ``v`` in the term or formula ``e``
     by ``s``.
 
-    Bound variables that would capture a variable of ``s`` are renamed to the
-    smallest fresh index first.
+    Raises :class:`CaptureError` when a quantifier above a free occurrence
+    of ``v`` binds a variable of ``s``: ``s`` is then not free for ``v``.
     """
     if v not in e.fv:
         return e
-    t = type(e)
-    if t is Var:
-        return s
-    if t is not Forall:
-        return _rebuild(e, tuple(substitute(c, v, s) for c in _children(e)))
-    # e.var != v since v is free in e
-    w, body = e.var, e.body
-    if w in s.fv:
-        fresh = 0
-        taken = body.fv | s.fv | {v}
-        while fresh in taken:
-            fresh += 1
-        body = substitute(body, w, Var(fresh))
-        w = fresh
-    return Forall(w, substitute(body, v, s))
+
+    def into(x: Expr) -> tuple:
+        if v not in x.fv:
+            return ()
+        if type(x) is Forall and x.var in s.fv:  # x.var != v, as v is free in x
+            raise CaptureError(f"{pretty_print(s)} is not free for {var_name(v)} under forall {var_name(x.var)}")
+        return _children(x)
+
+    def put(x: Expr, kids: list) -> Expr:
+        if v not in x.fv:
+            return x
+        return s if type(x) is Var else _rebuild(x, tuple(kids))
+
+    return _postorder(e, into, put, {})
 
 
 def subterm_at(e: Expr, path: Path) -> Expr:
@@ -380,24 +383,32 @@ def subterm_at(e: Expr, path: Path) -> Expr:
 
 
 def replace_at(e: Expr, path: Path, new: Expr) -> Expr:
-    if not path:
-        return new
-    kids = list(_children(e))
-    if not 0 <= path[0] < len(kids):
-        raise IndexError(f"position {path} does not exist in {type(e).__name__} node")
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return _rebuild(e, tuple(kids))
+    above = []  # each node passed on the way down, with its children
+    for i in path:
+        kids = _children(e)
+        if not 0 <= i < len(kids):
+            raise IndexError(f"position {path} does not exist in {type(e).__name__} node")
+        above.append((e, kids))
+        e = kids[i]
+    for (node, kids), i in zip(reversed(above), reversed(path)):
+        new = _rebuild(node, (*kids[:i], new, *kids[i + 1:]))
+    return new
 
 
 def free_var_positions(phi: Expr, v: int) -> list[Path]:
     """Paths of all free occurrences of ``Var(v)``, in left-to-right order."""
-
-    def occurrences(e: Expr, below: list) -> list[Path]:
+    out: list[Path] = []
+    path: list[int] = []  # the child indices from phi down to the node popped
+    stack = [(phi, 0, 0)] if v in phi.fv else []  # a node, its depth, its index
+    while stack:
+        e, depth, i = stack.pop()
+        if depth:
+            path[depth - 1:] = (i,)
         if type(e) is Var:
-            return [()] if e.idx == v else []
-        return [(i, *p) for i, paths in enumerate(below) for p in paths]
-
-    return _postorder(phi, lambda e: _children(e) if v in e.fv else (), occurrences)
+            out.append(tuple(path))  # each path is copied once, at its leaf
+        else:
+            stack += [(k, depth + 1, j) for j, k in enumerate(_children(e)) if v in k.fv][::-1]
+    return out
 
 
 def mk_iff(a: Formula, b: Formula) -> Formula:

@@ -18,13 +18,13 @@ from functools import cache
 from itertools import product
 
 from .coding import (
-    K0, OMEGA_VAR, TEMPLATE_CODE_VAR, UINF_BOUND_VAR, diagonal_pair,
+    K0, OMEGA_VAR, TEMPLATE_CODE_VAR, UINF_BOUND_VAR, _parts, diagonal_pair,
     iter_step_axiom, iter_zero_axiom, name_of, omega_truth, sub_fn, value,
 )
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
     Eq, FnApp, Forall, Formula, ITER, Imp, Not, SUB, Succ, Term, Tr, Var,
-    ZERO, _children, _postorder, free_var_positions, mk_iff, numeral,
+    ZERO, _postorder, free_var_positions, mk_iff, numeral,
     pretty_print, replace_at, substitute, subterm_at,
 )
 
@@ -478,17 +478,17 @@ def eval_closed(t: Term) -> Thm:
         raise TacticError(f"eval needs a closed term: {pretty_print(t)}")
     if t.nv is not None:
         return refl(t)
-    th = _eval_closed(t)
+    th = _postorder(t, _parts, _eval_step)
     MACROS[th.proof] = ("eval", t)
     return th
 
 
-def _eval_closed(t: Term) -> Thm:
+def _eval_step(t: Term, done: list) -> Thm:
+    """Prove t = n from ``done``, the proofs that t's arguments equal their numerals."""
     if t.nv is not None:
         return refl(t)
     if type(t) is FnApp and t.sym == ITER:
-        e1 = _eval_closed(t.args[0])
-        e2 = _eval_closed(t.args[1])
+        e1, e2 = done
         an, bn = e1.formula.right, e2.formula.right
         cur = FnApp(ITER, [an, bn])
         links = [
@@ -512,11 +512,10 @@ def _eval_closed(t: Term) -> Thm:
         outer = replace_at(rhs, (0,), ei.formula.right)
         links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(t)))))
         return _trans_chain(links)
-    # S, + and * (COMP_SUCC) or sub (COMP_SUB): evaluate the arguments in
-    # place, then apply the operation to their numerals
+    # S, + and * (COMP_SUCC) or sub (COMP_SUB): rewrite the arguments to
+    # their numerals in place, then apply the operation to them
     links, cur = [], t
-    for i, arg in enumerate(_children(t)):
-        ea = _eval_closed(arg)
+    for i, ea in enumerate(done):
         links.append(cong_term(ea, cur, (i,)))
         cur = replace_at(cur, (i,), ea.formula.right)
     schema = SchemaId.COMP_SUB if type(t) is FnApp else SchemaId.COMP_SUCC
@@ -547,31 +546,29 @@ def _imp_mono_cons(fwd: Thm, r: Formula) -> Thm:
 def _rw_pair(e: Thm, phi: Formula, path) -> tuple[Thm, Thm]:
     """Both directions of the congruence phi <-> phi[t at path]."""
     s, t = e.formula.left, e.formula.right
-    tphi = type(phi)
-    if tphi is Eq or tphi is Tr:
-        phi2 = replace_at(phi, path, t)
-        if subterm_at(phi, path) != s:
-            raise TacticError(
-                f"position {path} of {pretty_print(phi)} does not hold {pretty_print(s)}"
-            )
-        f1 = mp(e, ax(SchemaId.EQ3, Imp(e.formula, Imp(phi, phi2))))
-        f2 = mp(sym(e), ax(SchemaId.EQ3, Imp(Eq(t, s), Imp(phi2, phi))))
-        return f1, f2
-    if tphi is Not:
-        sf, sb = _rw_pair(e, phi.body, path[1:])
-        return contrapose(sb), contrapose(sf)
-    if tphi is Imp:
-        if path[0] == 0:
-            sf, sb = _rw_pair(e, phi.ant, path[1:])
-            return _imp_mono_ant(sb, phi.cons), _imp_mono_ant(sf, phi.cons)
-        sf, sb = _rw_pair(e, phi.cons, path[1:])
-        return _imp_mono_cons(sf, phi.ant), _imp_mono_cons(sb, phi.ant)
-    if tphi is Forall:
-        if s.fv or t.fv:
+    above = []  # the connectives passed on the way down, and the side taken
+    while type(phi) is not Eq and type(phi) is not Tr:
+        if type(phi) is Forall and (s.fv or t.fv):
             raise TacticError("cannot rewrite with open terms under a quantifier")
-        sf, sb = _rw_pair(e, phi.body, path[1:])
-        return forall_mono(sf, phi.var), forall_mono(sb, phi.var)
-    raise TacticError(f"position {path} does not address a term occurrence")
+        side = path[0] if type(phi) is Imp else None
+        above.append((phi, side))
+        phi = phi.body if side is None else phi.ant if side == 0 else phi.cons
+        path = path[1:]
+    phi2 = replace_at(phi, path, t)
+    if subterm_at(phi, path) != s:
+        raise TacticError(f"position {path} of {pretty_print(phi)} does not hold {pretty_print(s)}")
+    fwd = mp(e, ax(SchemaId.EQ3, Imp(e.formula, Imp(phi, phi2))))
+    bwd = mp(sym(e), ax(SchemaId.EQ3, Imp(Eq(t, s), Imp(phi2, phi))))
+    for f, side in reversed(above):
+        if type(f) is Not:
+            fwd, bwd = contrapose(bwd), contrapose(fwd)
+        elif type(f) is Forall:
+            fwd, bwd = forall_mono(fwd, f.var), forall_mono(bwd, f.var)
+        elif side == 0:
+            fwd, bwd = _imp_mono_ant(bwd, f.cons), _imp_mono_ant(fwd, f.cons)
+        else:
+            fwd, bwd = _imp_mono_cons(fwd, f.ant), _imp_mono_cons(bwd, f.ant)
+    return fwd, bwd
 
 
 def rewrite_imp(e: Thm, phi: Formula, path) -> Thm:

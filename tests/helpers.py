@@ -14,7 +14,8 @@ from omegatruth.kernel import (
 )
 from omegatruth.syntax import (
     FN_ARITY, Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError,
-    Succ, Term, Tr, Var, ZERO, _children, numeral, substitute, var_index,
+    Succ, Term, Tr, Var, ZERO, _children, _rebuild, numeral, substitute,
+    var_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,28 @@ def schema_of(phi: Formula, config):
 def oracle_sub(c: int, v: int, n: int) -> int:
     """Substitution function, by its definition."""
     return encode(substitute(decode(c), v, numeral(n)))
+
+
+def oracle_substitute(e, v: int, s: Term):
+    """The recursive substitution that renamed a capturing binder to the
+    smallest fresh index, kept as it was: it calls ``Var`` only to rename."""
+    if v not in e.fv:
+        return e
+    t = type(e)
+    if t is Var:
+        return s
+    if t is not Forall:
+        return _rebuild(e, tuple(oracle_substitute(c, v, s) for c in _children(e)))
+    # e.var != v since v is free in e
+    w, body = e.var, e.body
+    if w in s.fv:
+        fresh = 0
+        taken = body.fv | s.fv | {v}
+        while fresh in taken:
+            fresh += 1
+        body = oracle_substitute(body, w, Var(fresh))
+        w = fresh
+    return Forall(w, oracle_substitute(body, v, s))
 
 
 def oracle_iter(n: int, c: int) -> int:

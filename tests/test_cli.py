@@ -215,6 +215,15 @@ def test_decode_rejects_non_image(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("arg", ["+25071", " 25071 ", "٢٥٠٧١", "2_5071", "0x_61ef", "0X61EF\n", "0x"])
+def test_decode_reads_ascii_decimal_or_hex_only(capsys, arg):
+    # int() takes all but the last of these as 25071, the code of 0 = 0
+    assert run(capsys, "decode", "25071") == (0, "formula: 0 = 0\n", "")
+    assert run(capsys, "decode", "0x61ef") == (0, "formula: 0 = 0\n", "")
+    assert run(capsys, "decode", arg) == (
+        2, "", f"input error: expected a code in decimal or 0x hex, got {arg!r}\n")
+
+
 def test_diag_command(capsys):
     code, out, err = run(capsys, "diag", "~forall y. T(iter(y, v))", "v", "--json")
     assert code == 0

@@ -74,15 +74,17 @@ def _recursive_functions(path):
     return out
 
 
-# What still recurses once per level of its input: the parser at
-# parentheses and S( / iter( / sub(, substitution, replacement at a path,
-# term values, the evaluation and rewriting tactics, taut's case split
-# over at most 8 atoms, and the checker once per nested omega.  Every
-# other walker keeps a stack of its own, most through syntax._postorder.
+# What still recurses, each with its bound: the parser once per level of
+# parentheses and of S( / iter( / sub( (formula <-> unary, and term);
+# tactics.build once per level of taut's case split, over at most 8 atoms;
+# and the checker's run <-> _reduce one level only, as tactics make no
+# Omega node, so every omega inside a sample is already in the checker's
+# memo.  Every other walker keeps a stack of its own, most through
+# syntax._postorder.
 RECURSIVE = {
-    "coding.value", "kernel._reduce", "kernel.run",
-    "syntax.formula", "syntax.replace_at", "syntax.substitute", "syntax.term", "syntax.unary",
-    "tactics._eval_closed", "tactics._rw_pair", "tactics.build",
+    "kernel._reduce", "kernel.run",
+    "syntax.formula", "syntax.term", "syntax.unary",
+    "tactics.build",
 }
 
 

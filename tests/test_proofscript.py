@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth import tactics as T
-from omegatruth.kernel import GAMMA, SIGMA, check
+from omegatruth.kernel import GAMMA, SIGMA, Axiom, Gen, SchemaId, check
 from omegatruth.proofscript import (
-    ScriptError, _Q, _read_forms, parse_script, serialize_script,
+    _MAX_INDENT, ScriptError, _Q, _read_forms, parse_script, serialize_script,
 )
 from omegatruth.syntax import Add, Eq, Imp, ZERO, numeral, parse_formula
 
@@ -166,6 +166,17 @@ def test_round_trip_m_conditions():
         script = parse_script(text)
         assert script.proof is cert.proof
         assert check(script.proof, SIGMA).certificate() == cert.certificate()
+
+
+def test_deep_proof_text_is_linear_in_depth():
+    # past the deepest indent, each (gen x ...) takes two lines at that
+    # column and its parentheses
+    proof = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
+    for _ in range(40_000):
+        proof = Gen(0, proof)
+    text = serialize_script(proof, "gamma")
+    assert len(text) <= (2 * (_MAX_INDENT + 2) + 5) * 40_001
+    assert parse_script(text).proof is proof
 
 
 def test_strings_with_escapes_round_trip():

@@ -110,6 +110,11 @@ def _deep_case(kind):
     if kind == "gen":
         proof = "(gen x " * n + '(axiom EQ1 "0 = 0")' + ")" * n
         return proof, 0, {"proof_size": n + 1}, ""
+    if kind == "quant1":
+        # forall-elimination under DEEP negations: substitution, the
+        # occurrence search and the instance check all walk that depth
+        proof = f'(axiom QUANT1 "(forall x. {"~" * n}x = 0) -> {"~" * n}0 = 0")'
+        return proof, 0, {"proof_size": 1}, ""
     formula = {
         "negations": "~" * n + "0 = 0",
         "foralls": "forall x. " * n + "0 = 0",
@@ -122,7 +127,7 @@ def _deep_case(kind):
     return f'(axiom EQ1 "{formula}")', 1, None, _EQ1_REJECTS + formula + "\n"
 
 
-@pytest.mark.parametrize("kind", ["gen", "negations", "foralls", "implications", "successors", "parentheses"])
+@pytest.mark.parametrize("kind", ["gen", "quant1", "negations", "foralls", "implications", "successors", "parentheses"])
 def test_deep_scripts_in_a_fresh_process(kind, tmp_path):
     # nothing raises the recursion limit, so the C stack is never what
     # ends a deep input, on any Python version

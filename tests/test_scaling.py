@@ -3,8 +3,9 @@
 Doubling the input may at most double the work, up to a 2.2x margin.  Each
 gate counts something deterministic, so host load cannot move it.  The
 input families here are the tautology ``~^k 0 = 0 -> ~^k 0 = 0``, whose
-expanded proof has about 32 nodes per unit of k, and the formula
-``0 = 0`` inside d pairs of parentheses.
+expanded proof has about 32 nodes per unit of k, the QUANT1 instance
+``(forall x. ~^n x = 0) -> ~^n 0 = 0``, and the formula ``0 = 0`` inside
+d pairs of parentheses.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def test_truth_evaluation_is_linear_in_taut_depth(monkeypatch):
         tactics.taut.cache_clear()
         calls = 0
         parse_script(_taut_script(k))
+        counts.append(calls)
+    assert counts[1] <= LINEAR * counts[0], counts
+
+
+def test_quant1_check_is_linear_in_depth(monkeypatch):
+    # the occurrence search, the read of the term and the substitution each
+    # take a node's children once per node they pass
+    calls = 0
+    body = syntax._children
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return body(e)
+
+    monkeypatch.setattr(syntax, "_children", counted)
+    counts = []
+    for n in (10_000, 20_000):
+        phi = syntax.parse_formula(f"(forall x. {'~' * n}x = 0) -> {'~' * n}0 = 0")
+        calls = 0
+        assert check(Axiom(SchemaId.QUANT1, phi)).proof_size == 1
         counts.append(calls)
     assert counts[1] <= LINEAR * counts[0], counts
 

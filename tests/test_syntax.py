@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.syntax import (
-    Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError, Succ, Tr,
-    Var, ZERO, _children, _rebuild, mk_iff, numeral, parse_formula,
+    Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError,
+    Succ, Tr, Var, ZERO, _children, _rebuild, mk_iff, numeral, parse_formula,
     parse_term, pretty_print, substitute, subterm_at,
     var_name,
 )
 
 from helpers import (
-    random_expr, random_formula, reference_parse_formula,
-    reference_parse_term,
+    oracle_substitute, random_expr, random_formula, random_term,
+    reference_parse_formula, reference_parse_term,
 )
 
 
@@ -220,13 +220,43 @@ def test_substitute_bound_occurrence_unchanged():
     assert substitute(phi, 5, ZERO) is phi
 
 
-def test_substitute_renames_on_capture():
-    # w bound, v free; substituting w for v must rename the binder
+def test_substitute_refuses_capture():
+    # w is bound above a free v, so S(w) is not free for v
     phi = Forall(3, Eq(Var(5), Var(3)))
-    out = substitute(phi, 5, Var(3))
-    assert type(out) is Forall and out.var != 3
-    assert out.fv == frozenset({3})
-    assert out.body == Eq(Var(3), Var(out.var))
+    with pytest.raises(CaptureError) as err:
+        substitute(phi, 5, Succ(Var(3)))
+    assert str(err.value) == "S(w) is not free for v under forall w"
+    assert isinstance(err.value, ValueError)
+    # a binder of s above no free occurrence of v captures nothing
+    psi = Imp(Forall(3, Eq(Var(3), ZERO)), Eq(Var(5), ZERO))
+    assert substitute(psi, 5, Var(3)) is Imp(Forall(3, Eq(Var(3), ZERO)), Eq(Var(3), ZERO))
+
+
+def _binders(e) -> list[int]:
+    """The variables of e's quantifiers, in preorder."""
+    stack, out = [e], []
+    while stack:
+        e = stack.pop()
+        if type(e) is Forall:
+            out.append(e.var)
+        stack.extend(reversed(_children(e)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(depth=6), st.integers(0, 7), st.integers(0, 2**32 - 1))
+def test_substitute_refuses_exactly_where_the_oracle_renames(phi, v, seed):
+    # s is open in a variable that phi binds, if phi binds any, so that
+    # some cases capture; a term holds no quantifier, so the oracle renamed
+    # a binder exactly when its result's binders differ from phi's
+    rng = random.Random(seed)
+    s = Add(Var(rng.choice(_binders(phi) or [0])), random_term(rng, 2))
+    want = oracle_substitute(phi, v, s)
+    if _binders(want) != _binders(phi):
+        with pytest.raises(CaptureError):
+            substitute(phi, v, s)
+    else:
+        assert substitute(phi, v, s) is want
 
 
 @settings(max_examples=200, deadline=None)
