@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from omegatruth.kernel import GAMMA, SIGMA, check
+from omegatruth.kernel import GAMMA, SIGMA, THEORIES, check
 from omegatruth.proofscript import parse_script, serialize_script
 from omegatruth.syntax import Eq, Succ, ZERO
 from omegatruth.tactics import refl
@@ -25,36 +25,37 @@ OUT = Path(__file__).resolve().parent / "proofs"
 
 
 def bundle() -> dict:
-    """Script name -> (theory, checked in-memory derivation)."""
+    """Script name -> checked in-memory derivation.  The theory it was
+    checked under gives the script's (theory ...) header."""
     zero = Eq(ZERO, ZERO)
     z01 = Eq(ZERO, Succ(ZERO))
     ref = mcgee_original(GAMMA)
     ref2 = mcgee_via_loeb(GAMMA)
     return {
-        "mcgee_positive": ("gamma", ref.positive),
-        "mcgee_negative": ("gamma", ref.negative),
-        "mcgee_via_loeb_positive": ("gamma", ref2.positive),
-        "not_zero_one": ("gamma", ref2.negative),
-        "m1_zero": ("sigma", m1(check(refl(ZERO).proof, SIGMA))),
-        "m2_instance": ("sigma", m2(z01, zero, SIGMA)),
-        "m3_zero": ("sigma", m3(zero, SIGMA)),
-        "formalized_loeb_zero_one": ("sigma", formalized_loeb(tomega_provability(), z01, SIGMA)),
+        "mcgee_positive": ref.positive,
+        "mcgee_negative": ref.negative,
+        "mcgee_via_loeb_positive": ref2.positive,
+        "not_zero_one": ref2.negative,
+        "m1_zero": m1(check(refl(ZERO).proof, SIGMA)),
+        "m2_instance": m2(z01, zero, SIGMA),
+        "m3_zero": m3(zero, SIGMA),
+        "formalized_loeb_zero_one": formalized_loeb(tomega_provability(), z01, SIGMA),
     }
 
 
-def script_text(theory: str, cert) -> str:
-    return serialize_script(cert.proof, theory, samples=cert.theory.omega_samples)
+def script_text(cert) -> str:
+    return serialize_script(cert.proof, cert.theory.preset_name(), samples=cert.theory.omega_samples)
 
 
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
     manifest = {}
-    for name, (theory, cert) in bundle().items():
-        text = script_text(theory, cert)
+    for name, cert in bundle().items():
+        text = script_text(cert)
         path = OUT / f"{name}.proof"
         path.write_text(text, encoding="utf-8")
-        config = GAMMA if theory == "gamma" else SIGMA
-        re_cert = check(parse_script(text).proof, config)
+        script = parse_script(text)
+        re_cert = check(script.proof, THEORIES[script.theory])
         if re_cert.certificate() != cert.certificate():
             print(f"certificate drift in {name}", file=sys.stderr)
             return 1

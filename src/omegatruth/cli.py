@@ -15,7 +15,8 @@ import sys
 from . import theorems as TH
 from .coding import decode, encode, value
 from .kernel import (
-    CheckError, CheckedTheorem, MissingSchema, Refutation, TheoryConfig, check,
+    THEORIES, CheckError, CheckedTheorem, MissingSchema, Refutation,
+    TheoryConfig, check,
 )
 from .proofscript import parse_script
 from .syntax import (
@@ -45,6 +46,12 @@ _LOEB_NOTES = {
     "loeb": "Loeb's theorem for the omega-truth predicate",
 }
 
+# the two refutation demos: builder and the note for each narrative label
+_REFUTATIONS = {
+    "mcgee": (TH.mcgee_original, _MCGEE_NOTES),
+    "mcgee-via-loeb": (TH.mcgee_via_loeb, _LOEB_NOTES),
+}
+
 
 def _count(text: str, what: str) -> int:
     """A count given on the command line, read as scripts read theirs:
@@ -58,10 +65,8 @@ def _count(text: str, what: str) -> int:
 
 
 def _config(args, samples: int = 8) -> TheoryConfig:
-    # sigma is gamma without internal consistency; --samples, when given,
-    # overrides the default count
-    return TheoryConfig(
-        has_cons=args.theory == "gamma",
+    # --samples, when given, overrides the default count
+    return THEORIES[args.theory]._replace(
         omega_samples=samples if args.samples is None else _count(args.samples, "a sample count"),
         max_omega_count=(
             None if args.max_omega == "unlimited"
@@ -122,19 +127,13 @@ def _cmd_check(args) -> int:
 def _cmd_demo(args) -> int:
     config = _config(args)
     name = args.name
-    if name == "mcgee":
-        ref = TH.mcgee_original(config)
+    if name in _REFUTATIONS:
+        build, notes = _REFUTATIONS[name]
+        ref = build(config)
         if args.json:
             print(json.dumps(_refutation_json(name, ref)))
         else:
-            _print_refutation(ref, _MCGEE_NOTES, args.quiet)
-        return 0
-    if name == "mcgee-via-loeb":
-        ref = TH.mcgee_via_loeb(config)
-        if args.json:
-            print(json.dumps(_refutation_json(name, ref)))
-        else:
-            _print_refutation(ref, _LOEB_NOTES, args.quiet)
+            _print_refutation(ref, notes, args.quiet)
         return 0
     if name == "loeb":
         zero = Eq(ZERO, ZERO)
@@ -257,10 +256,12 @@ def _cmd_eval(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theory", choices=["gamma", "sigma"], default="gamma",
-                   help="axiom schema preset (default gamma)")
+    p.add_argument("--theory", choices=list(THEORIES), default="gamma",
+                   help="gamma, or sigma: gamma without Cons (default: a "
+                        "checked script's (theory ...) header, else gamma)")
     p.add_argument("--samples", default=None,
-                   help="omega-rule generator samples (default 8)")
+                   help="omega-rule samples replayed per omega node (default: "
+                        "a checked script's (samples ...) header, else 8)")
     p.add_argument("--max-omega", default="unlimited",
                    help="cap on nested omega applications, or 'unlimited'")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -277,12 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a proof script and print its certificate")
     p.add_argument("script", help="path to a proof script")
-    p.add_argument("--theory", choices=["gamma", "sigma"], default=None)
-    p.add_argument("--samples", default=None)
-    p.add_argument("--max-omega", default="unlimited")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    _add_common(p)
+    # the script's header comes before the default theory
+    p.set_defaults(func=_cmd_check, theory=None)
 
     p = sub.add_parser("demo", help="build and check a bundled derivation")
     p.add_argument("name", choices=["mcgee", "mcgee-via-loeb", "loeb", "witness"])

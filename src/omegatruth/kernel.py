@@ -36,7 +36,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "SchemaId", "TheoryConfig", "GAMMA", "SIGMA",
+    "SchemaId", "TheoryConfig", "GAMMA", "SIGMA", "THEORIES",
     "Proof", "Axiom", "MP", "Gen", "TIntro", "Omega",
     "StepCombinator", "ApplyTIntro", "LiftImp", "RewriteEval", "ChainWith",
     "CheckedTheorem", "Refutation",
@@ -90,14 +90,15 @@ class _Checked:
 
 
 class TheoryConfig(_Checked, namedtuple(
-    "TheoryConfig", "has_cons has_timp has_uinf omega_samples max_omega_count",
-    defaults=(True, True, True, 8, None),
+    "TheoryConfig", "has_cons omega_samples max_omega_count",
+    defaults=(True, 8, None),
 )):
-    """Which axiom schemas are active, plus checker parameters.
+    """Whether internal consistency (CONS) is active, plus checker
+    parameters.
 
-    ``GAMMA`` activates all three truth schemas; ``SIGMA`` is ``GAMMA``
-    without internal consistency.  The base logic, Robinson arithmetic and
-    the computation schemas are always available.
+    ``GAMMA`` is Cons + T-Imp + UInf with T-Intro; ``SIGMA`` is ``GAMMA``
+    without Cons.  Every other schema, T-Imp and UInf included, is always
+    available.
     """
 
     __slots__ = ()
@@ -109,25 +110,16 @@ class TheoryConfig(_Checked, namedtuple(
             raise ValueError("max_omega_count must be at least 0")
 
     def active(self, schema: SchemaId) -> bool:
-        if schema is SchemaId.CONS:
-            return self.has_cons
-        if schema is SchemaId.TIMP:
-            return self.has_timp
-        if schema is SchemaId.UINF:
-            return self.has_uinf
-        return True
+        return self.has_cons or schema is not SchemaId.CONS
 
     def preset_name(self) -> str:
-        flags = (self.has_cons, self.has_timp, self.has_uinf)
-        if flags == (True, True, True):
-            return "gamma"
-        if flags == (False, True, True):
-            return "sigma"
-        return "custom(cons={:d},timp={:d},uinf={:d})".format(*flags)
+        return "gamma" if self.has_cons else "sigma"
 
 
 GAMMA = TheoryConfig()
 SIGMA = TheoryConfig(has_cons=False)
+# the one map from a theory's name to its configuration
+THEORIES = {"gamma": GAMMA, "sigma": SIGMA}
 
 
 class MissingSchema(ValueError):

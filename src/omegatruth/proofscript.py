@@ -30,7 +30,7 @@ from . import tactics as T
 from .coding import name_of
 from .kernel import (
     ApplyTIntro, Axiom, ChainWith, Gen, LiftImp, MP, Omega, Proof,
-    RewriteEval, SchemaId, TIntro, _proof_children,
+    RewriteEval, SchemaId, THEORIES, TIntro, _proof_children,
 )
 from .syntax import (
     Forall, Formula, Imp, Term, Tr, _postorder, parse_formula, parse_term,
@@ -354,7 +354,8 @@ def parse_script(text: str) -> Script:
         if head in header:
             raise ScriptError(f"script holds more than one ({head} ...) form")
         if head == "theory":
-            if len(form) != 2 or form[1] not in ("gamma", "sigma"):
+            # a list is no theory name, and no dict key either
+            if len(form) != 2 or isinstance(form[1], list) or form[1] not in THEORIES:
                 raise ScriptError("theory must be gamma or sigma")
             header[head] = form[1]
         else:

@@ -1,10 +1,11 @@
 """Bundled machine-checked derivations.
 
 The derivability conditions M1-M3 hold for the omega-truth predicate
-without internal consistency; the two refutation builders need it and fail
-with :class:`MissingSchema` otherwise.  Loeb's theorem and its formalized
-version are generic over any predicate that supplies the three conditions,
-then instantiated with (M1, M2, M3).
+without internal consistency, so under ``SIGMA`` as under ``GAMMA``.  The
+two refutation builders need Cons and raise :class:`MissingSchema` under
+``SIGMA``.  Loeb's theorem and its formalized version are generic over any
+predicate that supplies the three conditions, then instantiated with
+(M1, M2, M3).
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ __all__ = [
 ]
 
 
-def _require(config: TheoryConfig, *schemas: SchemaId) -> None:
-    for s in schemas:
-        if not config.active(s):
-            raise MissingSchema(s)
+def _require_cons(config: TheoryConfig) -> None:
+    if not config.has_cons:
+        raise MissingSchema(SchemaId.CONS)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +117,10 @@ def m1(t: CheckedTheorem) -> CheckedTheorem:
 
 
 def m2(phi: Formula, psi: Formula, config: TheoryConfig = SIGMA) -> CheckedTheorem:
-    _require(config, SchemaId.TIMP)
     return check(_m2(phi, psi).proof, config)
 
 
 def m3(phi: Formula, config: TheoryConfig = SIGMA) -> CheckedTheorem:
-    _require(config, SchemaId.TIMP, SchemaId.UINF)
     return check(_m3(phi).proof, config)
 
 
@@ -204,7 +202,6 @@ def loeb(
     config: TheoryConfig | None = None,
 ) -> CheckedTheorem:
     config = config or premise.theory
-    _require(config, SchemaId.TIMP, SchemaId.UINF)
     th = _loeb(pp, phi, Thm(premise.proof, premise.formula))
     return check(th.proof, config)
 
@@ -212,7 +209,6 @@ def loeb(
 def formalized_loeb(
     pp: ProvabilityPredicate, phi: Formula, config: TheoryConfig = SIGMA
 ) -> CheckedTheorem:
-    _require(config, SchemaId.TIMP, SchemaId.UINF)
     return check(_formalized_loeb(pp, phi).proof, config)
 
 
@@ -222,7 +218,7 @@ def formalized_loeb(
 
 def _mcgee_lines(config: TheoryConfig):
     """Lines 1-7: the finitary half of the refutation, plus the omega node."""
-    _require(config, SchemaId.CONS, SchemaId.TIMP, SchemaId.UINF)
+    _require_cons(config)
     v = DIAG_VAR
     dr = diagonal_lemma(Not(omega_truth(Var(v))), v)
     gamma = dr.gamma
@@ -279,7 +275,7 @@ def _not_zero_one() -> Thm:
 
 def _reflection_for_zero_one(config: TheoryConfig) -> Thm:
     """T^omega(#(0=1)) -> 0=1, from internal consistency."""
-    _require(config, SchemaId.CONS)
+    _require_cons(config)
     one = Succ(ZERO)
     z01 = Eq(ZERO, one)
     n01 = _not_zero_one()
@@ -294,7 +290,6 @@ def _reflection_for_zero_one(config: TheoryConfig) -> Thm:
 def mcgee_via_loeb(config: TheoryConfig = GAMMA) -> Refutation:
     """The refutation through Loeb's theorem: internal consistency yields
     the reflection implication for 0 = 1, Loeb turns it into 0 = 1."""
-    _require(config, SchemaId.CONS, SchemaId.TIMP, SchemaId.UINF)
     one = Succ(ZERO)
     z01 = Eq(ZERO, one)
     reflection = _reflection_for_zero_one(config)

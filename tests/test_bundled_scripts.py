@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from omegatruth.kernel import GAMMA, SIGMA, check
+from omegatruth.kernel import THEORIES, check
 from omegatruth.proofscript import parse_script
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -23,8 +23,7 @@ def _manifest():
 def test_bundled_script_reproduces_certificate(name):
     text = (PROOFS / f"{name}.proof").read_text(encoding="utf-8")
     script = parse_script(text)
-    config = GAMMA if script.theory == "gamma" else SIGMA
-    cert = check(script.proof, config)
+    cert = check(script.proof, THEORIES[script.theory])
     assert cert.certificate() == _manifest()[name]
 
 
@@ -32,8 +31,8 @@ def test_bundled_scripts_match_in_memory_derivations():
     spec = importlib.util.spec_from_file_location("regenerate", SCRIPTS / "regenerate_proof_scripts.py")
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
-    for name, (theory, cert) in regen.bundle().items():
+    for name, cert in regen.bundle().items():
         shipped = (PROOFS / f"{name}.proof").read_text(encoding="utf-8")
-        text = regen.script_text(theory, cert)
+        text = regen.script_text(cert)
         assert text == shipped, name
         assert parse_script(text).proof is cert.proof, name

@@ -71,6 +71,29 @@ def test_check_script(tmp_path, capsys):
     assert doc["theory"] == "sigma"
 
 
+def test_check_theory_comes_from_the_option_then_the_header_then_gamma(tmp_path, capsys):
+    path = tmp_path / "bare.proof"
+    path.write_text('(prove (axiom EQ1 "0 = 0"))\n')
+    _, out, _ = run(capsys, "check", str(path), "--json")
+    assert json.loads(out)["theory"] == "gamma"
+    path.write_text('(theory sigma)\n(prove (axiom EQ1 "0 = 0"))\n')
+    _, out, _ = run(capsys, "check", str(path), "--theory", "gamma", "--json")
+    assert json.loads(out)["theory"] == "gamma"
+
+
+def test_check_and_demo_share_their_options_help():
+    from omegatruth.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+
+    def helps(command):
+        return {opt: a.help for a in sub.choices[command]._actions for opt in a.option_strings}
+
+    check, demo = helps("check"), helps("demo")
+    for opt in ("--theory", "--samples", "--max-omega", "--json", "--quiet"):
+        assert check[opt] and check[opt] == demo[opt], opt
+
+
 def test_check_respects_sample_counts(tmp_path, capsys):
     path = tmp_path / "gen.proof"
     path.write_text(

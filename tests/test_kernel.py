@@ -5,9 +5,9 @@ from omegatruth.coding import (
     K0, encode, iter_step_axiom, iter_zero_axiom, name_of, sub_fn,
 )
 from omegatruth.kernel import (
-    ApplyTIntro, Axiom, CheckError, GAMMA, Gen, MP, MissingSchema, Omega,
-    RewriteEval, SIGMA, SchemaId, TIntro, TheoryConfig, check, q_axiom,
-    _one_step_rewrite, _proof_children,
+    ApplyTIntro, Axiom, ChainWith, CheckError, GAMMA, Gen, MP, MissingSchema,
+    Omega, RewriteEval, SIGMA, SchemaId, THEORIES, TIntro, TheoryConfig, check,
+    q_axiom, _one_step_rewrite, _proof_children,
 )
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
@@ -25,20 +25,24 @@ def _cons_instance(phi):
 def test_config_presets():
     assert GAMMA.preset_name() == "gamma"
     assert SIGMA.preset_name() == "sigma"
-    assert GAMMA.active(SchemaId.CONS) and not SIGMA.active(SchemaId.CONS)
-    assert SIGMA.active(SchemaId.TIMP) and SIGMA.active(SchemaId.UINF)
+    # CONS is the one schema a configuration switches
+    assert all(GAMMA.active(s) for s in SchemaId)
+    assert [s for s in SchemaId if not SIGMA.active(s)] == [SchemaId.CONS]
+    assert THEORIES == {"gamma": GAMMA, "sigma": SIGMA}
+    assert all(config.preset_name() == name for name, config in THEORIES.items())
 
 
 def test_config_is_a_value():
     assert GAMMA == TheoryConfig() and hash(GAMMA) == hash(TheoryConfig())
     assert SIGMA == TheoryConfig(has_cons=False) and SIGMA != GAMMA
-    assert TheoryConfig(False, True, False, 3, 2) == TheoryConfig(
-        has_cons=False, has_timp=True, has_uinf=False, omega_samples=3, max_omega_count=2)
+    assert TheoryConfig(False, 3, 2) == TheoryConfig(
+        has_cons=False, omega_samples=3, max_omega_count=2)
+    assert TheoryConfig._fields == ("has_cons", "omega_samples", "max_omega_count")
     assert (GAMMA.omega_samples, GAMMA.max_omega_count) == (8, None)
     with pytest.raises(ValueError, match="^omega_samples must be at least 1$"):
         TheoryConfig(omega_samples=0)
     with pytest.raises(ValueError, match="^omega_samples must be at least 1$"):
-        TheoryConfig(True, True, True, 0)
+        TheoryConfig(True, 0)
     with pytest.raises(ValueError, match="^max_omega_count must be at least 0$"):
         TheoryConfig(max_omega_count=-1)
     assert TheoryConfig(max_omega_count=0).max_omega_count == 0
@@ -481,17 +485,29 @@ def test_error_path_names_the_failing_node(mcgee):
 
 def test_omega_sample_paths_follow_the_children():
     # M3's omega node has two children, its base (0) and its ChainWith
-    # lemma (1); sample k is checked at 2 + k, so no two nodes share a path
+    # lemma (1); sample k is checked at 1 + k, so no two nodes share a path
+    from omegatruth.tactics import taut
     from omegatruth.theorems import m3
 
     proof = m3(Eq(ZERO, ZERO), SIGMA).proof  # mp(omega, QUANT2 instance)
-    assert len(_proof_children(proof.minor)) == 2
-    with pytest.raises(CheckError) as err:  # the lemma is the first to need UINF
-        check(proof, TheoryConfig(has_uinf=False))
-    assert err.value.path[:2] == (0, 1)
-    with pytest.raises(CheckError) as err:  # only the samples need TIMP
-        check(proof, TheoryConfig(has_timp=False))
-    assert err.value.path[:2] == (0, 2)
+    om = proof.minor
+    lift, chain, align = om.steps
+    assert type(chain) is ChainWith and len(_proof_children(om)) == 2
+
+    def chained_with(lemma):
+        steps = (lift, ChainWith(lemma, chain.conclusion), align)
+        return MP(Omega(om.var, om.family, om.base, steps), proof.major)
+
+    false = Axiom(SchemaId.EQ1, Eq(ZERO, numeral(1)))
+    with pytest.raises(CheckError) as err:  # the lemma is checked as child 1
+        check(chained_with(false), SIGMA)
+    assert (err.value.path, err.value.rule) == ((0, 1), "axiom")
+    # a sound lemma that proves another formula than the step states is
+    # caught where sample 1 uses it
+    other = taut(Imp(Not(Eq(ZERO, ZERO)), Not(Eq(ZERO, ZERO)))).proof
+    with pytest.raises(CheckError) as err:
+        check(chained_with(other), SIGMA)
+    assert (err.value.path, err.value.rule) == ((0, 2, 0, 0, 1, 0), "mp")
 
 
 def test_m1_style_generator_counts(mcgee):

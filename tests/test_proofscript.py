@@ -109,6 +109,7 @@ def test_unknown_forms_rejected():
     ('(prove (axiom EQ1 "0 = 0")) (prove (axiom EQ1 "0 = 0"))',
      "script holds more than one (prove ...) form"),
     ("(theory gamma) (prove)", "prove takes 1 argument(s), got 0"),
+    ('(theory (gamma)) (prove (axiom EQ1 "0 = 0"))', "theory must be gamma or sigma"),
 ])
 def test_each_header_form_at_most_once(text, message):
     with pytest.raises(ScriptError) as err:

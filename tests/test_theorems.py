@@ -60,15 +60,6 @@ def test_m2_shapes_and_count():
     assert cert2.omega_count == 1
 
 
-def test_m2_requires_timp():
-    from omegatruth.kernel import TheoryConfig
-
-    bare = TheoryConfig(has_cons=False, has_timp=False, has_uinf=False)
-    with pytest.raises(MissingSchema) as err:
-        m2(A, A, bare)
-    assert err.value.schema is SchemaId.TIMP
-
-
 def test_m3_shape_and_family():
     cert = m3(A, SIGMA)
     w = omega_truth(name_of(A))
