@@ -103,8 +103,9 @@ def _atom(sexp) -> str:
     return sexp
 
 
-# the deepest indent, so that a proof's text grows linearly with its depth
-_MAX_INDENT = 120
+# the deepest indent, so that a proof's text grows linearly with its depth;
+# 40 of the 100 columns remain, so that short forms stay on one line there
+_MAX_INDENT = 60
 
 
 def _render(sexp: list, out: list[str]) -> None:
@@ -354,8 +355,9 @@ def parse_script(text: str) -> Script:
         if head in header:
             raise ScriptError(f"script holds more than one ({head} ...) form")
         if head == "theory":
-            # a list is no theory name, and no dict key either
-            if len(form) != 2 or isinstance(form[1], list) or form[1] not in THEORIES:
+            # a bare atom, as a sample count is: a quoted string is no
+            # theory name, and a list no dict key either
+            if len(form) != 2 or type(form[1]) is not str or form[1] not in THEORIES:
                 raise ScriptError("theory must be gamma or sigma")
             header[head] = form[1]
         else:

@@ -14,7 +14,7 @@ terms into canonical numerals through the computation schemas.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 
 from .coding import (
@@ -162,9 +162,8 @@ def discharge(tree: _HNode, h: Formula) -> _HNode:
             return happly(node, ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula))))
         if type(node) is _HHyp:  # node.formula is h
             return taut_id(h)
-        dM, dm = done
-        a, b = node.minor.formula, node.formula
-        s = ax(SchemaId.PROP2, Imp(Imp(h, Imp(a, b)), Imp(Imp(h, a), Imp(h, b))))
+        dM, dm = done  # h -> (a -> b) and h -> a
+        s = ax(SchemaId.PROP2, Imp(dM.formula, Imp(dm.formula, Imp(h, node.formula))))
         return happly(dm, happly(dM, s))
 
     return _postorder(tree, parts, close, {})
@@ -458,16 +457,6 @@ def cong_term(e: Thm, context: Term, path) -> Thm:
     return mp(e, ax(SchemaId.EQ2, Imp(e.formula, goal)))
 
 
-def _trans_chain(links: list[Thm]) -> Thm:
-    links = [l for l in links if l is not None and l.formula.left != l.formula.right]
-    if not links:
-        raise TacticError("empty equality chain")
-    out = links[0]
-    for l in links[1:]:
-        out = trans(out, l)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-term evaluation
 
@@ -487,93 +476,92 @@ def _eval_step(t: Term, done: list) -> Thm:
     """Prove t = n from ``done``, the proofs that t's arguments equal their numerals."""
     if t.nv is not None:
         return refl(t)
-    if type(t) is FnApp and t.sym == ITER:
-        e1, e2 = done
-        an, bn = e1.formula.right, e2.formula.right
-        cur = FnApp(ITER, [an, bn])
-        links = [
-            cong_term(e1, t, (0,)),
-            cong_term(e2, FnApp(ITER, [an, t.args[1]]), (1,)),
-        ]
-        n0 = an.nv
-        if n0 == 0:
-            links.append(inst(ax(SchemaId.COMP_ITER0, iter_zero_axiom()), bn))
-            return _trans_chain(links)
-        m = numeral(n0 - 1)
-        sa = sym(ax(SchemaId.COMP_SUCC, Eq(Succ(m), an)))
-        links.append(cong_term(sa, cur, (0,)))
-        # iter(S m, bn) = sub(sub(#K0, .., bn), .., m)
-        step = inst(inst(ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), m), bn)
-        links.append(step)
-        rhs = step.formula.right
-        inner = rhs.args[0]
-        ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(sub_fn(K0, TEMPLATE_CODE_VAR, bn.nv))))
-        links.append(cong_term(ei, rhs, (0,)))
-        outer = replace_at(rhs, (0,), ei.formula.right)
-        links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(t)))))
-        return _trans_chain(links)
-    # S, + and * (COMP_SUCC) or sub (COMP_SUB): rewrite the arguments to
-    # their numerals in place, then apply the operation to them
+    # rewrite the arguments that are not numerals yet to their numerals in
+    # place, then apply the operation to them; no link proves u = u
     links, cur = [], t
     for i, ea in enumerate(done):
-        links.append(cong_term(ea, cur, (i,)))
-        cur = replace_at(cur, (i,), ea.formula.right)
-    schema = SchemaId.COMP_SUB if type(t) is FnApp else SchemaId.COMP_SUCC
-    links.append(ax(schema, Eq(cur, numeral(value(t)))))
-    return _trans_chain(links)
+        if ea.formula.left is not ea.formula.right:
+            links.append(cong_term(ea, cur, (i,)))
+            cur = replace_at(cur, (i,), ea.formula.right)
+    if type(t) is not FnApp or t.sym != ITER:
+        # S, + and * (COMP_SUCC) or sub (COMP_SUB)
+        schema = SchemaId.COMP_SUB if type(t) is FnApp else SchemaId.COMP_SUCC
+        n = numeral(value(t))
+        if cur is not n:  # S(#2k) is the numeral #(2k+1) itself
+            links.append(ax(schema, Eq(cur, n)))
+        return reduce(trans, links)
+    an, bn = cur.args
+    n0 = an.nv
+    if n0 == 0:
+        links.append(inst(ax(SchemaId.COMP_ITER0, iter_zero_axiom()), bn))
+        return reduce(trans, links)
+    m = numeral(n0 - 1)
+    if Succ(m) is not an:  # an even numeral is not spelled S(m)
+        sa = sym(ax(SchemaId.COMP_SUCC, Eq(Succ(m), an)))
+        links.append(cong_term(sa, cur, (0,)))
+    # iter(S m, bn) = sub(sub(#K0, .., bn), .., m)
+    step = inst(inst(ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), m), bn)
+    links.append(step)
+    rhs = step.formula.right
+    inner = rhs.args[0]
+    ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(sub_fn(K0, TEMPLATE_CODE_VAR, bn.nv))))
+    links.append(cong_term(ei, rhs, (0,)))
+    outer = replace_at(rhs, (0,), ei.formula.right)
+    links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(t)))))
+    return reduce(trans, links)
 
 
 # ---------------------------------------------------------------------------
 # congruence rewriting inside formulas
 
 
-def _imp_mono_ant(bwd: Thm, r: Formula) -> Thm:
+def _imp_mono_ant(p: Thm, r: Formula) -> Thm:
     """From a' -> a conclude (a -> r) -> (a' -> r)."""
-    a2, a = bwd.formula.ant, bwd.formula.cons
+    a2, a = p.formula.ant, p.formula.cons
     ar = Imp(a, r)
-    tree = happly(happly(hyp(a2), bwd), hyp(ar))
+    tree = happly(happly(hyp(a2), p), hyp(ar))
     return _close(tree, a2, ar)
 
 
-def _imp_mono_cons(fwd: Thm, r: Formula) -> Thm:
+def _imp_mono_cons(p: Thm, r: Formula) -> Thm:
     """From b -> b' conclude (r -> b) -> (r -> b')."""
-    b2 = fwd.formula.cons
-    rb = Imp(r, fwd.formula.ant)
-    tree = happly(happly(hyp(r), hyp(rb)), fwd)
+    rb = Imp(r, p.formula.ant)
+    tree = happly(happly(hyp(r), hyp(rb)), p)
     return _close(tree, r, rb)
 
 
-def _rw_pair(e: Thm, phi: Formula, path) -> tuple[Thm, Thm]:
-    """Both directions of the congruence phi <-> phi[t at path]."""
+def rewrite_imp(e: Thm, phi: Formula, path, forward: bool = True) -> Thm:
+    """From s = t conclude phi -> phi[t at path], or the converse when
+    ``forward`` is false."""
     s, t = e.formula.left, e.formula.right
+    path = tuple(path)
     above = []  # the connectives passed on the way down, and the side taken
     while type(phi) is not Eq and type(phi) is not Tr:
         if type(phi) is Forall and (s.fv or t.fv):
             raise TacticError("cannot rewrite with open terms under a quantifier")
         side = path[0] if type(phi) is Imp else None
         above.append((phi, side))
+        if type(phi) is Not or side == 0:  # a negative position
+            forward = not forward
         phi = phi.body if side is None else phi.ant if side == 0 else phi.cons
         path = path[1:]
     phi2 = replace_at(phi, path, t)
     if subterm_at(phi, path) != s:
         raise TacticError(f"position {path} of {pretty_print(phi)} does not hold {pretty_print(s)}")
-    fwd = mp(e, ax(SchemaId.EQ3, Imp(e.formula, Imp(phi, phi2))))
-    bwd = mp(sym(e), ax(SchemaId.EQ3, Imp(Eq(t, s), Imp(phi2, phi))))
+    if forward:
+        th = mp(e, ax(SchemaId.EQ3, Imp(e.formula, Imp(phi, phi2))))
+    else:
+        th = mp(sym(e), ax(SchemaId.EQ3, Imp(Eq(t, s), Imp(phi2, phi))))
     for f, side in reversed(above):
         if type(f) is Not:
-            fwd, bwd = contrapose(bwd), contrapose(fwd)
+            th = contrapose(th)
         elif type(f) is Forall:
-            fwd, bwd = forall_mono(fwd, f.var), forall_mono(bwd, f.var)
+            th = forall_mono(th, f.var)
         elif side == 0:
-            fwd, bwd = _imp_mono_ant(bwd, f.cons), _imp_mono_ant(fwd, f.cons)
+            th = _imp_mono_ant(th, f.cons)
         else:
-            fwd, bwd = _imp_mono_cons(fwd, f.ant), _imp_mono_cons(bwd, f.ant)
-    return fwd, bwd
-
-
-def rewrite_imp(e: Thm, phi: Formula, path) -> Thm:
-    """Forward direction only: phi -> phi[t at path]."""
-    return _rw_pair(e, phi, tuple(path))[0]
+            th = _imp_mono_cons(th, f.ant)
+    return th
 
 
 def forall_mono(p: Thm, w: int) -> Thm:
@@ -604,7 +592,8 @@ def rewrite_align(th: Thm, expected: Formula, positions) -> Thm:
                 f"terms at {pos} have different values: "
                 f"{pretty_print(cur_t)} vs {pretty_print(exp_t)}"
             )
-        eq = _trans_chain([e1, sym(e2)])
+        # a numeral's side needs no link
+        eq = e1 if exp_t.nv is not None else sym(e2) if cur_t.nv is not None else trans(e1, sym(e2))
         th = mp(th, rewrite_imp(eq, th.formula, pos))
     return th
 
@@ -728,7 +717,7 @@ def diagonal_lemma(phi: Formula, v: int) -> DiagonalResult:
     bwd_acc: Thm | None = None
     cur = gamma
     for pos in free_var_positions(phi, v):
-        f, b = _rw_pair(eq, cur, pos)
+        f, b = rewrite_imp(eq, cur, pos), rewrite_imp(eq, cur, pos, forward=False)
         fwd_acc = f if fwd_acc is None else imp_trans(fwd_acc, f)
         bwd_acc = b if bwd_acc is None else imp_trans(b, bwd_acc)
         cur = f.formula.cons

@@ -124,6 +124,17 @@ def test_check_rejects_a_second_theory_header(tmp_path, capsys):
         2, "", "input error: script holds more than one (theory ...) form\n")
 
 
+@pytest.mark.parametrize("header, message", [
+    ('(theory "sigma")', "theory must be gamma or sigma"),
+    ('(samples "3")', "expected a sample count, got '3'"),
+])
+def test_check_rejects_a_quoted_header_atom(tmp_path, capsys, header, message):
+    # both headers take a bare atom: a quoted name is not checked under sigma
+    path = tmp_path / "quoted.proof"
+    path.write_text(f'{header}\n(prove (axiom EQ1 "0 = 0"))\n')
+    assert run(capsys, "check", str(path)) == (2, "", f"input error: {message}\n")
+
+
 def test_check_rejects_a_negative_omega_cap(capsys):
     # a cap below 0 is an input error, not a failure of a proof without omega
     path = str(Path(__file__).resolve().parent.parent / "scripts" / "proofs" / "not_zero_one.proof")

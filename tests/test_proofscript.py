@@ -169,15 +169,29 @@ def test_round_trip_m_conditions():
         assert check(script.proof, SIGMA).certificate() == cert.certificate()
 
 
+def _gen_chain(depth: int):
+    proof = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
+    for _ in range(depth):
+        proof = Gen(0, proof)
+    return proof
+
+
 def test_deep_proof_text_is_linear_in_depth():
     # past the deepest indent, each (gen x ...) takes two lines at that
     # column and its parentheses
-    proof = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
-    for _ in range(40_000):
-        proof = Gen(0, proof)
+    proof = _gen_chain(40_000)
     text = serialize_script(proof, "gamma")
     assert len(text) <= (2 * (_MAX_INDENT + 2) + 5) * 40_001
     assert parse_script(text).proof is proof
+
+
+def test_deep_gen_chain_bytes_per_level():
+    # a level past the deepest indent is "(gen", then "x" and the inner form
+    # on lines of their own at that column, and its ")"; forms shorter than
+    # the 40 columns left there, like the innermost two levels, take one line
+    short, long = (serialize_script(_gen_chain(n), "gamma") for n in (1000, 2000))
+    assert (len(long) - len(short)) / 1000 == 2 * _MAX_INDENT + 8 == 128
+    assert "\n" + " " * _MAX_INDENT + '(gen x (gen x (axiom EQ1 "0 = 0")))' in short
 
 
 def test_strings_with_escapes_round_trip():

@@ -4,8 +4,9 @@ Doubling the input may at most double the work, up to a 2.2x margin.  Each
 gate counts something deterministic, so host load cannot move it.  The
 input families here are the tautology ``~^k 0 = 0 -> ~^k 0 = 0``, whose
 expanded proof has about 32 nodes per unit of k, the QUANT1 instance
-``(forall x. ~^n x = 0) -> ~^n 0 = 0``, and the formula ``0 = 0`` inside
-d pairs of parentheses.
+``(forall x. ~^n x = 0) -> ~^n 0 = 0``, the formula ``0 = 0`` inside d
+pairs of parentheses, and the omega sample count N of the bundled
+scripts, each of whose samples adds the same number of checked nodes.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from omegatruth import syntax, tactics
-from omegatruth.kernel import Axiom, MP, SchemaId, check
+from omegatruth.kernel import THEORIES, Axiom, MP, SchemaId, check
 from omegatruth.proofscript import parse_script
 
 LINEAR = 2.2
+PROOFS = Path(__file__).resolve().parent.parent / "scripts" / "proofs"
 
 
 def _taut_script(k: int) -> str:
@@ -152,3 +156,20 @@ def test_parenthesized_formula_parse_is_linear_in_depth(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert counts[1] <= LINEAR * counts[0], counts
+
+
+# the checked nodes each further omega sample adds: the replay of the
+# steps builds one proof per sample, and all of it is checked
+@pytest.mark.parametrize("name, per_sample", [
+    ("m1_zero", 26), ("m3_zero", 64), ("m2_instance", 250),
+])
+def test_proof_size_is_linear_in_samples(name, per_sample):
+    script = parse_script((PROOFS / f"{name}.proof").read_text(encoding="utf-8"))
+    config = THEORIES[script.theory]
+    size = {
+        n: check(script.proof, config._replace(omega_samples=n)).proof_size
+        for n in (4, 8, 16, 32)
+    }
+    assert size[8] - size[4] == 4 * per_sample, size
+    for n in (4, 8, 16):
+        assert size[2 * n] - size[n] == n * (size[8] - size[4]) // 4, size

@@ -17,7 +17,7 @@ from omegatruth.tactics import (
     derive_A1, derive_A2, diagonal_lemma, discharge, eval_closed, happly,
     hyp, iff_elim1, iff_intro, iff_parts, imp_trans, lift_imp, mp,
     propositional_atoms, propositional_counterexample,
-    refl, rewrite_imp, sym, taut, tintro, trans, _rw_pair,
+    refl, rewrite_imp, sym, taut, tintro, trans,
 )
 
 from helpers import (
@@ -290,7 +290,8 @@ def test_eval_closed_proof_sizes(text, size):
 def _checked_both_ways(eq, phi, path, want):
     """Both directions of phi <-> phi[t at path] check and prove the
     implications between phi and ``want``."""
-    fwd, bwd = _rw_pair(eq, phi, path)
+    fwd = rewrite_imp(eq, phi, path)
+    bwd = rewrite_imp(eq, phi, path, forward=False)
     assert fwd.formula == Imp(phi, want) and bwd.formula == Imp(want, phi)
     _checked(fwd, SIGMA)
     _checked(bwd, SIGMA)
@@ -305,7 +306,7 @@ def test_rewrite_eq_single_congruence():
 def test_rewrite_eq_invalid_position():
     eq = eval_closed(FnApp("iter", [ZERO, numeral(9)]))
     with pytest.raises((TacticError, IndexError)):
-        _rw_pair(eq, Tr(ZERO), (0, 1, 4))
+        rewrite_imp(eq, Tr(ZERO), (0, 1, 4), forward=False)
 
 
 def test_rewrite_eq_random_positions():

@@ -5,9 +5,9 @@ from omegatruth.kernel import (
     GAMMA, MissingSchema, SIGMA, SchemaId, check,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, ZERO, numeral, substitute,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, ZERO, mk_iff, numeral, substitute,
 )
-from omegatruth.tactics import Thm, ax, mp, refl
+from omegatruth.tactics import Thm, ax, iff_parts, mp, refl
 from omegatruth.theorems import (
     formalized_loeb, loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
     omega_witness, tomega_provability,
@@ -131,6 +131,14 @@ def test_mcgee_original_structure(mcgee):
     # lines 6 and 7 close the finitary half
     line6 = dict(mcgee.narrative)["6"]
     assert line6 == mcgee.negative.formula
+
+
+def test_mcgee_line_2_lifts_the_sides_of_line_1(mcgee):
+    # line 2 is stated, not derived: the biconditional of T of each side
+    lines = dict(mcgee.narrative)
+    gamma, neg_w = iff_parts(lines["1"])
+    assert neg_w is Not(omega_truth(name_of(gamma)))
+    assert lines["2"] is mk_iff(Tr(name_of(gamma)), Tr(name_of(neg_w)))
 
 
 def test_mcgee_fails_under_sigma():
