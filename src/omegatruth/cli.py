@@ -338,11 +338,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # only the parser recurses per level of its input, at parentheses
-        # and at S( / iter( / sub(
-        print("input error: expression nested too deeply", file=sys.stderr)
-        return 2
     finally:
         if was_enabled:
             gc.enable()

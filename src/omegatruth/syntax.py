@@ -508,178 +508,175 @@ class ParseError(ValueError):
 # a character that starts no token.
 _TOKEN_RE = re.compile(r"(#[0-9]+|0|[A-Za-z_][A-Za-z0-9_]*|->|[()=+*,.~])|\S")
 
+# The kinds of frame on _parse's stack, each spelled as the text read
+# before the operand it waits for.  A frame is a tuple that starts with its
+# kind; the last five wait for a formula, the others for a term.
+_SUCC_ARG, _FN_ARG, _OP_LEFT, _OP_RIGHT, _TR_ARG, _EQ_RIGHT = "S(", "f(", "(", "(t +", "T(", "t ="
+_NOT_BODY, _FORALL_BODY, _IMP_CONS, _PAREN_BODY, _WHOLE = "~", "forall v.", "A ->", "formula (", "formula"
 
-class _Miss(Exception):
-    """A parse failure, as its message and the index of the token it names.
 
-    Raised inside the parser instead of a :class:`ParseError`, whose line
-    and column cost a scan of the text, so that ``unary`` can try a term and
-    back off cheaply; only a failure that reaches the caller is located.
+def _offset(text: str, i: int) -> int:
+    """Where token ``i`` starts in ``text`` (its length for the end)."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == i:
+            return m.start()
+    return len(text)
+
+
+def _parse(text: str, formula: bool) -> Expr:
+    """The formula, or with ``formula`` false the term, that ``text`` spells.
+
+    One loop reads each token once, left to right, and keeps one frame per
+    construct still waiting for an operand, so nesting costs heap, not
+    Python frames.  A ``(`` where a formula may start is settled by what
+    follows its first operand: ``+`` or ``*`` makes it a sum or a product,
+    ``=`` or a closed formula makes it a formula.  Each message and position
+    is that of a parser that tries the term first and, where that fails,
+    the formula.
     """
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")  # the end of input
+    bad = toks.index("")
+    if bad < len(toks) - 1:
+        pos = _offset(text, bad)
+        raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
+    stack: list[tuple] = [(_WHOLE,)] if formula else []
+    i, want_formula = 0, formula
 
+    def error(msg: str, at: int) -> ParseError:
+        # inside a sum read where "(" could also have opened a formula, the
+        # error is that of the formula reading, tried last: at the operator.
+        # Such a sum's operands are terms, so at most one is on the stack
+        for frame in stack:
+            if frame[0] is _OP_RIGHT and frame[3]:
+                msg, at = frame[3]
+        return ParseError(msg, _offset(text, at), text)
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        # the tokens, then "" for the end of input
-        self.toks = toks = _TOKEN_RE.findall(text)
-        toks.append("")
-        self.i = 0
-        # indices of "(" tokens where a term was tried and failed; a term
-        # parse depends only on where it starts, so it is not tried again
-        self.no_term: set[int] = set()
-        bad = toks.index("")
-        if bad < len(toks) - 1:
-            pos = self.offset(bad)
-            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
+    def expected(want: str, at: int) -> ParseError:
+        return error(f"expected {want}, found {toks[at] or 'end of input'!r}", at)
 
-    def offset(self, i: int) -> int:
-        """Where token ``i`` starts in the text (its length for the end)."""
-        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
-            if k == i:
-                return m.start()
-        return len(self.text)
-
-    def located(self, miss: _Miss) -> ParseError:
-        msg, i = miss.args
-        return ParseError(msg, self.offset(i), self.text)
-
-    def next(self) -> str:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok = self.toks[self.i]
-        if tok != want:
-            raise _Miss(f"expected {want!r}, found {tok or 'end of input'!r}", self.i)
-        self.i += 1
-
-    def error(self, msg: str) -> _Miss:
-        tok = self.toks[self.i]
-        return _Miss(f"{msg}, found {tok or 'end of input'!r}", self.i)
-
-    # terms -----------------------------------------------------------------
-    def term(self) -> Term:
-        tok = self.next()
-        if tok[:1] == "#":
-            return numeral(int(tok[1:]))
-        if tok == "0":
-            # no bare integers other than 0 in the grammar
-            return ZERO
-        if tok == "S":
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return Succ(t)
-        if tok in FN_ARITY:
-            self.expect("(")
-            args = [self.term()]
-            for _ in range(FN_ARITY[tok] - 1):
-                self.expect(",")
-                args.append(self.term())
-            self.expect(")")
-            return FnApp(tok, args)
-        if tok == "(":
-            start = self.i - 1
-            try:
-                left = self.term()
-                op = self.next()
-                if op != "+" and op != "*":
-                    raise _Miss(f"expected '+' or '*', found {op!r}", self.i - 1)
-                right = self.term()
-                self.expect(")")
-            except _Miss:
-                self.no_term.add(start)
-                raise
-            return Add(left, right) if op == "+" else Mul(left, right)
-        idx = var_index(tok)
-        if idx is not None:
-            return Var(idx)
-        self.i -= 1
-        if tok.isidentifier():
-            raise _Miss(f"unknown identifier {tok!r}", self.i)
-        raise self.error("expected a term")
-
-    # formulas ---------------------------------------------------------------
-    def formula(self) -> Formula:
-        # prefixes and '->' chains loop, only parentheses recurse; outer
-        # holds the (constructor, first argument) to wrap around the rest
-        toks, outer, nots = self.toks, [], 0
-        while True:
-            tok = toks[self.i]
+    while True:
+        # prefixes push a frame each, up to the first atom
+        tok = toks[i]
+        i += 1
+        if want_formula:
             if tok == "~":
-                self.i += 1
-                nots += 1
-            elif tok == "forall":
-                self.i += 1  # the body extends maximally to the right
-                name = self.next()
-                idx = var_index(name)
+                stack.append((_NOT_BODY,))
+                continue
+            if tok == "forall":
+                idx = var_index(toks[i])
                 if idx is None:
-                    raise _Miss(f"expected a variable after 'forall', found {name!r}", self.i - 1)
-                self.expect(".")
-                outer += [(Not, None)] * nots + [(Forall, idx)]
-                nots = 0
-            else:
-                f = self.unary()
-                for _ in range(nots):
-                    f = Not(f)
-                if toks[self.i] != "->":
+                    raise error(f"expected a variable after 'forall', found {toks[i]!r}", i)
+                if toks[i + 1] != ".":
+                    raise expected("'.'", i + 1)
+                i += 2
+                stack.append((_FORALL_BODY, idx))
+                continue
+            if tok == "(":
+                stack.append((_PAREN_BODY,))
+                continue
+            want_formula = False
+            if tok == "T":
+                if toks[i] != "(":
+                    raise expected("'('", i)
+                i += 1
+                stack.append((_TR_ARG,))
+                continue
+        if tok[:1] == "#":
+            v = numeral(int(tok[1:]))
+        elif tok == "0":
+            # no bare integers other than 0 in the grammar
+            v = ZERO
+        elif tok == "(":
+            stack.append((_OP_LEFT,))
+            continue
+        elif tok == "S" or tok in FN_ARITY:
+            if toks[i] != "(":
+                raise expected("'('", i)
+            i += 1
+            stack.append((_SUCC_ARG,) if tok == "S" else (_FN_ARG, tok, []))
+            continue
+        else:
+            idx = var_index(tok)
+            if idx is None:
+                if tok.isidentifier():
+                    raise error(f"unknown identifier {tok!r}", i - 1)
+                raise expected("a term", i - 1)
+            v = Var(idx)
+        # v is an operand: pop each frame it completes, up to one that
+        # waits for a further operand
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            tok = toks[i]
+            if kind is _EQ_RIGHT:
+                v = Eq(frame[1], v)
+            elif kind is _FN_ARG:
+                args = frame[2]
+                args.append(v)
+                if len(args) < FN_ARITY[frame[1]]:
+                    if tok != ",":
+                        raise expected("','", i)
+                    i += 1
                     break
-                self.i += 1
-                outer.append((Imp, f))
-                nots = 0
-        for make, first in reversed(outer):
-            f = make(f) if first is None else make(first, f)
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.toks[self.i]
-        if tok == "T":
-            self.i += 1
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return Tr(t)
-        if tok == "(":
-            # either a parenthesized formula or a parenthesized term of an
-            # equation; T, ~ and forall start only formulas, so the term is
-            # tried only when another token follows, and only once
-            mark = self.i
-            if self.toks[mark + 1] not in ("T", "~", "forall") and mark not in self.no_term:
-                try:
-                    left = self.term()
-                except _Miss:
-                    pass
+                if tok != ")":
+                    raise expected("')'", i)
+                i += 1
+                v = FnApp(frame[1], args)
+            elif kind is _OP_LEFT:
+                if tok != "+" and tok != "*":
+                    raise error(f"expected '+' or '*', found {tok!r}", i)
+                i += 1
+                stack[-1] = (_OP_RIGHT, v, tok, None)
+                break
+            elif kind is _SUCC_ARG or kind is _TR_ARG or kind is _OP_RIGHT:
+                if tok != ")":
+                    raise expected("')'", i)
+                i += 1
+                if kind is _SUCC_ARG:
+                    v = Succ(v)
+                elif kind is _TR_ARG:
+                    v = Tr(v)
                 else:
-                    self.expect("=")
-                    return Eq(left, self.term())
-            self.i = mark + 1
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        left = self.term()
-        self.expect("=")
-        return Eq(left, self.term())
+                    v = (Add if frame[2] == "+" else Mul)(frame[1], v)
+            elif isinstance(v, Term):
+                # the left side of an equation, or of a sum or product
+                # where "(" opened what may also be a formula
+                if kind is _PAREN_BODY and (tok == "+" or tok == "*"):
+                    stack[-1] = (_OP_RIGHT, v, tok, (f"expected '=', found {tok!r}", i))
+                    i += 1
+                    break
+                if tok != "=":
+                    raise expected("'='", i)
+                i += 1
+                stack.append((_EQ_RIGHT, v))
+                break
+            elif kind is _NOT_BODY:
+                v = Not(v)
+            elif tok == "->":
+                # '->' groups to the right, and a forall body reaches it
+                i += 1
+                stack.append((_IMP_CONS, v))
+                want_formula = True
+                break
+            elif kind is _FORALL_BODY:
+                v = Forall(frame[1], v)
+            elif kind is _IMP_CONS:
+                v = Imp(frame[1], v)
+            elif kind is _PAREN_BODY:
+                if tok != ")":
+                    raise expected("')'", i)
+                i += 1
+            stack.pop()
+        else:
+            if toks[i]:
+                raise error(f"trailing input after {'formula' if formula else 'term'}, found {toks[i]!r}", i)
+            return v
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    try:
-        t = p.term()
-        if p.toks[p.i]:
-            raise p.error("trailing input after term")
-    except _Miss as miss:
-        raise p.located(miss) from None
-    return t
+    return _parse(text, False)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    try:
-        f = p.formula()
-        if p.toks[p.i]:
-            raise p.error("trailing input after formula")
-    except _Miss as miss:
-        raise p.located(miss) from None
-    return f
+    return _parse(text, True)

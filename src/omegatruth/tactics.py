@@ -472,15 +472,16 @@ def eval_closed(t: Term) -> Thm:
     return th
 
 
-def _eval_step(t: Term, done: list) -> Thm:
-    """Prove t = n from ``done``, the proofs that t's arguments equal their numerals."""
+def _eval_step(t: Term, done: list) -> Thm | None:
+    """Prove t = n from ``done``, the proofs that t's arguments equal their
+    numerals, None for an argument that is one; None when t is a numeral."""
     if t.nv is not None:
-        return refl(t)
+        return None
     # rewrite the arguments that are not numerals yet to their numerals in
-    # place, then apply the operation to them; no link proves u = u
+    # place, then apply the operation to them
     links, cur = [], t
     for i, ea in enumerate(done):
-        if ea.formula.left is not ea.formula.right:
+        if ea is not None:
             links.append(cong_term(ea, cur, (i,)))
             cur = replace_at(cur, (i,), ea.formula.right)
     if type(t) is not FnApp or t.sym != ITER:
@@ -585,15 +586,15 @@ def rewrite_align(th: Thm, expected: Formula, positions) -> Thm:
             continue
         if not isinstance(cur_t, Term) or not isinstance(exp_t, Term):
             raise TacticError(f"position {pos} does not address a term")
-        e1 = eval_closed(cur_t)
-        e2 = eval_closed(exp_t)
-        if e1.formula.right != e2.formula.right:
+        # a numeral's side needs no link
+        e1 = eval_closed(cur_t) if cur_t.nv is None else None
+        e2 = eval_closed(exp_t) if exp_t.nv is None else None
+        if value(cur_t) != value(exp_t):
             raise TacticError(
                 f"terms at {pos} have different values: "
                 f"{pretty_print(cur_t)} vs {pretty_print(exp_t)}"
             )
-        # a numeral's side needs no link
-        eq = e1 if exp_t.nv is not None else sym(e2) if cur_t.nv is not None else trans(e1, sym(e2))
+        eq = e1 if e2 is None else sym(e2) if e1 is None else trans(e1, sym(e2))
         th = mp(th, rewrite_imp(eq, th.formula, pos))
     return th
 

@@ -3,9 +3,8 @@
 Each bundled script and each demo runs in a fresh process, so that the
 intern tables hold exactly the proof nodes the command built.  Every one
 of them must be reached by one of the command's kernel checks, except the
-``EQ1`` axioms ``t = t`` that evaluation starts from at an argument that
-is already a numeral, and the omega node of the witness demo, which
-checks that node's instances one by one instead.
+omega node of the witness demo, which checks that node's instances one by
+one instead.
 """
 
 import json
@@ -24,7 +23,6 @@ SCRIPTS = sorted((ROOT / "scripts" / "proofs").glob("*.proof"))
 _PROBE = """
 import contextlib, io, json, sys
 from omegatruth import cli, kernel
-from omegatruth.kernel import Axiom, SchemaId
 
 checkers = []
 init = kernel._Checker.__init__
@@ -43,12 +41,7 @@ built = [p for table in tables for p in table.values()]
 reached = set().union(*(c.memo for c in checkers))
 
 def label(p):
-    if type(p) is not Axiom:
-        return type(p).__name__
-    f = p.instance
-    if p.schema is SchemaId.EQ1 and f.left is f.right:
-        return "EQ1 t = t"
-    return p.schema.value
+    return p.schema.value if type(p) is kernel.Axiom else type(p).__name__
 
 print(json.dumps([len(built), [label(p) for p in built if p not in reached]]))
 """
@@ -67,7 +60,7 @@ def test_every_built_proof_node_is_checked(argv):
     )
     assert res.returncode == 0, res.stderr
     built, unreached = json.loads(res.stdout)
-    allowed = {"EQ1 t = t"} | ({"Omega"} if argv == ["demo", "witness"] else set())
+    allowed = {"Omega"} if argv == ["demo", "witness"] else set()
     others = [kind for kind in unreached if kind not in allowed]
     assert not others, f"{len(others)} of {built} built nodes never checked: {sorted(set(others))}"
     if argv == ["demo", "witness"]:

@@ -204,6 +204,27 @@ def test_unsound_axioms_are_check_failures(tmp_path, capsys, script, message):
     assert run(capsys, "check", str(path)) == (1, "", f"check failure: {message}\n")
 
 
+def _omega_step(step):
+    return f'(theory gamma)(prove (omega (family y "y = y") (base (axiom EQ1 "0 = 0")) (step {step})))'
+
+
+@pytest.mark.parametrize("script, code, message", [
+    (_omega_step("(lift 3)"), 2, "input error: LiftImp depth must be 1 or 2"),
+    (_omega_step("(lift 1)"), 1,
+     "check failure: at node <root> [omega]: step 0 failed at sample 1: lift needs an implication"),
+    (_omega_step('(chain (axiom EQ1 "0 = 0"))'), 1,
+     "check failure: at node <root> [omega]: step 0 failed at sample 1: chain needs implications"),
+    (_omega_step("(frob)"), 2, "input error: unknown step combinator 'frob'"),
+    ("(prove (axiom EQ1 0))", 2, "input error: expected a quoted formula, got '0'"),
+    ("(prove (eval 0))", 2, "input error: expected a quoted term, got '0'"),
+], ids=["lift-depth-3", "lift-of-an-equation", "chain-of-an-equation", "unknown-step",
+        "unquoted-formula", "unquoted-term"])
+def test_check_rejects_malformed_steps_and_arguments(tmp_path, capsys, script, code, message):
+    path = tmp_path / "rejected.proof"
+    path.write_text(script)
+    assert run(capsys, "check", str(path)) == (code, "", message + "\n")
+
+
 def test_check_script_failure(tmp_path, capsys):
     path = tmp_path / "bad.proof"
     path.write_text('(theory sigma)\n(prove (axiom CONS "0 = 0"))\n')

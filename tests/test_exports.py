@@ -74,22 +74,17 @@ def _recursive_functions(path):
     return out
 
 
-# What still recurses, each with its bound: the parser once per level of
-# parentheses and of S( / iter( / sub( (formula <-> unary, and term);
-# tactics.build once per level of taut's case split, over at most 8 atoms;
-# and the checker's run <-> _reduce one level only, as tactics make no
-# Omega node, so every omega inside a sample is already in the checker's
-# memo.  Every other walker keeps a stack of its own, most through
+# What still recurses, each with its bound: tactics.build once per level
+# of taut's case split, over at most 8 atoms; and the checker's run <->
+# _reduce one level only, as tactics make no Omega node, so every omega
+# inside a sample is already in the checker's memo.  Every other walker,
+# the formula parser included, keeps a stack of its own, most through
 # syntax._postorder.
-RECURSIVE = {
-    "kernel._reduce", "kernel.run",
-    "syntax.formula", "syntax.term", "syntax.unary",
-    "tactics.build",
-}
+RECURSIVE = {"kernel._reduce", "kernel.run", "tactics.build"}
 
 
 def test_recursion_is_pinned():
     root = pathlib.Path(__file__).resolve().parent.parent
     files = sorted((root / "src" / "omegatruth").glob("*.py"))
     assert {f for p in files for f in _recursive_functions(p)} == RECURSIVE
-    assert [p.name for p in files if "setrecursionlimit" in p.read_text(encoding="utf-8")] == []
+    assert [p.name for p in files if "recursionlimit" in p.read_text(encoding="utf-8")] == []

@@ -4,9 +4,10 @@ Doubling the input may at most double the work, up to a 2.2x margin.  Each
 gate counts something deterministic, so host load cannot move it.  The
 input families here are the tautology ``~^k 0 = 0 -> ~^k 0 = 0``, whose
 expanded proof has about 32 nodes per unit of k, the QUANT1 instance
-``(forall x. ~^n x = 0) -> ~^n 0 = 0``, the formula ``0 = 0`` inside d
-pairs of parentheses, and the omega sample count N of the bundled
-scripts, each of whose samples adds the same number of checked nodes.
+``(forall x. ~^n x = 0) -> ~^n 0 = 0``, d pairs of parentheses around
+an equation whose left side nests d sums, and the omega sample count N
+of the bundled scripts, each of whose samples adds the same number of
+checked nodes.
 """
 
 from __future__ import annotations
@@ -133,29 +134,24 @@ def test_pair_keyed_nodes_are_distinct_and_interned():
     assert MP(p, r) is first and MP(q, r) is second
 
 
-def test_parenthesized_formula_parse_is_linear_in_depth(monkeypatch):
-    # a term is tried at each "(" and backed off from at the "="; a failed
-    # try is not repeated from the same token
-    calls = 0
-    body = syntax._Parser.term
-
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return body(self)
-
-    monkeypatch.setattr(syntax._Parser, "term", counted)
-    counts = []
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
-    try:
-        for d in (500, 1000):
-            calls = 0
-            assert syntax.parse_formula("(" * d + "0 = 0" + ")" * d) is syntax.Eq(syntax.ZERO, syntax.ZERO)
-            counts.append(calls)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert counts[1] <= LINEAR * counts[0], counts
+def test_parenthesized_formula_parse_is_linear_in_depth():
+    # the parser's own allocations, its tokens and frame stack, on d formula
+    # parentheses around d left-nested sums: each "(" stays open to both
+    # readings until the token after its first operand, "+" for the inner
+    # d and "=" for the outer d.  A first parse interns the nodes, so that
+    # the growth of the intern tables is not counted
+    peaks = []
+    for d in (20_000, 40_000):
+        text = "(" * 2 * d + "0" + " + 0)" * d + " = 0" + ")" * d
+        syntax.parse_formula(text)
+        tracemalloc.start()
+        try:
+            phi = syntax.parse_formula(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert type(phi) is syntax.Eq and phi.right is syntax.ZERO
+    assert peaks[1] <= LINEAR * peaks[0], peaks
 
 
 # the checked nodes each further omega sample adds: the replay of the

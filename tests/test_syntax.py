@@ -360,3 +360,17 @@ def test_parser_agrees_with_the_reference_parser(text):
             assert got == want, text
         else:
             assert got is want, text
+
+
+# a "(" where a formula may start, read as a formula, a sum or a product,
+# or failing after its first operand; fuzzed inputs reach these only by
+# chance
+@pytest.mark.parametrize("text", [
+    "((0 + 0) = 0)", "(((0 + 0) * 0) = (0 * 0))", "~(0 + 0) = 0",
+    "(forall x. x = 0) -> (x * 0) = 0", "(T(0) -> (0 = 0)) -> 0 = 0",
+    "((0 = 0)) -> ((0 + 0)) = 0", "((0 + S(0 +)) = 0)", "((0 + 0 0) = 0)",
+    "(0 + 0", "0 + 0) = 0", "~0 + 0 = 0", "((0 = 0) + 0)",
+])
+def test_parenthesis_readings_agree_with_the_reference_parser(text):
+    got, want = _outcome(parse_formula, text), _outcome(reference_parse_formula, text)
+    assert got == want if type(want) is tuple else got is want
