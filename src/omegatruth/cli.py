@@ -329,13 +329,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         if isinstance(e, (CheckError, MissingSchema, TacticError)):
             print(f"check failure: {e}", file=sys.stderr)
             return 1
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     finally:

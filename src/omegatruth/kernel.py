@@ -10,17 +10,22 @@ n+1.  Its conclusion is derived, never stored: the universal closure of
 the family.  The checker replays the steps for ``omega_samples``
 successive instances and verifies every produced proof from scratch.
 
-Trust statement.  Soundness of an accepted omega node for *all* n rests on
-the step combinators being parametric: each one builds its output from the
-shape of its input conclusion, delegating every numeral computation to the
-COMP_* axiom schemas, whose instances the checker verifies by running the
-meta-level functions.  The trusted computing base is exactly: this module,
-the sampled replay, and the functions the matchers evaluate or rebuild an
-instance with: ``substitute``, ``free_var_positions`` and ``subterm_at``
-(QUANT1, whose side condition, that the term is free for the variable,
-is ``substitute``'s refusal to let a quantifier capture it),
-``iter_zero_axiom`` / ``iter_step_axiom`` (the iteration template),
-``value`` (numeral arithmetic) and ``sub_fn`` (substitution).
+Trust statement.  The claim for *all* n rests on the steps being
+parametric: each builds its output from the shape of its input conclusion
+and leaves every numeral computation to the COMP_* axioms.  A step reaches
+the tactics through ``apply``, and on the bundled scripts ``check``
+reaches these ``tactics`` functions (``CHECK_REACHES`` in
+``tests/test_kernel.py`` pins them by module): ax, mp, inst, refl, sym,
+trans, cong_term, tintro, hyp, happly, close, _close, compile_tree,
+discharge, parts, taut_id, imp_trans, _imp_mono_ant, _imp_mono_cons,
+chain, lift_imp, rewrite_imp, rewrite_align, eval_closed, _eval_step and
+the hypothesis trees' __init__.  The rest of the trusted base is this
+module and the ``coding`` and ``syntax`` functions the checker evaluates
+or rebuilds an instance with, pinned there too: among them
+``substitute``, on whose refusal to let a quantifier capture a term
+QUANT1's side condition rests, ``iter_zero_axiom`` / ``iter_step_axiom``
+(the iteration template), ``value`` (numeral arithmetic) and ``sub_fn``
+(substitution).
 """
 
 from __future__ import annotations
@@ -227,14 +232,20 @@ class TIntro(Proof):
 
 
 class StepCombinator:
-    """Base class of the omega steps, interned in one table under a tuple
-    that starts with their class."""
+    """An omega step, interned under its class and fields.  The kernel knows
+    it only by ``apply(proof, formula, expected)``, from a proof of instance
+    n to one of instance n+1, and by ``lemmas``, the proofs it carries."""
 
     __slots__ = ()
+    lemmas = ()
 
-    @classmethod
-    def _make(cls, key):
-        _STEPS[key] = self = object.__new__(cls)
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _STEPS.get(key)
+        if self is None:
+            self = _STEPS[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                setattr(self, name, value)
         return self
 
 
@@ -242,9 +253,6 @@ class ApplyTIntro(StepCombinator):
     """phi  =>  T(name of phi)."""
 
     __slots__ = ()
-
-    def __new__(cls):
-        return _STEPS.get((cls,)) or cls._make((cls,))
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -262,14 +270,9 @@ class LiftImp(StepCombinator):
     __slots__ = ("depth",)
 
     def __new__(cls, depth: int = 1):
-        key = (cls, depth)
-        self = _STEPS.get(key)
-        if self is None:
-            if depth not in (1, 2):
-                raise ValueError("LiftImp depth must be 1 or 2")
-            self = cls._make(key)
-            self.depth = depth
-        return self
+        if depth not in (1, 2):
+            raise ValueError("LiftImp depth must be 1 or 2")
+        return super().__new__(cls, depth)
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -284,13 +287,7 @@ class RewriteEval(StepCombinator):
     __slots__ = ("position",)
 
     def __new__(cls, position):
-        position = tuple(position)
-        key = (cls, position)
-        self = _STEPS.get(key)
-        if self is None:
-            self = cls._make(key)
-            self.position = position
-        return self
+        return super().__new__(cls, tuple(position))
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -303,14 +300,9 @@ class ChainWith(StepCombinator):
 
     __slots__ = ("lemma", "conclusion")
 
-    def __new__(cls, lemma: Proof, conclusion: Formula):
-        key = (cls, lemma, conclusion)
-        self = _STEPS.get(key)
-        if self is None:
-            self = cls._make(key)
-            self.lemma = lemma
-            self.conclusion = conclusion
-        return self
+    @property
+    def lemmas(self):
+        return (self.lemma,)
 
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
@@ -362,8 +354,6 @@ class Omega(Proof):
             for j, step in enumerate(self.steps):
                 try:
                     proof, formula = step.apply(proof, formula, expected)
-                except CheckError:
-                    raise
                 except Exception as e:  # tactic construction failure
                     raise CheckError(path, "omega", f"step {j} failed at sample {n}: {e}") from e
             yield proof, expected
@@ -377,9 +367,7 @@ def _proof_children(p: Proof) -> tuple[Proof, ...]:
     if t is Gen or t is TIntro:
         return (p.premise,)
     if t is Omega:
-        return (p.base,) + tuple(
-            s.lemma for s in p.steps if isinstance(s, ChainWith)
-        )
+        return (p.base,) + tuple(q for s in p.steps for q in s.lemmas)
     return ()
 
 
@@ -676,9 +664,7 @@ _MATCHERS = {
 
 def _matches(schema: SchemaId, phi: Formula):
     m = _MATCHERS.get(schema)
-    if m is not None:
-        return m(phi)
-    return (phi == _Q_SENTENCES[schema]), None
+    return m(phi) if m is not None else (phi == _Q_SENTENCES[schema], None)
 
 
 def q_axiom(schema: SchemaId) -> Formula:
@@ -792,8 +778,7 @@ class _Checker:
                 raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
             return node.instance, 0
         if t is MP:
-            fa = memo[node.minor]
-            fb = memo[node.major]
+            fa, fb = memo[node.minor], memo[node.major]
             if type(fb) is not Imp:
                 raise CheckError(_spell(prefix, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
             if fb.ant != fa:

@@ -204,6 +204,50 @@ def test_unsound_axioms_are_check_failures(tmp_path, capsys, script, message):
     assert run(capsys, "check", str(path)) == (1, "", f"check failure: {message}\n")
 
 
+_QUANT1_NEAR = " (nearest: QUANT1: consequent is not a substitution instance of the quantified body)"
+
+
+# one near miss per matcher rejection that no other input reaches; the
+# names are codes: #24623 is x = 0, #25071 is 0 = 0, #434223 is ~x = 0,
+# #7382753327 is x = 0 -> x = 0, #1573893 is y = z, #196751 is y = 0 and
+# #474481669 is forall y. y = z
+@pytest.mark.parametrize("schema, instance, reason", [
+    ("EQ2", "0 = #1 -> (0 + 0) = (#1 + #1)",
+     "right side is not a one-position rewrite of the left side"),
+    ("CONS", "T(#434223) -> ~T(#24623)", "named formula is not a sentence"),
+    ("CONS", "T(#25071) -> ~T(#25071)", "left name is not the negation of the right name"),
+    ("TIMP", "T(#7382753327) -> T(#24623) -> T(#24623)", "named formulas are not sentences"),
+    ("TIMP", "T(#25071) -> T(#25071) -> T(#25071)",
+     "first name is not the implication of the other two (nearest: PROP1 matches)"),
+    ("UINF", "(forall x. T(sub(#1573893, #1, x))) -> T(#474481669)",
+     "named formula has free variables other than the distinguished one" + _QUANT1_NEAR),
+    ("UINF", "(forall x. T(sub(#196751, #1, x))) -> T(#25071)",
+     "consequent does not name the universal closure" + _QUANT1_NEAR),
+    ("COMP_SUB", "sub(#196751, #1, 0) = #5", "right side disagrees with the substitution function"),
+], ids=["eq2-two-positions", "cons-open-name", "cons-not-a-negation", "timp-open-names",
+        "timp-not-an-implication", "uinf-second-free-variable", "uinf-wrong-closure",
+        "comp-sub-wrong-value"])
+def test_matcher_near_misses_are_check_failures(tmp_path, capsys, schema, instance, reason):
+    path = tmp_path / "near_miss.proof"
+    path.write_text(f'(theory gamma)(prove (axiom {schema} "{instance}"))')
+    message = f"check failure: at node <root> [axiom]: {schema}: {reason}: {instance}\n"
+    assert run(capsys, "check", str(path)) == (1, "", message)
+
+
+@pytest.mark.parametrize("script, options, message", [
+    ('(prove (tintro (axiom EQ1 "x = x")))', (), "[t-intro]: premise is not a sentence: x = x"),
+    (None, ("--max-omega", "0"), "[omega]: omega_count 1 exceeds the configured cap 0"),
+    ('(prove (omega (family y "y = y") (base (axiom EQ1 "#1 = #1")) (step (t-intro))))', (),
+     "[omega]: base proves #1 = #1, not instance 0 0 = 0"),
+], ids=["tintro-of-an-open-formula", "omega-over-the-cap", "omega-base-off-instance-0"])
+def test_rule_rejections_are_check_failures(tmp_path, capsys, script, options, message):
+    path = ROOT / "scripts" / "proofs" / "m1_zero.proof"
+    if script is not None:
+        path = tmp_path / "rejected.proof"
+        path.write_text(script)
+    assert run(capsys, "check", str(path), *options) == (1, "", f"check failure: at node <root> {message}\n")
+
+
 def _omega_step(step):
     return f'(theory gamma)(prove (omega (family y "y = y") (base (axiom EQ1 "0 = 0")) (step {step})))'
 

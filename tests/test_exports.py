@@ -49,6 +49,32 @@ def test_no_unused_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
+def _rejection_texts(path):
+    """The string constants of a module's rejections: the reasons its
+    matchers (``_m_*``) return beside their verdict, and every constant in
+    the arguments of a ``CheckError`` it raises."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_m_"):
+            parts += [r.value.elts[1] for r in ast.walk(node)
+                      if isinstance(r, ast.Return) and isinstance(r.value, ast.Tuple)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckError":
+            parts += node.args[1:]
+    return {c.value for p in parts for c in ast.walk(p)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
+def test_every_kernel_rejection_is_reached():
+    # a rejection no test names is one no test holds to its message, and
+    # likely one no input reaches
+    root = pathlib.Path(__file__).resolve().parent.parent
+    tests = "\n".join(p.read_text(encoding="utf-8") for p in sorted((root / "tests").rglob("*.py")))
+    texts = _rejection_texts(root / "src" / "omegatruth" / "kernel.py")
+    assert len(texts) > 30  # the scan still finds the kernel's messages
+    assert sorted(t for t in texts if t not in tests) == []
+
+
 def _recursive_functions(path):
     """The functions of a module that can call themselves, directly or
     through other functions of the module: a function calls each function

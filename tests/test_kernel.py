@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -381,11 +387,17 @@ def test_check_two_node_proof():
 
 
 def test_check_rejects_mp_mismatch():
-    a = Eq(ZERO, ZERO)
-    bad = MP(Axiom(SchemaId.EQ1, a), Axiom(SchemaId.EQ1, a))
+    # the script reader refuses both proofs first, so only here does the
+    # kernel give these messages
+    a = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
     with pytest.raises(CheckError) as err:
-        check(bad, GAMMA)
-    assert err.value.rule == "mp"
+        check(MP(a, a), GAMMA)
+    assert str(err.value) == "at node <root> [mp]: major premise is not an implication: 0 = 0"
+    one = Axiom(SchemaId.EQ1, parse_formula("#1 = #1"))
+    prop1 = Axiom(SchemaId.PROP1, parse_formula("0 = 0 -> 0 = 0 -> 0 = 0"))
+    with pytest.raises(CheckError) as err:
+        check(MP(one, prop1), GAMMA)
+    assert str(err.value) == "at node <root> [mp]: minor premise #1 = #1 does not match antecedent 0 = 0"
 
 
 def test_check_rejects_wrong_schema_declaration():
@@ -464,8 +476,9 @@ def test_step_failure_and_wrong_sample_name_the_same_instance():
     assert err.value.reason.startswith("step 3 failed at sample 1:")
     with pytest.raises(CheckError) as err:
         check(Omega(1, fam, base.proof, (ApplyTIntro(),)), GAMMA)
-    assert err.value.reason.startswith("sample 1 proves ")
-    assert err.value.reason.endswith(f"expected {pretty_print(substitute(fam, 1, numeral(1)))}")
+    # ApplyTIntro alone proves T of the name of instance 0, not instance 1
+    assert err.value.reason == "sample 1 proves T(#435383689712), expected T(iter(#1, #25071))"
+    assert pretty_print(substitute(fam, 1, numeral(1))) == "T(iter(#1, #25071))"
 
 
 def test_error_path_names_the_failing_node(mcgee):
@@ -553,3 +566,84 @@ def test_refutation_validates_contradiction(mcgee):
     with pytest.raises(ValueError, match="^refutation sides use different theories$"):
         Refutation(mcgee.positive, other, ())
     assert Refutation(mcgee.positive, mcgee.negative, ()).negative is mcgee.negative
+
+
+def test_steps_are_interned_by_one_constructor():
+    from omegatruth.kernel import LiftImp, StepCombinator
+
+    lemma = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
+    chain = ChainWith(lemma, Eq(ZERO, ZERO))
+    assert chain is ChainWith(lemma, Eq(ZERO, ZERO)) and chain.lemmas == (lemma,)
+    assert LiftImp(2) is LiftImp(2) and LiftImp(2).depth == 2 and LiftImp().depth == 1
+    assert RewriteEval([1, 0]) is RewriteEval((1, 0)) and RewriteEval([1, 0]).position == (1, 0)
+    assert ApplyTIntro() is ApplyTIntro() and ApplyTIntro().lemmas == LiftImp(1).lemmas == ()
+    with pytest.raises(ValueError, match="^LiftImp depth must be 1 or 2$"):
+        LiftImp(3)
+    steps = (ApplyTIntro, LiftImp, RewriteEval, ChainWith)
+    assert [c for c in steps if "__new__" in vars(c)] == [LiftImp, RewriteEval]
+    assert all("apply" in vars(c) and issubclass(c, StepCombinator) for c in steps)
+
+
+# The functions kernel.check calls, by module, when one process checks the
+# bundled scripts in sorted order.  The trust statement's all-n claim rests
+# on the tactics among them (kernel.py, README), so a change to the trusted
+# base shows here as a diff.  A function is known by its co_name (3.10 has
+# no co_qualname); <...> code objects are skipped, as 3.12 inlines
+# comprehensions; a functools.cache hit counts as a call.
+CHECK_REACHES = {
+    "coding": [
+        "__init__", "_build", "_chunk_of", "_nat_chunk", "_parts", "_value_of", "decode", "encode",
+        "iter_fn", "iter_step_axiom", "iter_zero_axiom", "name_of", "read", "read_nat", "sub_fn",
+        "value",
+    ],
+    "kernel": [
+        "__init__", "__new__", "_m_comp_iter0", "_m_comp_iter_step", "_m_comp_sub", "_m_comp_succ",
+        "_m_cons", "_m_eq1", "_m_eq2", "_m_eq3", "_m_prop1", "_m_prop2", "_m_prop3", "_m_quant1",
+        "_m_quant2", "_m_timp", "_m_uinf", "_matches", "_named", "_one_step_rewrite",
+        "_proof_children", "_reduce", "_spell", "active", "apply", "check", "conclusion",
+        "instance", "lemmas", "premises", "run",
+    ],
+    "syntax": [
+        "__getattr__", "__new__", "_children", "_make", "_postorder", "_rebuild", "_union",
+        "free_var_positions", "into", "numeral", "put", "replace_at", "substitute", "subterm_at",
+    ],
+    "tactics": [
+        "__init__", "_close", "_eval_step", "_imp_mono_ant", "_imp_mono_cons", "ax", "chain",
+        "close", "compile_tree", "cong_term", "discharge", "eval_closed", "happly", "hyp",
+        "imp_trans", "inst", "lift_imp", "mp", "parts", "refl", "rewrite_align", "rewrite_imp",
+        "sym", "taut_id", "tintro", "trans",
+    ],
+}
+
+_REACH = """
+import json, pathlib, sys
+from omegatruth.kernel import THEORIES, check
+from omegatruth.proofscript import parse_script
+
+reached = {}
+def profile(frame, event, arg):
+    if event == "call":
+        mod, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+    elif event == "c_call" and hasattr(arg, "__wrapped__"):
+        mod, name = arg.__wrapped__.__module__, arg.__wrapped__.__code__.co_name
+    else:
+        return
+    if mod.startswith("omegatruth.") and not name.startswith("<"):
+        reached.setdefault(mod.split(".", 1)[1], set()).add(name)
+
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.proof")):
+    script = parse_script(path.read_text(encoding="utf-8"))
+    sys.setprofile(profile)
+    check(script.proof, THEORIES[script.theory])
+    sys.setprofile(None)
+print(json.dumps({m: sorted(names) for m, names in sorted(reached.items())}))
+"""
+
+
+def test_check_reaches_the_pinned_functions():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _REACH, str(root / "scripts" / "proofs")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == CHECK_REACHES
