@@ -111,9 +111,9 @@ def _refutation_json(name: str, ref: Refutation) -> dict:
 
 
 def _cmd_check(args) -> int:
+    # the text is not kept alive through the check
     with open(args.script, encoding="utf-8") as fh:
-        text = fh.read()
-    script = parse_script(text)
+        script = parse_script(fh.read())
     # command-line options override the script's header
     args.theory = args.theory or script.theory or "gamma"
     cert = check(script.proof, _config(args, 8 if script.samples is None else script.samples))

@@ -165,11 +165,14 @@ _STEPS: dict = {}
 class Proof:
     """Base class for proof nodes, interned like terms and formulas.
 
-    A node holds only what the kernel checks; which macro call built it,
-    if any, is recorded by the tactics layer (``tactics.MACROS``).
+    A node holds what the kernel checks and two slots the checker writes:
+    ``_seen``, the stamp of the last check that reached the node (None
+    until one does), and ``_concl``, the conclusion that check found.
+    Which macro call built a node, if any, is recorded by the tactics
+    layer (``tactics.MACROS``).
     """
 
-    __slots__ = ()
+    __slots__ = ("_seen", "_concl")
 
 
 class Axiom(Proof):
@@ -180,6 +183,7 @@ class Axiom(Proof):
         self = table.get(instance)
         if self is None:
             self = table[instance] = object.__new__(cls)
+            self._seen = None
             self.schema = schema
             self.instance = instance
         return self
@@ -202,6 +206,7 @@ class MP(Proof):
             if self is not None:
                 return self
         self = table[key] = object.__new__(cls)
+        self._seen = None
         self.minor = minor
         self.major = major
         return self
@@ -215,6 +220,7 @@ class Gen(Proof):
         self = _GEN.get(key)
         if self is None:
             self = _GEN[key] = object.__new__(cls)
+            self._seen = None
             self.var = var
             self.premise = premise
         return self
@@ -227,6 +233,7 @@ class TIntro(Proof):
         self = _TINTRO.get(premise)
         if self is None:
             self = _TINTRO[premise] = object.__new__(cls)
+            self._seen = None
             self.premise = premise
         return self
 
@@ -327,6 +334,7 @@ class Omega(Proof):
         self = _OMEGA.get(key)
         if self is None:
             self = _OMEGA[key] = object.__new__(cls)
+            self._seen = None
             self.var = var
             self.family = family
             self.base = base
@@ -736,38 +744,43 @@ def _spell(prefix: tuple[int, ...], link) -> tuple[int, ...]:
 class _Checker:
     def __init__(self, config: TheoryConfig):
         self.config = config
-        # keyed by identity: proof nodes are interned, so each structurally
-        # distinct subproof is checked once however often it occurs.  memo
-        # holds every checked node's conclusion; omega holds its omega count
-        # only when that is above 0
-        self.memo: dict[Proof, Formula] = {}
+        # each structurally distinct subproof is checked once however often
+        # it occurs: a checked node keeps this check's stamp.  It is a fresh
+        # object, which no caller holds, so a node's _concl is trusted only
+        # where this check wrote it, a later check reaches every node again
+        # and no node keeps a checker alive.  omega holds a checked node's
+        # omega count only when that is above 0; size counts checked nodes
+        self.stamp = object()
         self.omega: dict[Proof, int] = {}
         self.samples = 0
+        self.size = 0
 
     def run(self, root: Proof, path: tuple[int, ...] = ()) -> tuple[Formula, int]:
         # a stack entry names its node by a link (parent link, child index)
         # back to the root, whose link is None; the path is spelled out
         # only for an error or an omega node
-        memo, omega = self.memo, self.omega
+        stamp, omega = self.stamp, self.omega
         stack: list[tuple[Proof, tuple | None, bool]] = [(root, None, False)]
         while stack:
             node, link, ready = stack.pop()
             if ready:
-                memo[node], count = self._reduce(node, path, link)
+                node._concl, count = self._reduce(node, path, link)
+                node._seen = stamp
+                self.size += 1
                 if count:
                     omega[node] = count
-            elif node not in memo:
+            elif node._seen is not stamp:
                 stack.append((node, link, True))
                 for i, child in enumerate(_proof_children(node)):
-                    if child not in memo:
+                    if child._seen is not stamp:
                         stack.append((child, (link, i), False))
-        return memo[root], omega.get(root, 0)
+        return root._concl, omega.get(root, 0)
 
     def _reduce(self, node: Proof, prefix: tuple[int, ...], link) -> tuple[Formula, int]:
         """The conclusion and the omega count of ``node``, whose children
         are checked."""
         t = type(node)
-        memo, omega = self.memo, self.omega
+        omega = self.omega
         if t is Axiom:
             if not self.config.active(node.schema):
                 raise CheckError(_spell(prefix, link), "axiom", f"schema {node.schema.value} is inactive under this theory")
@@ -778,7 +791,7 @@ class _Checker:
                 raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
             return node.instance, 0
         if t is MP:
-            fa, fb = memo[node.minor], memo[node.major]
+            fa, fb = node.minor._concl, node.major._concl
             if type(fb) is not Imp:
                 raise CheckError(_spell(prefix, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
             if fb.ant != fa:
@@ -788,15 +801,15 @@ class _Checker:
                 )
             return fb.cons, max(omega.get(node.minor, 0), omega.get(node.major, 0)) if omega else 0
         if t is Gen:
-            return Forall(node.var, memo[node.premise]), omega.get(node.premise, 0)
+            return Forall(node.var, node.premise._concl), omega.get(node.premise, 0)
         if t is TIntro:
-            f = memo[node.premise]
+            f = node.premise._concl
             if f.fv:
                 raise CheckError(_spell(prefix, link), "t-intro", f"premise is not a sentence: {pretty_print(f)}")
             return Tr(coding.name_of(f)), omega.get(node.premise, 0)
         # Omega
         path = _spell(prefix, link)
-        base_f, worst = memo[node.base], omega.get(node.base, 0)
+        base_f, worst = node.base._concl, omega.get(node.base, 0)
         fam0 = node.instance(0)
         if base_f != fam0:
             raise CheckError(path, "omega", f"base proves {pretty_print(base_f)}, not instance 0 {pretty_print(fam0)}")
@@ -821,4 +834,4 @@ def check(proof: Proof, config: TheoryConfig = GAMMA) -> CheckedTheorem:
     formula, ocount = st.run(proof)
     if config.max_omega_count is not None and ocount > config.max_omega_count:
         raise CheckError((), "omega", f"omega_count {ocount} exceeds the configured cap {config.max_omega_count}")
-    return CheckedTheorem(formula, config, ocount, st.samples, len(st.memo), proof)
+    return CheckedTheorem(formula, config, ocount, st.samples, st.size, proof)

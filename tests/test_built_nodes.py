@@ -38,7 +38,8 @@ assert code == 0, code
 tables = [*kernel._AXIOMS.values(), kernel._MP, kernel._MP_PAIRS, kernel._GEN,
           kernel._TINTRO, kernel._OMEGA]
 built = [p for table in tables for p in table.values()]
-reached = set().union(*(c.memo for c in checkers))
+stamps = {c.stamp for c in checkers}
+reached = {p for p in built if p._seen in stamps}
 
 def label(p):
     return p.schema.value if type(p) is kernel.Axiom else type(p).__name__

@@ -103,7 +103,7 @@ def _recursive_functions(path):
 # What still recurses, each with its bound: tactics.build once per level
 # of taut's case split, over at most 8 atoms; and the checker's run <->
 # _reduce one level only, as tactics make no Omega node, so every omega
-# inside a sample is already in the checker's memo.  Every other walker,
+# inside a sample already bears the check's stamp.  Every other walker,
 # the formula parser included, keeps a stack of its own, most through
 # syntax._postorder.
 RECURSIVE = {"kernel._reduce", "kernel.run", "tactics.build"}

@@ -552,6 +552,48 @@ def test_checker_determinism(mcgee):
     assert a.certificate() == b.certificate()
 
 
+def test_a_later_check_under_another_theory_checks_every_node_again(mcgee):
+    # each check stamps the nodes it reaches with a fresh stamp, so nothing
+    # the first gamma check found is taken on trust by the sigma check
+    proof = mcgee.negative.proof
+    first = check(proof, GAMMA).certificate()
+    with pytest.raises(CheckError) as err:
+        check(proof, SIGMA)
+    assert err.value.path == (0, 0, 1, 0, 0, 1, 0, 0)
+    assert err.value.reason == "schema CONS is inactive under this theory"
+    again = check(proof, GAMMA).certificate()
+    assert again == first and again["proof_size"] == 2668
+
+
+def test_a_failed_check_leaves_no_trace_in_a_later_one(mcgee):
+    # the subproofs a failing check accepted before it failed are checked
+    # in full by the next check: each reports all of its distinct nodes
+    from omegatruth.kernel import _Checker
+
+    root = mcgee.negative.proof
+    failed = _Checker(SIGMA)
+    with pytest.raises(CheckError):
+        failed.run(root)
+    accepted = [p for p in _proof_children(root) if p._seen is failed.stamp]
+    assert accepted
+    for sub in accepted:
+        stack, distinct = [sub], set()
+        while stack:
+            p = stack.pop()
+            if p not in distinct:
+                distinct.add(p)
+                stack.extend(_proof_children(p))
+        assert check(sub, SIGMA).proof_size == len(distinct)
+
+
+def test_every_check_of_an_omega_node_replays_its_samples():
+    fam = Eq(Var(0), Var(0))
+    om = Omega(1, fam, Axiom(SchemaId.EQ1, fam), ())
+    certs = [check(om, GAMMA), check(om, GAMMA), check(om, GAMMA._replace(omega_samples=3))]
+    assert [c.samples_checked for c in certs] == [8, 8, 3]
+    assert [c.proof_size for c in certs] == [2, 2, 2]
+
+
 def test_missing_schema_message():
     err = MissingSchema(SchemaId.CONS)
     assert str(err) == "MissingSchema(CONS)"

@@ -6,12 +6,13 @@ input families here are the tautology ``~^k 0 = 0 -> ~^k 0 = 0``, whose
 expanded proof has about 32 nodes per unit of k, the QUANT1 instance
 ``(forall x. ~^n x = 0) -> ~^n 0 = 0``, d pairs of parentheses around
 an equation whose left side nests d sums, and the omega sample count N
-of the bundled scripts, each of whose samples adds the same number of
-checked nodes.
+of the bundled scripts, whose samples after the first add two alternating
+numbers of checked nodes, pinned per omega node.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from omegatruth import syntax, tactics
+from omegatruth import kernel, syntax, tactics
 from omegatruth.kernel import THEORIES, Axiom, MP, SchemaId, check
 from omegatruth.proofscript import parse_script
 
@@ -75,26 +76,38 @@ def test_quant1_check_is_linear_in_depth(monkeypatch):
     assert counts[1] <= LINEAR * counts[0], counts
 
 
+# the checker's own traced bytes per proof node at taut k = 1000 and 2000:
+# about 60 on CPython 3.11 while it kept a memo entry per checked node,
+# about 2 since each node keeps its conclusion in a slot
+CHECKER_BYTES_PER_NODE = 8
+
+
 def test_check_memory_is_linear_in_taut_depth():
-    # the checker's own allocations: its memo and its stack, whose entries
-    # name their path by a link to the parent entry
-    peaks = []
+    # the checker's own allocations: its stack, whose entries name their
+    # path by a link to the parent entry, and its omega count table.  A
+    # full collection first empties the interpreter's tuple free lists, so
+    # that the stack's tuples are traced however warm earlier tests left them
+    peaks, sizes = [], []
     for k in (1000, 2000):
         proof = parse_script(_taut_script(k)).proof
+        gc.collect()
         tracemalloc.start()
         try:
-            check(proof)
+            sizes.append(check(proof).proof_size)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= LINEAR * peaks[0], peaks
+    for peak, size in zip(peaks, sizes):
+        assert peak <= CHECKER_BYTES_PER_NODE * size, (peak, size, peak / size)
 
 
 # traced bytes per proof node of parse_script + check of taut at k = 1000:
 # 436 on CPython 3.11 when each node and axiom formula had a (class, child,
 # child) intern key and the checker memo a (formula, omega count) pair per
-# node, about 275 without them
-BYTES_PER_NODE = 330
+# node, about 275 without them, and about 246 since the checker keeps no
+# memo and each node instead holds two slots, a stamp and a conclusion
+BYTES_PER_NODE = 265
 
 _MEMORY_PROBE = """
 import sys, tracemalloc
@@ -169,3 +182,43 @@ def test_proof_size_is_linear_in_samples(name, per_sample):
     assert size[8] - size[4] == 4 * per_sample, size
     for n in (4, 8, 16):
         assert size[2 * n] - size[n] == n * (size[8] - size[4]) // 4, size
+
+
+# the checked nodes each omega sample adds at omega_samples = 12, per omega
+# node in the order the check reaches them: sample 1 adds the first count,
+# samples 2, 4, ... the second and samples 3, 5, ... the third
+SAMPLE_INCREMENTS = {
+    "formalized_loeb_zero_one": [
+        (244, 260, 240), (225, 233, 223), (4, 4, 4), (45, 42, 42), (225, 233, 223), (4, 4, 4),
+    ],
+    "m1_zero": [(23, 31, 21)],
+    "m2_instance": [(244, 260, 240)],
+    "m3_zero": [(63, 69, 59)],
+    "mcgee_negative": [],
+    "mcgee_positive": [(21, 31, 21)],
+    "mcgee_via_loeb_positive": [
+        (244, 260, 240), (225, 233, 223), (4, 4, 4), (45, 42, 42), (4, 4, 4),
+    ],
+    "not_zero_one": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROOFS.glob("*.proof")))
+def test_omega_samples_add_pinned_counts(name, monkeypatch):
+    # a run with a path is the check of one sample, at the omega node's
+    # path plus the sample's child index
+    added = {}
+    run = kernel._Checker.run
+
+    def recording_run(self, root, path=()):
+        before = self.size
+        result = run(self, root, path)
+        if path:
+            added.setdefault(path[:-1], []).append(self.size - before)
+        return result
+
+    monkeypatch.setattr(kernel._Checker, "run", recording_run)
+    script = parse_script((PROOFS / f"{name}.proof").read_text(encoding="utf-8"))
+    check(script.proof, THEORIES[script.theory]._replace(omega_samples=12))
+    want = [[first] + [pair[n % 2] for n in range(11)] for first, *pair in SAMPLE_INCREMENTS[name]]
+    assert list(added.values()) == want
