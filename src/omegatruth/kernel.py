@@ -758,48 +758,63 @@ class _Checker:
     def run(self, root: Proof, path: tuple[int, ...] = ()) -> tuple[Formula, int]:
         # a stack entry names its node by a link (parent link, child index)
         # back to the root, whose link is None; the path is spelled out
-        # only for an error or an omega node
-        stamp, omega = self.stamp, self.omega
+        # only for an error or an omega node.  The loop applies the two
+        # rules nearly every node is checked by: an axiom is settled where
+        # it is met, and modus ponens once both premises are, the major
+        # first (it is pushed last).  _reduce settles the other rules
+        stamp, omega, config = self.stamp, self.omega, self.config
         stack: list[tuple[Proof, tuple | None, bool]] = [(root, None, False)]
         while stack:
             node, link, ready = stack.pop()
+            t = type(node)
             if ready:
-                node._concl, count = self._reduce(node, path, link)
-                node._seen = stamp
-                self.size += 1
-                if count:
-                    omega[node] = count
-            elif node._seen is not stamp:
+                if t is MP:
+                    fa, fb = node.minor._concl, node.major._concl
+                    if type(fb) is not Imp:
+                        raise CheckError(_spell(path, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
+                    if fb.ant != fa:
+                        raise CheckError(
+                            _spell(path, link), "mp",
+                            f"minor premise {pretty_print(fa)} does not match antecedent {pretty_print(fb.ant)}",
+                        )
+                    node._concl = fb.cons
+                    count = max(omega.get(node.minor, 0), omega.get(node.major, 0)) if omega else 0
+                else:
+                    node._concl, count = self._reduce(node, path, link)
+            elif node._seen is stamp:
+                continue
+            elif t is Axiom:
+                if not config.active(node.schema):
+                    raise CheckError(_spell(path, link), "axiom", f"schema {node.schema.value} is inactive under this theory")
+                ok, detail = _matches(node.schema, node.instance)
+                if not ok:
+                    why = detail or "instance does not match the schema"
+                    hint = _nearest(node.instance, node.schema, config)
+                    raise CheckError(_spell(path, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
+                node._concl, count = node.instance, 0
+            else:
                 stack.append((node, link, True))
-                for i, child in enumerate(_proof_children(node)):
-                    if child._seen is not stamp:
-                        stack.append((child, (link, i), False))
+                if t is MP:
+                    if node.minor._seen is not stamp:
+                        stack.append((node.minor, (link, 0), False))
+                    if node.major._seen is not stamp:
+                        stack.append((node.major, (link, 1), False))
+                else:
+                    for i, child in enumerate(_proof_children(node)):
+                        if child._seen is not stamp:
+                            stack.append((child, (link, i), False))
+                continue
+            node._seen = stamp
+            self.size += 1
+            if count:
+                omega[node] = count
         return root._concl, omega.get(root, 0)
 
     def _reduce(self, node: Proof, prefix: tuple[int, ...], link) -> tuple[Formula, int]:
-        """The conclusion and the omega count of ``node``, whose children
-        are checked."""
+        """The conclusion and the omega count of ``node``, a Gen, TIntro or
+        Omega node whose children are checked."""
         t = type(node)
         omega = self.omega
-        if t is Axiom:
-            if not self.config.active(node.schema):
-                raise CheckError(_spell(prefix, link), "axiom", f"schema {node.schema.value} is inactive under this theory")
-            ok, detail = _matches(node.schema, node.instance)
-            if not ok:
-                why = detail or "instance does not match the schema"
-                hint = _nearest(node.instance, node.schema, self.config)
-                raise CheckError(_spell(prefix, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
-            return node.instance, 0
-        if t is MP:
-            fa, fb = node.minor._concl, node.major._concl
-            if type(fb) is not Imp:
-                raise CheckError(_spell(prefix, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
-            if fb.ant != fa:
-                raise CheckError(
-                    _spell(prefix, link), "mp",
-                    f"minor premise {pretty_print(fa)} does not match antecedent {pretty_print(fb.ant)}",
-                )
-            return fb.cons, max(omega.get(node.minor, 0), omega.get(node.major, 0)) if omega else 0
         if t is Gen:
             return Forall(node.var, node.premise._concl), omega.get(node.premise, 0)
         if t is TIntro:

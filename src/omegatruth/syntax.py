@@ -181,15 +181,15 @@ class FnApp(Term):
 
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes.
+
+    On an intern miss each kind's ``__new__`` makes the node with
+    ``object.__new__`` and sets ``fv`` and its fields itself: proof
+    construction makes a formula node per few proof nodes, and a shared
+    helper would cost a call each time.
+    """
 
     __slots__ = ("fv",)
-
-    @classmethod
-    def _make(cls, fv: frozenset[int]):
-        self = object.__new__(cls)
-        self.fv = fv
-        return self
 
     def __repr__(self) -> str:
         return pretty_print(self)
@@ -202,7 +202,8 @@ class Eq(Formula):
         key = (left, right)
         self = _EQ.get(key)
         if self is None:
-            self = _EQ[key] = cls._make(_union(left.fv, right.fv))
+            self = _EQ[key] = object.__new__(cls)
+            self.fv = _union(left.fv, right.fv)
             self.left = left
             self.right = right
         return self
@@ -214,7 +215,8 @@ class Tr(Formula):
     def __new__(cls, arg: Term):
         self = _TR.get(arg)
         if self is None:
-            self = _TR[arg] = cls._make(arg.fv)
+            self = _TR[arg] = object.__new__(cls)
+            self.fv = arg.fv
             self.arg = arg
         return self
 
@@ -225,7 +227,8 @@ class Not(Formula):
     def __new__(cls, body: Formula):
         self = _NOT.get(body)
         if self is None:
-            self = _NOT[body] = cls._make(body.fv)
+            self = _NOT[body] = object.__new__(cls)
+            self.fv = body.fv
             self.body = body
         return self
 
@@ -244,7 +247,8 @@ class Imp(Formula):
             self = table.get(key)
             if self is not None:
                 return self
-        self = table[key] = cls._make(_union(ant.fv, cons.fv))
+        self = table[key] = object.__new__(cls)
+        self.fv = _union(ant.fv, cons.fv)
         self.ant = ant
         self.cons = cons
         return self
@@ -259,7 +263,8 @@ class Forall(Formula):
         if self is None:
             if var < 0:
                 raise ValueError("variable index must be a natural")
-            self = _FORALL[key] = cls._make(body.fv - {var} if var in body.fv else body.fv)
+            self = _FORALL[key] = object.__new__(cls)
+            self.fv = body.fv - {var} if var in body.fv else body.fv
             self.var = var
             self.body = body
         return self
@@ -309,7 +314,9 @@ def _postorder(root, children, combine, memo: dict | None = None):
     """The value ``combine(node, values)`` at ``root``, ``values`` being those
     at ``children(node)``, found on a stack of its own, not by recursion.
     Children are asked for before any is walked, and walked left to right.
-    A ``memo`` keeps each value, and a node found in it is not walked again."""
+    A ``memo`` keeps each value, and a node found in it is not walked again.
+    ``combine`` gets ``()`` at a leaf and reads ``values`` without changing
+    them."""
     results: list = []
     stack: list = [(root, None)]  # (node, None) to visit, (node, kids) to combine
     while stack:
@@ -323,10 +330,18 @@ def _postorder(root, children, combine, memo: dict | None = None):
                 stack.append((node, kids))
                 stack.extend([(k, None) for k in reversed(kids)])
                 continue
-        n = len(results) - len(kids)
-        results[n:] = [combine(node, results[n:])]
+        n = len(kids)
+        if not n:
+            value = combine(node, ())
+        elif n == 1:
+            value = combine(node, (results.pop(),))
+        else:
+            values = results[-n:]
+            del results[-n:]
+            value = combine(node, values)
+        results.append(value)
         if memo is not None:
-            memo[node] = results[-1]
+            memo[node] = value
     return results[0]
 
 

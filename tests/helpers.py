@@ -7,7 +7,7 @@ import random
 import re
 from unittest import mock
 
-from omegatruth import proofscript
+from omegatruth import proofscript, tactics as T
 from omegatruth.coding import decode, encode
 from omegatruth.kernel import (
     Axiom, CheckError, Gen, MP, Omega, Proof, SchemaId, TIntro, check,
@@ -370,6 +370,23 @@ def reference_parse_formula(text: str) -> Formula:
     if p.peek()[0] != "eof":
         p.error("trailing input after formula")
     return f
+
+
+# ---------------------------------------------------------------------------
+# reference lemma: ~~a -> a as a hypothesis tree closed by the deduction
+# compiler, as tactics._l_dne built it before it was written out node by
+# node, kept to check that both give the very same theorem
+
+
+def reference_l_dne(a: Formula) -> T.Thm:
+    """~~a -> a."""
+    n1, n2 = Not(a), Not(Not(a))
+    n3, n4 = Not(Not(Not(a))), Not(Not(Not(Not(a))))
+    h = T.hyp(n2)
+    t1 = T.happly(h, T.ax(SchemaId.PROP1, Imp(n2, Imp(n4, n2))))
+    t2 = T.happly(t1, T.ax(SchemaId.PROP3, Imp(Imp(n4, n2), Imp(n1, n3))))
+    t3 = T.happly(t2, T.ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(n2, a))))
+    return T._close(T.happly(h, t3), n2)
 
 
 # ---------------------------------------------------------------------------

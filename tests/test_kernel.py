@@ -400,6 +400,40 @@ def test_check_rejects_mp_mismatch():
     assert str(err.value) == "at node <root> [mp]: minor premise #1 = #1 does not match antecedent 0 = 0"
 
 
+def test_an_mp_with_two_failing_premises_reports_the_major():
+    # the minor premise is pushed before the major, so the major's subproof
+    # is checked, and its error reported, first: at child index 1
+    eq = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
+    false = Axiom(SchemaId.EQ1, Eq(ZERO, numeral(1)))
+    open_t = TIntro(Axiom(SchemaId.EQ1, Eq(Var(0), Var(0))))
+    not_prop1 = Axiom(SchemaId.PROP1, parse_formula("0 = 0 -> #1 = #1"))
+    cases = [
+        (MP(false, not_prop1), ((0, 1), "axiom")),  # both axioms fail
+        (MP(open_t, MP(eq, eq)), ((0, 1), "mp")),  # the minor fails at t-intro
+        (MP(MP(eq, eq), open_t), ((0, 1), "t-intro")),  # the minor fails at mp
+    ]
+    for proof, want in cases:
+        with pytest.raises(CheckError) as err:
+            check(Gen(0, proof), GAMMA)
+        assert (err.value.path, err.value.rule) == want
+
+
+def test_an_error_under_a_shared_subproof_is_reported_where_it_is_first_reached():
+    # a failing node with several parents is reported at the path of the
+    # first parent the checker walks into: the major premise's side, and
+    # there the deepest occurrence, as the major of an MP is walked first
+    eq = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
+    false = Axiom(SchemaId.EQ1, Eq(ZERO, numeral(1)))
+    open_t = TIntro(Axiom(SchemaId.EQ1, Eq(Var(0), Var(0))))
+    for shared, rule in ((false, "axiom"), (open_t, "t-intro"), (MP(eq, eq), "mp")):
+        with pytest.raises(CheckError) as err:
+            check(MP(Gen(0, shared), MP(shared, Gen(1, shared))), GAMMA)
+        assert (err.value.path, err.value.rule) == ((1, 1, 0), rule)
+        with pytest.raises(CheckError) as err:
+            check(MP(MP(Gen(1, shared), shared), Gen(0, TIntro(shared))), GAMMA)
+        assert (err.value.path, err.value.rule) == ((1, 0, 0), rule)
+
+
 def test_check_rejects_wrong_schema_declaration():
     bad = Axiom(SchemaId.PROP2, Imp(Eq(ZERO, ZERO), Imp(Tr(ZERO), Eq(ZERO, ZERO))))
     with pytest.raises(CheckError) as err:

@@ -1,9 +1,12 @@
 import itertools
 import random
+from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegatruth import tactics as T
 from omegatruth.coding import encode, name_of, omega_truth, value
 from omegatruth.kernel import (
     GAMMA, SIGMA, Axiom, Omega, SchemaId, _proof_children, check,
@@ -22,7 +25,7 @@ from omegatruth.tactics import (
 
 from helpers import (
     oracle_taut, oracle_value, random_evaluable_term, random_formula,
-    term_positions,
+    reference_l_dne, term_positions,
 )
 
 A = Eq(ZERO, ZERO)
@@ -127,12 +130,18 @@ def _first_counterexample(phi):
     return None
 
 
+# the cached lemmas and taut, as defined, whatever a test patches in
+_KIT = (T.taut_id, T._l_dne, T._l_dni, T._l_efq, T._l_counter, T._l_caa, T._l_cases, T.taut)
+
+
+def _clear_kit():
+    for f in _KIT:
+        f.cache_clear()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_props, _props)
 def test_cached_lemmas_return_what_a_fresh_call_builds(a, b):
-    from omegatruth import tactics as T
-
-    kit = [T.taut_id, T._l_dne, T._l_dni, T._l_efq, T._l_counter, T._l_caa, T._l_cases, T.taut]
     calls = [
         (T.taut_id, (a,)), (T._l_dne, (a,)), (T._l_dni, (a,)), (T._l_efq, (a, b)),
         (T._l_counter, (a, b)), (T._l_caa, (a,)), (T._l_cases, (a, b)),
@@ -150,11 +159,58 @@ def test_cached_lemmas_return_what_a_fresh_call_builds(a, b):
     for fn, args in calls:
         cached = fn(*args)
         assert fn(*args) is cached
-        for f in kit:
-            f.cache_clear()
+        _clear_kit()
         fresh = fn.__wrapped__(*args)
         assert fresh.proof is cached.proof and fresh.formula is cached.formula
         assert check(cached.proof).formula is cached.formula
+
+
+def _tower(k, a=Eq(ZERO, ZERO)):
+    for _ in range(k):
+        a = Not(a)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 12))
+def test_straight_line_dne_is_the_deduction_compilers_theorem(seed, depth, tower):
+    # the lemma written out node by node against the hypothesis tree it was
+    # compiled from: the very same proof and formula, for ~~a -> a and for
+    # a -> ~~a, which is built on it
+    a = _tower(tower, random_formula(random.Random(seed), depth))
+    _clear_kit()
+    got = T._l_dne(a), T._l_dni(a)
+    _clear_kit()
+    try:
+        with mock.patch.object(T, "_l_dne", cache(reference_l_dne)):
+            want = T._l_dne(a), T._l_dni(a)
+    finally:
+        _clear_kit()
+    for g, w in zip(got, want):
+        assert g.proof is w.proof and g.formula is w.formula
+
+
+def test_straight_line_dne_makes_no_hypothesis():
+    a = _tower(3)
+    _clear_kit()
+    with mock.patch.object(T._HHyp, "__init__", side_effect=AssertionError("a hypothesis was made")):
+        assert check(T._l_dne(a).proof).formula is Imp(Not(Not(a)), a)
+        assert check(T._l_dni(a).proof).formula is Imp(a, Not(Not(a)))
+        with pytest.raises(AssertionError, match="a hypothesis was made"):
+            reference_l_dne(a)
+
+
+def test_taut_of_negation_towers_is_the_same_node_with_the_reference_lemma():
+    phis = [Imp(_tower(k), _tower(k)) for k in range(1, 65)]
+    _clear_kit()
+    got = [taut(phi).proof for phi in phis]
+    _clear_kit()
+    try:
+        with mock.patch.object(T, "_l_dne", cache(reference_l_dne)):
+            want = [taut(phi).proof for phi in phis]
+    finally:
+        _clear_kit()
+    assert all(g is w for g, w in zip(got, want))
 
 
 def test_taut_matches_oracle_on_random_skeletons():
