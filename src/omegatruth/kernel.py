@@ -13,13 +13,13 @@ successive instances and verifies every produced proof from scratch.
 Trust statement.  The claim for *all* n rests on the steps being
 parametric: each builds its output from the shape of its input conclusion
 and leaves every numeral computation to the COMP_* axioms.  A step reaches
-the tactics through ``apply``, and on the bundled scripts ``check``
-reaches these ``tactics`` functions (``CHECK_REACHES`` in
-``tests/test_kernel.py`` pins them by module): ax, mp, inst, refl, sym,
-trans, cong_term, tintro, hyp, happly, close, _close, compile_tree,
-discharge, parts, taut_id, imp_trans, _imp_mono_ant, _imp_mono_cons,
+the tactics through ``apply``, and on the bundled scripts and the demos
+``check`` reaches these ``tactics`` functions (``CHECK_REACHES`` in
+``tests/test_kernel.py`` pins them by module): ax, mp, refl, sym, trans,
+cong_term, tintro, taut_id, imp_trans, _imp_mono_ant, _imp_mono_cons,
+_weaken, _mp_under, _apply_under, _from_hyp, _distribute, _trans_under,
 chain, lift_imp, rewrite_imp, rewrite_align, eval_closed, _eval_step and
-the hypothesis trees' __init__.  The rest of the trusted base is this
+_iter_step_at; no hypothesis tree among them.  The rest of the trusted base is this
 module and the ``coding`` and ``syntax`` functions the checker evaluates
 or rebuilds an instance with, pinned there too: among them
 ``substitute``, on whose refusal to let a quantifier capture a term

@@ -137,13 +137,16 @@ def hyp(formula: Formula) -> _HNode:
     return _HHyp(formula)
 
 
+def _mismatch(minor: Formula, major: Formula) -> TacticError:
+    return TacticError(
+        f"hypothetical modus ponens mismatch: {pretty_print(minor)} against {pretty_print(major)}"
+    )
+
+
 def happly(minor: _HNode, major: _HNode) -> _HNode:
     f = major.formula
     if type(f) is not Imp or f.ant is not minor.formula:
-        raise TacticError(
-            f"hypothetical modus ponens mismatch: {pretty_print(minor.formula)}"
-            f" against {pretty_print(f)}"
-        )
+        raise _mismatch(minor.formula, f)
     if minor.hyps or major.hyps:
         return _HApp(minor, major, f.cons)
     # both sides are closed: emit the kernel node now, so that no closed
@@ -178,12 +181,6 @@ def compile_tree(tree: _HNode) -> Thm:
     return tree
 
 
-def _close(tree: _HNode, *hs: Formula) -> Thm:
-    for h in hs:
-        tree = discharge(tree, h)
-    return compile_tree(tree)
-
-
 # ---------------------------------------------------------------------------
 # propositional lemma kit (all from PROP1-3 and modus ponens)
 #
@@ -196,43 +193,25 @@ def _close(tree: _HNode, *hs: Formula) -> Thm:
 def taut_id(a: Formula) -> Thm:
     """a -> a."""
     aa = Imp(a, a)
-    s = ax(SchemaId.PROP2, Imp(Imp(a, Imp(aa, a)), Imp(Imp(a, aa), aa)))
-    k1 = ax(SchemaId.PROP1, Imp(a, Imp(aa, a)))
-    k2 = ax(SchemaId.PROP1, Imp(a, aa))
-    return mp(k2, mp(k1, s))
+    k1 = Imp(a, Imp(aa, a))
+    k2 = Imp(a, aa)
+    s = Axiom(SchemaId.PROP2, Imp(k1, Imp(k2, aa)))
+    return tuple.__new__(Thm, (MP(Axiom(SchemaId.PROP1, k2), MP(Axiom(SchemaId.PROP1, k1), s)), aa))
 
 
-@cache
-def _l_dne(a: Formula) -> Thm:
-    """~~a -> a.
+# The lemmas of fixed shape are the deduction compiler's proofs, written
+# out node by node from the pieces that discharging a hypothesis h makes:
+# h -> h (``taut_id``), a closed x weakened to h -> x (``_weaken``), and
+# one PROP2 step for each modus ponens under h (``_mp_under``).  They make
+# no hypothesis tree, and their nodes are the compiler's, so each is the
+# very theorem that its tree version, kept in ``tests/helpers.py``, builds.
 
-    The deduction compiler's proof, written out: from the hypothesis
-    h = ~~a, the closed links h -> (~~~~a -> h) (PROP1),
-    (~~~~a -> h) -> (~a -> ~~~a) and (~a -> ~~~a) -> (h -> a) (PROP3) lead
-    to h -> a, which applied to h gives a.  Discharging h makes each link
-    h -> link by PROP1, the last link first, then h -> h, then one PROP2
-    step per modus ponens under h.  These are the same nodes in the same
-    order, made with no hypothesis tree and, past the links, without
-    ``mp``'s premise check, which the kernel repeats; the tests compare
-    them with that tree.
-    """
-    n1 = Not(a)
-    h = Not(n1)
-    n3 = Not(h)
-    n4 = Not(n3)
-    links = (
-        ax(SchemaId.PROP1, Imp(h, Imp(n4, h))),
-        ax(SchemaId.PROP3, Imp(Imp(n4, h), Imp(n1, n3))),
-        ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(h, a))),
-    )
-    under = []  # each link k as h -> k, by PROP1
-    for k in links[::-1]:
-        hk = Imp(h, k.formula)
-        under.append(tuple.__new__(Thm, (MP(k.proof, Axiom(SchemaId.PROP1, Imp(k.formula, hk))), hk)))
-    hh = d = taut_id(h)
-    for dM in reversed(under):  # h -> x and h -> (x -> y) give h -> y
-        d = _mp_under(h, d, dM)
-    return _mp_under(h, hh, d)
+
+def _weaken(h: Formula, th: Thm) -> Thm:
+    """h -> x from x, by PROP1."""
+    f = th.formula
+    hx = Imp(h, f)
+    return tuple.__new__(Thm, (MP(th.proof, Axiom(SchemaId.PROP1, Imp(f, hx))), hx))
 
 
 def _mp_under(h: Formula, dm: Thm, dM: Thm) -> Thm:
@@ -241,6 +220,75 @@ def _mp_under(h: Formula, dm: Thm, dM: Thm) -> Thm:
     hy = Imp(h, f.cons.cons)
     s = Axiom(SchemaId.PROP2, Imp(f, Imp(dm.formula, hy)))
     return tuple.__new__(Thm, (MP(dm.proof, MP(dM.proof, s)), hy))
+
+
+def _apply_under(h: Formula, d: Thm, th: Thm) -> Thm:
+    """From h -> x and a closed th: x -> y conclude h -> y."""
+    return _mp_under(h, d, _weaken(h, th))
+
+
+def _from_hyp(h: Formula, th: Thm) -> Thm:
+    """h -> x again from a closed th: h -> x, as the compiler proves th
+    applied to the hypothesis h once h is discharged."""
+    return _apply_under(h, taut_id(h), th)
+
+
+def _distribute(d: Thm) -> Thm:
+    """From h -> (x -> y) conclude (h -> x) -> (h -> y), by PROP2."""
+    f = d.formula
+    h = f.ant
+    g = Imp(Imp(h, f.cons.ant), Imp(h, f.cons.cons))
+    return tuple.__new__(Thm, (MP(d.proof, Axiom(SchemaId.PROP2, Imp(f, g))), g))
+
+
+def _trans_under(h: Formula, e: Thm, d: Thm) -> Thm:
+    """h -> (x -> z) from a closed e: x -> y and d: h -> (y -> z).
+
+    The compiler's proof of a tree t applied to a tree m, with x and then
+    h discharged, where m proves y from the hypothesis x and t proves
+    y -> z from the hypothesis h; e is m with x discharged and d is t with
+    h discharged.  Discharging x weakens t to x -> (y -> z) and takes one
+    PROP2 step; discharging h lifts each of those steps under h.
+    """
+    f = d.formula.cons
+    x = e.formula.ant
+    xf = Imp(x, f)
+    w = _apply_under(h, d, ax(SchemaId.PROP1, Imp(f, xf)))
+    s = ax(SchemaId.PROP2, Imp(xf, Imp(e.formula, Imp(x, f.cons))))
+    return _mp_under(h, _weaken(h, e), _apply_under(h, w, s))
+
+
+def _contrapose_under(h: Formula, d: Thm) -> Thm:
+    """h -> (~z -> ~y) from d: h -> (y -> z): the compiler's proof of
+    ``contrapose(t)`` with h discharged, where t proves y -> z from the
+    hypothesis h and d is t with h discharged."""
+    f = d.formula.cons
+    y, z = f.ant, f.cons
+    x = Not(Not(y))
+    c1 = _trans_under(h, _from_hyp(x, _l_dne(y)), d)  # h -> (x -> z)
+    c2 = _trans_under(h, taut_id(x), c1)
+    c2 = _apply_under(h, c2, _distribute(_weaken(x, _l_dni(z))))  # h -> (x -> ~~z)
+    return _apply_under(h, c2, ax(SchemaId.PROP3, Imp(c2.formula.cons, Imp(Not(z), Not(y)))))
+
+
+@cache
+def _l_dne(a: Formula) -> Thm:
+    """~~a -> a.
+
+    From the hypothesis h = ~~a, the closed links h -> (~~~~a -> h)
+    (PROP1), (~~~~a -> h) -> (~a -> ~~~a) and (~a -> ~~~a) -> (h -> a)
+    (PROP3) lead to h -> a, which applied to h gives a.
+    """
+    n1 = Not(a)
+    h = Not(n1)
+    n3 = Not(h)
+    n4h = Imp(Not(n3), h)
+    n13 = Imp(n1, n3)
+    hh = d = taut_id(h)
+    d = _apply_under(h, d, ax(SchemaId.PROP1, Imp(h, n4h)))
+    d = _apply_under(h, d, ax(SchemaId.PROP3, Imp(n4h, n13)))
+    d = _apply_under(h, d, ax(SchemaId.PROP3, Imp(n13, Imp(h, a))))
+    return _mp_under(h, hh, d)
 
 
 @cache
@@ -253,9 +301,14 @@ def _l_dni(a: Formula) -> Thm:
 def imp_trans(a: _HNode, b: _HNode) -> _HNode:
     """From a: X -> Y and b: Y -> Z conclude X -> Z; a Thm when both are."""
     x = a.formula.ant
-    if x in a.hyps or x in b.hyps:
-        raise TacticError("composition would capture an open hypothesis")
-    return discharge(happly(happly(hyp(x), a), b), x)
+    if a.hyps or b.hyps:
+        if x in a.hyps or x in b.hyps:
+            raise TacticError("composition would capture an open hypothesis")
+        return discharge(happly(happly(hyp(x), a), b), x)
+    g = b.formula
+    if type(g) is not Imp or g.ant is not a.formula.cons:
+        raise _mismatch(a.formula.cons, g)
+    return _apply_under(x, _from_hyp(x, a), b)
 
 
 def contrapose(t: _HNode) -> _HNode:
@@ -268,40 +321,63 @@ def contrapose(t: _HNode) -> _HNode:
 
 @cache
 def _l_efq(a: Formula, b: Formula) -> Thm:
-    """~a -> (a -> b)."""
+    """~a -> (a -> b).
+
+    From the hypothesis ~a, PROP1 and PROP3 give a -> b; with ~a
+    discharged, a -> b is applied to the hypothesis a.
+    """
     na, nb = Not(a), Not(b)
-    k = happly(hyp(na), ax(SchemaId.PROP1, Imp(na, Imp(nb, na))))
-    c = happly(k, ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b))))
-    return _close(happly(hyp(a), c), a, na)
+    d = _from_hyp(na, ax(SchemaId.PROP1, Imp(na, Imp(nb, na))))
+    d = _apply_under(na, d, ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b))))  # ~a -> (a -> b)
+    return _trans_under(na, taut_id(a), d)
 
 
 @cache
 def _l_counter(a: Formula, b: Formula) -> Thm:
-    """a -> (~b -> ~(a -> b))."""
+    """a -> (~b -> ~(a -> b)).
+
+    From the hypothesis a, (a -> b) -> b, contraposed.
+    """
     ab = Imp(a, b)
-    t = discharge(happly(hyp(a), hyp(ab)), ab)  # (a->b) -> b, from a
-    return _close(contrapose(t), a)
+    d = _from_hyp(a, ax(SchemaId.PROP1, Imp(a, Imp(ab, a))))
+    d = _apply_under(a, d, _distribute(taut_id(ab)))  # a -> ((a -> b) -> b)
+    return _contrapose_under(a, d)
 
 
 @cache
 def _l_caa(c: Formula) -> Thm:
-    """(~c -> c) -> c."""
+    """(~c -> c) -> c.
+
+    From the hypothesis h = ~c -> c: ~c -> ~h, from h applied to ~c and
+    ex falso under ~c; then PROP3 gives h -> c, applied to h.
+    """
     nc = Not(c)
     h = Imp(nc, c)
-    a = happly(hyp(nc), hyp(h))
-    b = happly(hyp(nc), _l_efq(c, Not(h)))
-    d = discharge(happly(a, b), nc)  # ~c -> ~(~c -> c), from h
-    e = happly(d, ax(SchemaId.PROP3, Imp(d.formula, Imp(h, c))))
-    return _close(happly(hyp(h), e), h)
+    e = _distribute(_from_hyp(nc, _l_efq(c, Not(h))))  # (~c -> c) -> (~c -> ~h)
+    d = _apply_under(h, _trans_under(h, taut_id(nc), taut_id(h)), e)  # h -> (~c -> ~h)
+    d = _apply_under(h, d, ax(SchemaId.PROP3, Imp(d.formula.cons, Imp(h, c))))
+    return _mp_under(h, taut_id(h), d)
 
 
 @cache
 def _l_cases(a: Formula, c: Formula) -> Thm:
-    """(a -> c) -> ((~a -> c) -> c)."""
+    """(a -> c) -> ((~a -> c) -> c).
+
+    From the hypotheses p = a -> c and q = ~a -> c: ~c -> ~a by
+    contraposing p, then ~c -> c through q, and c by ``_l_caa``.
+    """
     p, q = Imp(a, c), Imp(Not(a), c)
-    t = imp_trans(contrapose(hyp(p)), hyp(q))  # ~c -> c
-    r = happly(t, _l_caa(c))
-    return _close(r, q, p)
+    nc = Not(c)
+    nca = Imp(nc, Not(a))
+    # the parts that p is not needed for, with q discharged
+    u = _from_hyp(q, ax(SchemaId.PROP1, Imp(q, Imp(nc, q))))
+    u = _apply_under(q, u, ax(SchemaId.PROP2, Imp(u.formula.cons, Imp(nca, Imp(nc, c)))))
+    m = _distribute(u)  # (q -> (~c -> ~a)) -> (q -> (~c -> c))
+    k = _distribute(_weaken(q, _l_caa(c)))  # (q -> (~c -> c)) -> (q -> c)
+    # the rest, with p discharged
+    d = _trans_under(p, taut_id(nc), _contrapose_under(p, taut_id(p)))  # p -> (~c -> ~a)
+    d = _apply_under(p, d, ax(SchemaId.PROP1, Imp(nca, Imp(q, nca))))
+    return _apply_under(p, _apply_under(p, d, m), k)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +577,25 @@ def eval_closed(t: Term) -> Thm:
     return th
 
 
+# the iteration step axiom, forall x. forall z. iter(S(x), z) =
+# sub(sub(#K0, .., z), .., x), and the parts of its right side
+_ITER_STEP = iter_step_axiom()
+_ITER_Z = _ITER_STEP.body.var
+_ITER_INNER, _ITER_Y_SLOT = _ITER_STEP.body.body.right.args[:2]
+_ITER_K, _ITER_Z_SLOT = _ITER_INNER.args[:2]
+
+
+def _iter_step_at(m: Term, bn: Term) -> Thm:
+    """iter(S m, bn) = sub(sub(#K0, .., bn), .., m): the iteration step
+    axiom instantiated at the closed terms m and then bn, both QUANT1
+    instances spelled out from them rather than by ``substitute``."""
+    sm = Succ(m)
+    b1 = Forall(_ITER_Z, Eq(FnApp(ITER, (sm, Var(_ITER_Z))), FnApp(SUB, (_ITER_INNER, _ITER_Y_SLOT, m))))
+    b2 = Eq(FnApp(ITER, (sm, bn)), FnApp(SUB, (FnApp(SUB, (_ITER_K, _ITER_Z_SLOT, bn)), _ITER_Y_SLOT, m)))
+    p1 = MP(Axiom(SchemaId.COMP_ITER_STEP, _ITER_STEP), Axiom(SchemaId.QUANT1, Imp(_ITER_STEP, b1)))
+    return tuple.__new__(Thm, (MP(p1, Axiom(SchemaId.QUANT1, Imp(b1, b2))), b2))
+
+
 def _eval_step(t: Term, done: list) -> Thm | None:
     """Prove t = n from ``done``, the proofs that t's arguments equal their
     numerals, None for an argument that is one; None when t is a numeral."""
@@ -530,7 +625,7 @@ def _eval_step(t: Term, done: list) -> Thm | None:
         sa = sym(ax(SchemaId.COMP_SUCC, Eq(Succ(m), an)))
         links.append(cong_term(sa, cur, (0,)))
     # iter(S m, bn) = sub(sub(#K0, .., bn), .., m)
-    step = inst(inst(ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), m), bn)
+    step = _iter_step_at(m, bn)
     links.append(step)
     rhs = step.formula.right
     inner = rhs.args[0]
@@ -546,18 +641,24 @@ def _eval_step(t: Term, done: list) -> Thm | None:
 
 
 def _imp_mono_ant(p: Thm, r: Formula) -> Thm:
-    """From a' -> a conclude (a -> r) -> (a' -> r)."""
+    """From a' -> a conclude (a -> r) -> (a' -> r): p applied to the
+    hypothesis a', then the hypothesis a -> r applied to that."""
     a2, a = p.formula.ant, p.formula.cons
     ar = Imp(a, r)
-    tree = happly(happly(hyp(a2), p), hyp(ar))
-    return _close(tree, a2, ar)
+    d = _from_hyp(a2, p)  # a' -> a
+    if ar is a2:  # one hypothesis, discharged twice
+        return _weaken(ar, _mp_under(a2, d, taut_id(a2)))
+    w = _from_hyp(ar, ax(SchemaId.PROP1, Imp(ar, Imp(a2, ar))))  # (a -> r) -> (a' -> (a -> r))
+    s = ax(SchemaId.PROP2, Imp(w.formula.cons, Imp(d.formula, Imp(a2, r))))
+    return _mp_under(ar, _weaken(ar, d), _apply_under(ar, w, s))
 
 
 def _imp_mono_cons(p: Thm, r: Formula) -> Thm:
-    """From b -> b' conclude (r -> b) -> (r -> b')."""
+    """From b -> b' conclude (r -> b) -> (r -> b'): the hypothesis r -> b
+    applied to the hypothesis r, then p applied to that."""
     rb = Imp(r, p.formula.ant)
-    tree = happly(happly(hyp(r), hyp(rb)), p)
-    return _close(tree, r, rb)
+    d = _trans_under(rb, taut_id(r), taut_id(rb))  # (r -> b) -> (r -> b)
+    return _apply_under(rb, d, _distribute(_weaken(r, p)))
 
 
 def rewrite_imp(e: Thm, phi: Formula, path, forward: bool = True) -> Thm:

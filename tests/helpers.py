@@ -8,7 +8,7 @@ import re
 from unittest import mock
 
 from omegatruth import proofscript, tactics as T
-from omegatruth.coding import decode, encode
+from omegatruth.coding import decode, encode, iter_step_axiom
 from omegatruth.kernel import (
     Axiom, CheckError, Gen, MP, Omega, Proof, SchemaId, TIntro, check,
 )
@@ -373,9 +373,15 @@ def reference_parse_formula(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# reference lemma: ~~a -> a as a hypothesis tree closed by the deduction
-# compiler, as tactics._l_dne built it before it was written out node by
-# node, kept to check that both give the very same theorem
+# reference lemmas: the fixed-shape lemmas as hypothesis trees closed by the
+# deduction compiler, as tactics built them before they were written out
+# node by node, kept to check that both give the very same theorem
+
+
+def _close(tree, *hs: Formula) -> T.Thm:
+    for h in hs:
+        tree = T.discharge(tree, h)
+    return T.compile_tree(tree)
 
 
 def reference_l_dne(a: Formula) -> T.Thm:
@@ -386,7 +392,64 @@ def reference_l_dne(a: Formula) -> T.Thm:
     t1 = T.happly(h, T.ax(SchemaId.PROP1, Imp(n2, Imp(n4, n2))))
     t2 = T.happly(t1, T.ax(SchemaId.PROP3, Imp(Imp(n4, n2), Imp(n1, n3))))
     t3 = T.happly(t2, T.ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(n2, a))))
-    return T._close(T.happly(h, t3), n2)
+    return _close(T.happly(h, t3), n2)
+
+
+def reference_imp_trans(a: T.Thm, b: T.Thm) -> T.Thm:
+    """X -> Z from the closed a: X -> Y and b: Y -> Z."""
+    x = a.formula.ant
+    return _close(T.happly(T.happly(T.hyp(x), a), b), x)
+
+
+def reference_imp_mono_ant(p: T.Thm, r: Formula) -> T.Thm:
+    """(a -> r) -> (a' -> r) from p: a' -> a."""
+    a2, a = p.formula.ant, p.formula.cons
+    ar = Imp(a, r)
+    return _close(T.happly(T.happly(T.hyp(a2), p), T.hyp(ar)), a2, ar)
+
+
+def reference_imp_mono_cons(p: T.Thm, r: Formula) -> T.Thm:
+    """(r -> b) -> (r -> b') from p: b -> b'."""
+    rb = Imp(r, p.formula.ant)
+    return _close(T.happly(T.happly(T.hyp(r), T.hyp(rb)), p), r, rb)
+
+
+def reference_l_efq(a: Formula, b: Formula) -> T.Thm:
+    """~a -> (a -> b)."""
+    na, nb = Not(a), Not(b)
+    k = T.happly(T.hyp(na), T.ax(SchemaId.PROP1, Imp(na, Imp(nb, na))))
+    c = T.happly(k, T.ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b))))
+    return _close(T.happly(T.hyp(a), c), a, na)
+
+
+def reference_l_counter(a: Formula, b: Formula) -> T.Thm:
+    """a -> (~b -> ~(a -> b))."""
+    ab = Imp(a, b)
+    t = T.discharge(T.happly(T.hyp(a), T.hyp(ab)), ab)  # (a->b) -> b, from a
+    return _close(T.contrapose(t), a)
+
+
+def reference_l_caa(c: Formula) -> T.Thm:
+    """(~c -> c) -> c."""
+    nc = Not(c)
+    h = Imp(nc, c)
+    a = T.happly(T.hyp(nc), T.hyp(h))
+    b = T.happly(T.hyp(nc), T._l_efq(c, Not(h)))
+    d = T.discharge(T.happly(a, b), nc)  # ~c -> ~(~c -> c), from h
+    e = T.happly(d, T.ax(SchemaId.PROP3, Imp(d.formula, Imp(h, c))))
+    return _close(T.happly(T.hyp(h), e), h)
+
+
+def reference_l_cases(a: Formula, c: Formula) -> T.Thm:
+    """(a -> c) -> ((~a -> c) -> c)."""
+    p, q = Imp(a, c), Imp(Not(a), c)
+    t = T.imp_trans(T.contrapose(T.hyp(p)), T.hyp(q))  # ~c -> c
+    return _close(T.happly(t, T._l_caa(c)), q, p)
+
+
+def reference_iter_step_at(m: Term, bn: Term) -> T.Thm:
+    """iter(S m, bn) = ..., the iteration step axiom instantiated twice."""
+    return T.inst(T.inst(T.ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), m), bn)
 
 
 # ---------------------------------------------------------------------------

@@ -661,11 +661,13 @@ def test_steps_are_interned_by_one_constructor():
 
 
 # The functions kernel.check calls, by module, when one process checks the
-# bundled scripts in sorted order.  The trust statement's all-n claim rests
-# on the tactics among them (kernel.py, README), so a change to the trusted
-# base shows here as a diff.  A function is known by its co_name (3.10 has
-# no co_qualname); <...> code objects are skipped, as 3.12 inlines
-# comprehensions; a functools.cache hit counts as a call.
+# bundled scripts in sorted order, and when one process runs the four demos,
+# which build their proofs in memory: both reach the same functions.  The
+# trust statement's all-n claim rests on the tactics among them (kernel.py,
+# README), so a change to the trusted base shows here as a diff.  A function
+# is known by its co_name (3.10 has no co_qualname); <...> code objects are
+# skipped, as 3.12 inlines comprehensions; a functools.cache hit counts as a
+# call.
 CHECK_REACHES = {
     "coding": [
         "__init__", "_build", "_chunk_of", "_nat_chunk", "_parts", "_value_of", "decode", "encode",
@@ -684,42 +686,73 @@ CHECK_REACHES = {
         "free_var_positions", "into", "numeral", "put", "replace_at", "substitute", "subterm_at",
     ],
     "tactics": [
-        "__init__", "_close", "_eval_step", "_imp_mono_ant", "_imp_mono_cons", "ax", "chain",
-        "close", "compile_tree", "cong_term", "discharge", "eval_closed", "happly", "hyp",
-        "imp_trans", "inst", "lift_imp", "mp", "parts", "refl", "rewrite_align", "rewrite_imp",
-        "sym", "taut_id", "tintro", "trans",
+        "_apply_under", "_distribute", "_eval_step", "_from_hyp", "_imp_mono_ant",
+        "_imp_mono_cons", "_iter_step_at", "_mp_under", "_trans_under", "_weaken", "ax", "chain",
+        "cong_term", "eval_closed", "imp_trans", "lift_imp", "mp", "refl", "rewrite_align",
+        "rewrite_imp", "sym", "taut_id", "tintro", "trans",
     ],
 }
 
+# the hypothesis-tree machinery of the deduction compiler, which the
+# fixed-shape lemmas no longer go through
+_TREE = {"hyp", "happly", "discharge", "parts", "close", "_close", "compile_tree", "__init__"}
+
+# prints the functions reached inside kernel.check, while one process checks
+# the scripts in the directory argv[1], or runs the four demos for "demos"
 _REACH = """
-import json, pathlib, sys
-from omegatruth.kernel import THEORIES, check
+import contextlib, io, json, pathlib, sys
+from omegatruth import cli, kernel
 from omegatruth.proofscript import parse_script
 
-reached = {}
+reached, depth = {}, [0]
 def profile(frame, event, arg):
     if event == "call":
         mod, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+        depth[0] += frame.f_code is kernel.check.__code__
+    elif event == "return":
+        depth[0] -= frame.f_code is kernel.check.__code__
+        return
     elif event == "c_call" and hasattr(arg, "__wrapped__"):
         mod, name = arg.__wrapped__.__module__, arg.__wrapped__.__code__.co_name
     else:
         return
-    if mod.startswith("omegatruth.") and not name.startswith("<"):
+    if depth[0] and mod.startswith("omegatruth.") and not name.startswith("<"):
         reached.setdefault(mod.split(".", 1)[1], set()).add(name)
 
-for path in sorted(pathlib.Path(sys.argv[1]).glob("*.proof")):
-    script = parse_script(path.read_text(encoding="utf-8"))
-    sys.setprofile(profile)
-    check(script.proof, THEORIES[script.theory])
-    sys.setprofile(None)
+if sys.argv[1] == "demos":
+    for name in ("mcgee", "mcgee-via-loeb", "loeb", "witness"):
+        sys.setprofile(profile)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["demo", name, "--quiet"])
+        sys.setprofile(None)
+        assert code == 0, code
+else:
+    for path in sorted(pathlib.Path(sys.argv[1]).glob("*.proof")):
+        script = parse_script(path.read_text(encoding="utf-8"))
+        sys.setprofile(profile)
+        kernel.check(script.proof, kernel.THEORIES[script.theory])
+        sys.setprofile(None)
 print(json.dumps({m: sorted(names) for m, names in sorted(reached.items())}))
 """
 
 
-def test_check_reaches_the_pinned_functions():
+def _reached(what: str) -> dict:
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", _REACH, str(root / "scripts" / "proofs")],
+    res = subprocess.run([sys.executable, "-c", _REACH, what],
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == CHECK_REACHES
+    return json.loads(res.stdout)
+
+
+def test_check_reaches_the_pinned_functions():
+    root = Path(__file__).resolve().parent.parent
+    reached = _reached(str(root / "scripts" / "proofs"))
+    assert reached == CHECK_REACHES
+    assert not _TREE & set(reached["tactics"])
+
+
+def test_check_reaches_the_pinned_functions_on_the_demos():
+    reached = _reached("demos")
+    assert reached == CHECK_REACHES
+    assert not _TREE & set(reached["tactics"])

@@ -16,7 +16,7 @@ from omegatruth.syntax import (
     parse_term, pretty_print, replace_at,
 )
 from omegatruth.tactics import (
-    TacticError, TautologyError, Thm, ax, compile_tree, contrapose,
+    TacticError, TautologyError, Thm, ax, chain, compile_tree, contrapose,
     derive_A1, derive_A2, diagonal_lemma, discharge, eval_closed, happly,
     hyp, iff_elim1, iff_intro, iff_parts, imp_trans, lift_imp, mp,
     propositional_atoms, propositional_counterexample,
@@ -25,7 +25,9 @@ from omegatruth.tactics import (
 
 from helpers import (
     oracle_taut, oracle_value, random_evaluable_term, random_formula,
-    reference_l_dne, term_positions,
+    reference_imp_mono_ant, reference_imp_mono_cons, reference_imp_trans,
+    reference_iter_step_at, reference_l_caa, reference_l_cases,
+    reference_l_counter, reference_l_dne, reference_l_efq, term_positions,
 )
 
 A = Eq(ZERO, ZERO)
@@ -211,6 +213,94 @@ def test_taut_of_negation_towers_is_the_same_node_with_the_reference_lemma():
     finally:
         _clear_kit()
     assert all(g is w for g, w in zip(got, want))
+
+
+def _same(got, want):
+    assert got.proof is want.proof and got.formula is want.formula
+
+
+def _or_coinciding(rng, a, b):
+    """b, or on purpose one of the coincidences b is a and b is ~a."""
+    return rng.choice((b, b, a, Not(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_straight_kit_lemmas_are_the_deduction_compilers_theorems(seed, depth):
+    # each lemma written out node by node against the hypothesis tree it
+    # was compiled from, both built afresh
+    rng = random.Random(seed)
+    a = random_formula(rng, depth)
+    b = _or_coinciding(rng, a, random_formula(rng, depth))
+    for fn, ref, args in (
+        (T._l_efq, reference_l_efq, (a, b)), (T._l_counter, reference_l_counter, (a, b)),
+        (T._l_caa, reference_l_caa, (a,)), (T._l_cases, reference_l_cases, (a, b)),
+    ):
+        _same(fn.__wrapped__(*args), ref(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_straight_replay_lemmas_are_the_deduction_compilers_theorems(seed, depth):
+    rng = random.Random(seed)
+    x = random_formula(rng, depth)
+    y = _or_coinciding(rng, x, random_formula(rng, depth))
+    r = _or_coinciding(rng, x, random_formula(rng, depth))
+    # x -> (y -> x), and (y -> x) -> (r -> (y -> x)), both by PROP1
+    a = ax(SchemaId.PROP1, Imp(x, Imp(y, x)))
+    b = ax(SchemaId.PROP1, Imp(a.formula.cons, Imp(r, a.formula.cons)))
+    xx = T.taut_id(x)
+    _same(imp_trans(a, b), reference_imp_trans(a, b))
+    _same(imp_trans(xx, xx), reference_imp_trans(xx, xx))
+    for p in (a, b, xx):
+        _same(T._imp_mono_ant(p, r), reference_imp_mono_ant(p, r))
+        _same(T._imp_mono_cons(p, r), reference_imp_mono_cons(p, r))
+    # ((x -> x) -> r) -> (x -> x): in the tree of _imp_mono_ant its
+    # antecedent and (x -> x) -> r are one hypothesis
+    a2 = Imp(xx.formula, r)
+    p = mp(xx, ax(SchemaId.PROP1, Imp(xx.formula, Imp(a2, xx.formula))))
+    got = T._imp_mono_ant(p, r)
+    _same(got, reference_imp_mono_ant(p, r))
+    assert check(got.proof).formula is Imp(a2, Imp(a2, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 2**64))
+def test_iteration_step_instance_is_the_two_substitutions(m, n):
+    got = T._iter_step_at(numeral(m), numeral(n))
+    _same(got, reference_iter_step_at(numeral(m), numeral(n)))
+    assert check(got.proof).formula is got.formula
+
+
+def test_straight_builders_make_no_hypothesis():
+    a, b = A, Not(B)
+    p = ax(SchemaId.PROP1, Imp(a, Imp(b, a)))
+    q = ax(SchemaId.PROP1, Imp(p.formula.cons, Imp(C, p.formula.cons)))
+    _clear_kit()
+    with mock.patch.object(T._HHyp, "__init__", side_effect=AssertionError("a hypothesis was made")):
+        built = [
+            T._l_efq(a, b), T._l_counter(a, b), T._l_caa(a), T._l_cases(a, b),
+            imp_trans(p, q), contrapose(p), T._imp_mono_ant(p, C), T._imp_mono_cons(p, C),
+            T._iter_step_at(numeral(3), numeral(5)),
+        ]
+        for th in built:
+            assert check(th.proof).formula is th.formula
+        with pytest.raises(AssertionError, match="a hypothesis was made"):
+            reference_l_cases(a, b)
+    _clear_kit()
+
+
+def test_straight_imp_trans_and_chain_keep_their_messages():
+    a = ax(SchemaId.PROP1, Imp(A, Imp(B, A)))
+    for b, against in ((T.taut_id(B), "T(0) -> T(0)"), (refl(ZERO), "0 = 0")):
+        msg = f"hypothetical modus ponens mismatch: T(0) -> 0 = 0 against {against}"
+        for compose in (imp_trans, reference_imp_trans):
+            with pytest.raises(TacticError) as err:
+                compose(a, b)
+            assert str(err.value) == msg
+    with pytest.raises(TacticError) as err:
+        chain(a, T.taut_id(C))
+    assert str(err.value) == "cannot chain 0 = 0 -> T(0) -> 0 = 0 with #1 = 0 -> #1 = 0"
 
 
 def test_taut_matches_oracle_on_random_skeletons():
