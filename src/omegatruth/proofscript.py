@@ -197,6 +197,28 @@ def serialize_script(proof: Proof, theory: str, samples: int | None = None) -> s
 # ---------------------------------------------------------------------------
 # expansion
 
+# the most characters of the input that an error message quotes
+_QUOTE_LIMIT = 120
+
+
+def _quote(x) -> str:
+    """repr of a token or a list of them, cut after _QUOTE_LIMIT characters;
+    a list is written out piece by piece up to the cut, so that a large or
+    deeply nested one costs no more than the cut and no recursion."""
+    out, size, todo = [], 0, [x]
+    while todo and size <= _QUOTE_LIMIT:
+        x = todo.pop()
+        if type(x) is list:  # "[", the items with ", " between, "]"
+            todo.append(("]",))
+            # each item takes 2 characters at least, so no more are reached
+            todo += [y for e in reversed(x[:_QUOTE_LIMIT]) for y in ((", ",), e)][1:]
+            out.append("[")
+        else:  # a token, or punctuation as it is
+            out.append(x[0] if type(x) is tuple else repr(x))
+        size += len(out[-1])
+    text = "".join(out)
+    return text if size <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
+
 
 def _want(sexp, what: str) -> None:
     if (
@@ -205,7 +227,7 @@ def _want(sexp, what: str) -> None:
         or not isinstance(sexp[0], str)
         or isinstance(sexp[0], _Q)
     ):
-        raise ScriptError(f"expected {what}, got {sexp!r}")
+        raise ScriptError(f"expected {what}, got {_quote(sexp)}")
 
 
 def _arity(sexp, n: int) -> None:
@@ -218,7 +240,7 @@ def _nat(tok, what: str) -> int:
     # other scripts' digits
     if isinstance(tok, str) and not isinstance(tok, _Q) and tok.isascii() and tok.isdigit():
         return int(tok)
-    raise ScriptError(f"expected {what}, got {tok!r}")
+    raise ScriptError(f"expected {what}, got {_quote(tok)}")
 
 
 def _var(tok) -> int:
@@ -226,12 +248,12 @@ def _var(tok) -> int:
         v = var_index(tok)
         if v is not None:
             return v
-    raise ScriptError(f"expected a variable name, got {tok!r}")
+    raise ScriptError(f"expected a variable name, got {_quote(tok)}")
 
 
 def _formula(tok, parsed: dict) -> Formula:
     if not isinstance(tok, _Q):
-        raise ScriptError(f"expected a quoted formula, got {tok!r}")
+        raise ScriptError(f"expected a quoted formula, got {_quote(tok)}")
     # parses are interned, so a string met again yields the same formula
     phi = parsed.get(tok)
     if phi is None:
@@ -241,7 +263,7 @@ def _formula(tok, parsed: dict) -> Formula:
 
 def _term(tok) -> Term:
     if not isinstance(tok, _Q):
-        raise ScriptError(f"expected a quoted term, got {tok!r}")
+        raise ScriptError(f"expected a quoted term, got {_quote(tok)}")
     return parse_term(str(tok))
 
 
@@ -298,17 +320,17 @@ def _build(node, parts: list, parsed: dict):
             return RewriteEval(tuple(_nat(i, "a position index") for i in form[1:]))
         if head == "chain":
             return ChainWith(*parts[0])
-        raise ScriptError(f"unknown step combinator {form[0]!r}")
+        raise ScriptError(f"unknown step combinator {_quote(form[0])}")
     head = node[0].lower()
     args = node[1:]
     if head == "axiom":
         _arity(node, 2)
         if not isinstance(args[0], str) or isinstance(args[0], _Q):
-            raise ScriptError(f"expected a schema name, got {args[0]!r}")
+            raise ScriptError(f"expected a schema name, got {_quote(args[0])}")
         try:
             schema = SchemaId(args[0].upper())
         except ValueError:
-            raise ScriptError(f"unknown schema {args[0]!r}") from None
+            raise ScriptError(f"unknown schema {_quote(args[0])}") from None
         inst = _formula(args[1], parsed)
         return T.Thm(Axiom(schema, inst), inst)
     if head == "mp":
@@ -335,7 +357,7 @@ def _build(node, parts: list, parsed: dict):
     if head == "diag":
         _arity(node, 2)
         return T.diagonal_lemma(_formula(args[0], parsed), _var(args[1])).thm()
-    raise ScriptError(f"unknown proof form {node[0]!r}")
+    raise ScriptError(f"unknown proof form {_quote(node[0])}")
 
 
 def expand(sexp) -> Proof:
@@ -351,7 +373,7 @@ def parse_script(text: str) -> Script:
         _want(form, "a top-level form")
         head = form[0].lower()
         if head not in ("theory", "samples", "prove"):
-            raise ScriptError(f"unknown top-level form {form[0]!r}")
+            raise ScriptError(f"unknown top-level form {_quote(form[0])}")
         if head in header:
             raise ScriptError(f"script holds more than one ({head} ...) form")
         if head == "theory":

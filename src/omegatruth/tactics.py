@@ -31,7 +31,6 @@ from .syntax import (
 __all__ = [
     "Thm", "TacticError", "TautologyError",
     "ax", "mp", "gen", "inst", "tintro",
-    "hyp", "happly", "discharge", "compile_tree",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
     "iff_intro", "iff_elim1", "iff_elim2", "iff_parts",
@@ -102,83 +101,10 @@ def tintro(th: Thm) -> Thm:
     return Thm(TIntro(th.proof), Tr(name_of(th.formula)))
 
 
-# ---------------------------------------------------------------------------
-# proofs from hypotheses and the deduction theorem
-#
-# A tree is an open hypothesis, modus ponens under an open hypothesis, or a
-# closed Thm, whose kernel node was built as soon as the tree closed.
-
-
-class _HNode:
-    __slots__ = ("formula", "hyps")
-
-
-class _HHyp(_HNode):
-    __slots__ = ()
-
-    def __init__(self, formula: Formula):
-        self.formula = formula
-        self.hyps = frozenset((formula,))
-
-
-class _HApp(_HNode):
-    """Modus ponens under at least one open hypothesis."""
-
-    __slots__ = ("minor", "major")
-
-    def __init__(self, minor: _HNode, major: _HNode, formula: Formula):
-        self.minor = minor
-        self.major = major
-        self.formula = formula
-        self.hyps = minor.hyps | major.hyps
-
-
-def hyp(formula: Formula) -> _HNode:
-    return _HHyp(formula)
-
-
 def _mismatch(minor: Formula, major: Formula) -> TacticError:
     return TacticError(
         f"hypothetical modus ponens mismatch: {pretty_print(minor)} against {pretty_print(major)}"
     )
-
-
-def happly(minor: _HNode, major: _HNode) -> _HNode:
-    f = major.formula
-    if type(f) is not Imp or f.ant is not minor.formula:
-        raise _mismatch(minor.formula, f)
-    if minor.hyps or major.hyps:
-        return _HApp(minor, major, f.cons)
-    # both sides are closed: emit the kernel node now, so that no closed
-    # subtree is walked again when the hypotheses above it are discharged
-    return tuple.__new__(Thm, (MP(minor.proof, major.proof), f.cons))
-
-
-def discharge(tree: _HNode, h: Formula) -> _HNode:
-    """Deduction theorem: turn a proof of B from h into a proof of h -> B."""
-
-    def parts(node: _HNode) -> tuple:
-        return (node.major, node.minor) if type(node) is _HApp and h in node.hyps else ()
-
-    def close(node: _HNode, done: list) -> _HNode:
-        if h not in node.hyps:
-            return happly(node, ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula))))
-        if type(node) is _HHyp:  # node.formula is h
-            return taut_id(h)
-        dM, dm = done  # h -> (a -> b) and h -> a
-        s = ax(SchemaId.PROP2, Imp(dM.formula, Imp(dm.formula, Imp(h, node.formula))))
-        return happly(dm, happly(dM, s))
-
-    return _postorder(tree, parts, close, {})
-
-
-def compile_tree(tree: _HNode) -> Thm:
-    """A hypothesis-free tree, which is a Thm; an open tree is an error."""
-    if tree.hyps:
-        raise TacticError(
-            "undischarged hypotheses: " + "; ".join(pretty_print(f) for f in tree.hyps)
-        )
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +224,21 @@ def _l_dni(a: Formula) -> Thm:
     return mp(dne, ax(SchemaId.PROP3, Imp(dne.formula, Imp(a, Not(Not(a))))))
 
 
-def imp_trans(a: _HNode, b: _HNode) -> _HNode:
-    """From a: X -> Y and b: Y -> Z conclude X -> Z; a Thm when both are."""
+def imp_trans(a: Thm, b: Thm) -> Thm:
+    """From a: X -> Y and b: Y -> Z conclude X -> Z."""
     x = a.formula.ant
-    if a.hyps or b.hyps:
-        if x in a.hyps or x in b.hyps:
-            raise TacticError("composition would capture an open hypothesis")
-        return discharge(happly(happly(hyp(x), a), b), x)
     g = b.formula
     if type(g) is not Imp or g.ant is not a.formula.cons:
         raise _mismatch(a.formula.cons, g)
     return _apply_under(x, _from_hyp(x, a), b)
 
 
-def contrapose(t: _HNode) -> _HNode:
-    """From X -> Y conclude ~Y -> ~X; a Thm when t is one."""
+def contrapose(t: Thm) -> Thm:
+    """From X -> Y conclude ~Y -> ~X."""
     f = t.formula
     c1 = imp_trans(_l_dne(f.ant), t)
     c2 = imp_trans(c1, _l_dni(f.cons))
-    return happly(c2, ax(SchemaId.PROP3, Imp(c2.formula, Imp(Not(f.cons), Not(f.ant)))))
+    return mp(c2, ax(SchemaId.PROP3, Imp(c2.formula, Imp(Not(f.cons), Not(f.ant)))))
 
 
 @cache
@@ -411,6 +333,65 @@ def _t_eval(phi: Formula, v: dict[Formula, bool]) -> bool:
     return _postorder(phi, _connectives, _truth, v) if r is None else r
 
 
+# Each case of the split is proved from hypotheses, one literal for each
+# atom, in a tree that the deduction theorem closes.  A tree is an open
+# hypothesis, modus ponens under an open hypothesis, or a closed Thm, whose
+# kernel node was built as soon as the tree closed.
+
+
+class _HNode:
+    __slots__ = ("formula", "hyps")
+
+
+class _HHyp(_HNode):
+    __slots__ = ()
+
+    def __init__(self, formula: Formula):
+        self.formula = formula
+        self.hyps = frozenset((formula,))
+
+
+class _HApp(_HNode):
+    """Modus ponens under at least one open hypothesis."""
+
+    __slots__ = ("minor", "major")
+
+    def __init__(self, minor: _HNode, major: _HNode, formula: Formula):
+        self.minor = minor
+        self.major = major
+        self.formula = formula
+        self.hyps = minor.hyps | major.hyps
+
+
+def _happly(minor: _HNode, major: _HNode) -> _HNode:
+    f = major.formula
+    if type(f) is not Imp or f.ant is not minor.formula:
+        raise _mismatch(minor.formula, f)
+    if minor.hyps or major.hyps:
+        return _HApp(minor, major, f.cons)
+    # both sides are closed: emit the kernel node now, so that no closed
+    # subtree is walked again when the hypotheses above it are discharged
+    return tuple.__new__(Thm, (MP(minor.proof, major.proof), f.cons))
+
+
+def _discharge(tree: _HNode, h: Formula) -> _HNode:
+    """Deduction theorem: turn a proof of B from h into a proof of h -> B."""
+
+    def parts(node: _HNode) -> tuple:
+        return (node.major, node.minor) if type(node) is _HApp and h in node.hyps else ()
+
+    def close(node: _HNode, done: list) -> _HNode:
+        if h not in node.hyps:
+            return _happly(node, ax(SchemaId.PROP1, Imp(node.formula, Imp(h, node.formula))))
+        if type(node) is _HHyp:  # node.formula is h
+            return taut_id(h)
+        dM, dm = done  # h -> (a -> b) and h -> a
+        s = ax(SchemaId.PROP2, Imp(dM.formula, Imp(dm.formula, Imp(h, node.formula))))
+        return _happly(dm, _happly(dM, s))
+
+    return _postorder(tree, parts, close, {})
+
+
 def _branch(phi: Formula, v: dict[Formula, bool]) -> _HNode:
     """Prove phi when true under v, ~phi when false, from literal hypotheses."""
 
@@ -423,15 +404,15 @@ def _branch(phi: Formula, v: dict[Formula, bool]) -> _HNode:
 
     def prove(f: Formula, done: list) -> _HNode:
         if type(f) is Not:
-            return happly(done[0], _l_dni(f.body)) if _t_eval(f.body, v) else done[0]
+            return _happly(done[0], _l_dni(f.body)) if _t_eval(f.body, v) else done[0]
         if type(f) is not Imp:
-            return hyp(f) if v[f] else hyp(Not(f))
+            return _HHyp(f) if v[f] else _HHyp(Not(f))
         a, b = f.ant, f.cons
         if not v[a]:
-            return happly(done[0], _l_efq(a, b))
+            return _happly(done[0], _l_efq(a, b))
         if v[b]:
-            return happly(done[0], ax(SchemaId.PROP1, Imp(b, f)))
-        return happly(done[0], happly(done[1], _l_counter(a, b)))
+            return _happly(done[0], ax(SchemaId.PROP1, Imp(b, f)))
+        return _happly(done[0], _happly(done[1], _l_counter(a, b)))
 
     return _postorder(phi, parts, prove)
 
@@ -480,13 +461,13 @@ def taut(phi: Formula) -> Thm:
             return _branch(phi, dict(v))
         a = order[i]
         v[a] = True
-        t1 = discharge(build(i + 1, v), a)
+        t1 = _discharge(build(i + 1, v), a)
         v[a] = False
-        t0 = discharge(build(i + 1, v), Not(a))
+        t0 = _discharge(build(i + 1, v), Not(a))
         del v[a]
-        return happly(t0, happly(t1, _l_cases(a, phi)))
+        return _happly(t0, _happly(t1, _l_cases(a, phi)))
 
-    th = compile_tree(build(0, {}))
+    th = build(0, {})  # every atom discharged: a Thm
     MACROS[th.proof] = ("taut", phi)
     return th
 

@@ -23,9 +23,9 @@ from .syntax import (
     mk_iff, substitute,
 )
 from .tactics import (
-    Thm, ax, compile_tree, contrapose, derive_A1, derive_A2,
-    diagonal_lemma, discharge, gen, happly, hyp, iff_elim1, iff_elim2,
-    imp_trans, inst, lift_imp, mp, refl, rewrite_align, taut,
+    Thm, _apply_under, _from_hyp, _mp_under, _trans_under, _weaken, ax,
+    contrapose, derive_A1, derive_A2, diagonal_lemma, gen, iff_elim1,
+    iff_elim2, imp_trans, inst, lift_imp, mp, refl, rewrite_align, taut,
     tintro,
 )
 
@@ -83,10 +83,8 @@ def _m2(phi: Formula, psi: Formula) -> Thm:
     at_y = inst(om, Var(y))
     pa = ax(SchemaId.QUANT1, Imp(p_w, fam.ant))
     pb = ax(SchemaId.QUANT1, Imp(q_w, fam.cons.ant))
-    got_a = happly(hyp(p_w), pa)
-    got_b = happly(hyp(q_w), pb)
-    r = happly(got_b, happly(got_a, at_y))
-    h = compile_tree(discharge(discharge(r, q_w), p_w))  # P -> (Q -> R(y))
+    # P -> (Q -> R(y)): at_y applied to pa under P, then to pb under Q
+    h = _trans_under(p_w, _from_hyp(q_w, pb), _apply_under(p_w, _from_hyp(p_w, pa), at_y))
     gy = gen(h, y)
     s1 = mp(gy, ax(SchemaId.QUANT2, Imp(gy.formula, Imp(p_w, Forall(y, Imp(q_w, r_y))))))
     q2b = ax(SchemaId.QUANT2, Imp(Forall(y, Imp(q_w, r_y)), Imp(q_w, Forall(y, r_y))))
@@ -268,7 +266,7 @@ def _not_zero_one() -> Thm:
     z01 = Eq(ZERO, one)
     at_zero = inst(ax(SchemaId.Q2, q_axiom(SchemaId.Q2)), ZERO)
     e3 = ax(SchemaId.EQ3, Imp(z01, Imp(Eq(ZERO, ZERO), Eq(one, ZERO))))
-    flip = compile_tree(discharge(happly(refl(ZERO), happly(hyp(z01), e3)), z01))
+    flip = _mp_under(z01, _weaken(z01, refl(ZERO)), _from_hyp(z01, e3))  # 0=1 -> 1=0
     return mp(at_zero, contrapose(flip))
 
 

@@ -8,14 +8,15 @@ import re
 from unittest import mock
 
 from omegatruth import proofscript, tactics as T
-from omegatruth.coding import decode, encode, iter_step_axiom
+from omegatruth.coding import OMEGA_VAR, decode, encode, iter_step_axiom, name_of, omega_truth
 from omegatruth.kernel import (
-    Axiom, CheckError, Gen, MP, Omega, Proof, SchemaId, TIntro, check,
+    Axiom, CheckError, Gen, LiftImp, MP, Omega, Proof, RewriteEval, SchemaId,
+    TIntro, check, q_axiom,
 )
 from omegatruth.syntax import (
-    FN_ARITY, Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError,
-    Succ, Term, Tr, Var, ZERO, _children, _rebuild, numeral, substitute,
-    var_index,
+    FN_ARITY, ITER, Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not,
+    ParseError, Succ, Term, Tr, Var, ZERO, _children, _rebuild, numeral,
+    substitute, var_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -374,77 +375,132 @@ def reference_parse_formula(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # reference lemmas: the fixed-shape lemmas as hypothesis trees closed by the
-# deduction compiler, as tactics built them before they were written out
-# node by node, kept to check that both give the very same theorem
+# deduction compiler, as tactics and theorems built them before they were
+# written out node by node, kept to check that both give the very same
+# theorem.  ``imp_trans`` and ``contrapose`` take closed theorems only, so
+# the trees that compose open implications use their tree versions here.
 
 
 def _close(tree, *hs: Formula) -> T.Thm:
     for h in hs:
-        tree = T.discharge(tree, h)
-    return T.compile_tree(tree)
+        tree = T._discharge(tree, h)
+    assert type(tree) is T.Thm, "undischarged hypotheses"
+    return tree
+
+
+def _tree_imp_trans(a, b):
+    """X -> Z from trees a: X -> Y and b: Y -> Z, which may be open."""
+    x = a.formula.ant
+    return T._discharge(T._happly(T._happly(T._HHyp(x), a), b), x)
+
+
+def _tree_contrapose(t):
+    """~Y -> ~X from a tree t: X -> Y, which may be open."""
+    f = t.formula
+    c1 = _tree_imp_trans(T._l_dne(f.ant), t)
+    c2 = _tree_imp_trans(c1, T._l_dni(f.cons))
+    return T._happly(c2, T.ax(SchemaId.PROP3, Imp(c2.formula, Imp(Not(f.cons), Not(f.ant)))))
 
 
 def reference_l_dne(a: Formula) -> T.Thm:
     """~~a -> a."""
     n1, n2 = Not(a), Not(Not(a))
     n3, n4 = Not(Not(Not(a))), Not(Not(Not(Not(a))))
-    h = T.hyp(n2)
-    t1 = T.happly(h, T.ax(SchemaId.PROP1, Imp(n2, Imp(n4, n2))))
-    t2 = T.happly(t1, T.ax(SchemaId.PROP3, Imp(Imp(n4, n2), Imp(n1, n3))))
-    t3 = T.happly(t2, T.ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(n2, a))))
-    return _close(T.happly(h, t3), n2)
+    h = T._HHyp(n2)
+    t1 = T._happly(h, T.ax(SchemaId.PROP1, Imp(n2, Imp(n4, n2))))
+    t2 = T._happly(t1, T.ax(SchemaId.PROP3, Imp(Imp(n4, n2), Imp(n1, n3))))
+    t3 = T._happly(t2, T.ax(SchemaId.PROP3, Imp(Imp(n1, n3), Imp(n2, a))))
+    return _close(T._happly(h, t3), n2)
 
 
 def reference_imp_trans(a: T.Thm, b: T.Thm) -> T.Thm:
     """X -> Z from the closed a: X -> Y and b: Y -> Z."""
-    x = a.formula.ant
-    return _close(T.happly(T.happly(T.hyp(x), a), b), x)
+    return _close(_tree_imp_trans(a, b))
 
 
 def reference_imp_mono_ant(p: T.Thm, r: Formula) -> T.Thm:
     """(a -> r) -> (a' -> r) from p: a' -> a."""
     a2, a = p.formula.ant, p.formula.cons
     ar = Imp(a, r)
-    return _close(T.happly(T.happly(T.hyp(a2), p), T.hyp(ar)), a2, ar)
+    return _close(T._happly(T._happly(T._HHyp(a2), p), T._HHyp(ar)), a2, ar)
 
 
 def reference_imp_mono_cons(p: T.Thm, r: Formula) -> T.Thm:
     """(r -> b) -> (r -> b') from p: b -> b'."""
     rb = Imp(r, p.formula.ant)
-    return _close(T.happly(T.happly(T.hyp(r), T.hyp(rb)), p), r, rb)
+    return _close(T._happly(T._happly(T._HHyp(r), T._HHyp(rb)), p), r, rb)
 
 
 def reference_l_efq(a: Formula, b: Formula) -> T.Thm:
     """~a -> (a -> b)."""
     na, nb = Not(a), Not(b)
-    k = T.happly(T.hyp(na), T.ax(SchemaId.PROP1, Imp(na, Imp(nb, na))))
-    c = T.happly(k, T.ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b))))
-    return _close(T.happly(T.hyp(a), c), a, na)
+    k = T._happly(T._HHyp(na), T.ax(SchemaId.PROP1, Imp(na, Imp(nb, na))))
+    c = T._happly(k, T.ax(SchemaId.PROP3, Imp(Imp(nb, na), Imp(a, b))))
+    return _close(T._happly(T._HHyp(a), c), a, na)
 
 
 def reference_l_counter(a: Formula, b: Formula) -> T.Thm:
     """a -> (~b -> ~(a -> b))."""
     ab = Imp(a, b)
-    t = T.discharge(T.happly(T.hyp(a), T.hyp(ab)), ab)  # (a->b) -> b, from a
-    return _close(T.contrapose(t), a)
+    t = T._discharge(T._happly(T._HHyp(a), T._HHyp(ab)), ab)  # (a->b) -> b, from a
+    return _close(_tree_contrapose(t), a)
 
 
 def reference_l_caa(c: Formula) -> T.Thm:
     """(~c -> c) -> c."""
     nc = Not(c)
     h = Imp(nc, c)
-    a = T.happly(T.hyp(nc), T.hyp(h))
-    b = T.happly(T.hyp(nc), T._l_efq(c, Not(h)))
-    d = T.discharge(T.happly(a, b), nc)  # ~c -> ~(~c -> c), from h
-    e = T.happly(d, T.ax(SchemaId.PROP3, Imp(d.formula, Imp(h, c))))
-    return _close(T.happly(T.hyp(h), e), h)
+    a = T._happly(T._HHyp(nc), T._HHyp(h))
+    b = T._happly(T._HHyp(nc), T._l_efq(c, Not(h)))
+    d = T._discharge(T._happly(a, b), nc)  # ~c -> ~(~c -> c), from h
+    e = T._happly(d, T.ax(SchemaId.PROP3, Imp(d.formula, Imp(h, c))))
+    return _close(T._happly(T._HHyp(h), e), h)
 
 
 def reference_l_cases(a: Formula, c: Formula) -> T.Thm:
     """(a -> c) -> ((~a -> c) -> c)."""
     p, q = Imp(a, c), Imp(Not(a), c)
-    t = T.imp_trans(T.contrapose(T.hyp(p)), T.hyp(q))  # ~c -> c
-    return _close(T.happly(t, T._l_caa(c)), q, p)
+    t = _tree_imp_trans(_tree_contrapose(T._HHyp(p)), T._HHyp(q))  # ~c -> c
+    return _close(T._happly(t, T._l_caa(c)), q, p)
+
+
+def reference_m2(phi: Formula, psi: Formula) -> T.Thm:
+    """T^omega(#(phi -> psi)) -> (T^omega(#phi) -> T^omega(#psi)), with
+    P -> (Q -> R(y)) from a tree under the hypotheses P and Q."""
+    nf, na, nb = name_of(Imp(phi, psi)), name_of(phi), name_of(psi)
+    y = OMEGA_VAR
+    fam = Imp(
+        Tr(FnApp(ITER, [Var(y), nf])),
+        Imp(Tr(FnApp(ITER, [Var(y), na])), Tr(FnApp(ITER, [Var(y), nb]))),
+    )
+    positions = [(0, 0), (1, 0, 0), (1, 1, 0)]
+    timp = T.ax(SchemaId.TIMP, Imp(Tr(nf), Imp(Tr(na), Tr(nb))))
+    base = T.rewrite_align(timp, substitute(fam, y, ZERO), positions)
+    node = Omega(y, fam, base.proof, (LiftImp(2),) + tuple(RewriteEval(q) for q in positions))
+    om = T.Thm(node, node.conclusion)
+
+    p_w, q_w = omega_truth(nf), omega_truth(na)
+    r_y = Tr(FnApp(ITER, [Var(y), nb]))
+    at_y = T.inst(om, Var(y))
+    pa = T.ax(SchemaId.QUANT1, Imp(p_w, fam.ant))
+    pb = T.ax(SchemaId.QUANT1, Imp(q_w, fam.cons.ant))
+    got_a = T._happly(T._HHyp(p_w), pa)
+    got_b = T._happly(T._HHyp(q_w), pb)
+    h = _close(T._happly(got_b, T._happly(got_a, at_y)), q_w, p_w)  # P -> (Q -> R(y))
+    gy = T.gen(h, y)
+    s1 = T.mp(gy, T.ax(SchemaId.QUANT2, Imp(gy.formula, Imp(p_w, Forall(y, Imp(q_w, r_y))))))
+    q2b = T.ax(SchemaId.QUANT2, Imp(Forall(y, Imp(q_w, r_y)), Imp(q_w, Forall(y, r_y))))
+    return T.imp_trans(s1, q2b)
+
+
+def reference_not_zero_one() -> T.Thm:
+    """~(0 = 1), with 0 = 1 -> 1 = 0 from a tree under the hypothesis 0 = 1."""
+    one = Succ(ZERO)
+    z01 = Eq(ZERO, one)
+    at_zero = T.inst(T.ax(SchemaId.Q2, q_axiom(SchemaId.Q2)), ZERO)
+    e3 = T.ax(SchemaId.EQ3, Imp(z01, Imp(Eq(ZERO, ZERO), Eq(one, ZERO))))
+    flip = _close(T._happly(T.refl(ZERO), T._happly(T._HHyp(z01), e3)), z01)
+    return T.mp(at_zero, T.contrapose(flip))
 
 
 def reference_iter_step_at(m: Term, bn: Term) -> T.Thm:

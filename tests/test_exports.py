@@ -49,6 +49,29 @@ def test_no_unused_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
+def _names(path):
+    """Every name a module reads, imports or reaches as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_only_tactics_knows_the_hypothesis_tree():
+    # the deduction compiler's trees are a detail of taut's case split
+    root = pathlib.Path(__file__).resolve().parent.parent
+    tree = {"_HHyp", "_HApp", "_happly", "_discharge"}
+    files = sorted((root / "src" / "omegatruth").glob("*.py"))
+    assert tree <= _names(root / "src" / "omegatruth" / "tactics.py")  # the scan still finds them
+    assert [f"{p.name}: {n}" for p in files if p.name != "tactics.py" for n in sorted(tree & _names(p))] == []
+
+
 def _rejection_texts(path):
     """The string constants of a module's rejections: the reasons its
     matchers (``_m_*``) return beside their verdict, and every constant in

@@ -693,9 +693,9 @@ CHECK_REACHES = {
     ],
 }
 
-# the hypothesis-tree machinery of the deduction compiler, which the
-# fixed-shape lemmas no longer go through
-_TREE = {"hyp", "happly", "discharge", "parts", "close", "_close", "compile_tree", "__init__"}
+# the hypothesis-tree machinery of the deduction compiler, which only taut
+# goes through
+_TREE = {"_happly", "_discharge", "parts", "close", "__init__"}
 
 # prints the functions reached inside kernel.check, while one process checks
 # the scripts in the directory argv[1], or runs the four demos for "demos"

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omegatruth import tactics as T
 from omegatruth.kernel import GAMMA, SIGMA, Axiom, Gen, SchemaId, check
 from omegatruth.proofscript import (
-    _MAX_INDENT, ScriptError, _Q, _read_forms, parse_script, serialize_script,
+    _MAX_INDENT, _QUOTE_LIMIT, ScriptError, _Q, _quote, _read_forms,
+    parse_script, serialize_script,
 )
 from omegatruth.syntax import Add, Eq, Imp, ZERO, numeral, parse_formula
 
@@ -257,3 +258,16 @@ def test_nested_tintro_adds_one_numeral_per_level():
         cert = check(parse_script(f"(theory gamma)\n(prove {body})\n").proof, GAMMA)
         assert cert.proof_size == depth + 1
         assert sum(type(k) is int for k in _INTERN) - before <= depth + 1
+
+
+_TOKENS = st.one_of(st.text(max_size=40), st.text(max_size=40).map(_Q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_TOKENS, lambda inner: st.lists(inner, max_size=6), max_leaves=40))
+@example([""] * 30)  # a repr of exactly _QUOTE_LIMIT characters
+@example([""] * 31)
+@example(["x"] * 100_000)
+def test_quote_is_repr_cut_at_the_limit(x):
+    r = repr(x)
+    assert _quote(x) == (r if len(r) <= _QUOTE_LIMIT else r[:_QUOTE_LIMIT] + "...")

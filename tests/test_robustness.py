@@ -152,3 +152,31 @@ def test_deep_scripts_in_a_fresh_process(kind, tmp_path):
     if cert is not None:
         got = json.loads(res.stdout)
         assert {k: got[k] for k in cert} == cert
+
+
+def _oversized(kind: str) -> str:
+    """A script whose offending form is far longer than any message."""
+    if kind == "parenthesized-proof":
+        # one extra pair of parentheses around the proof of a bundled script
+        root = Path(__file__).resolve().parent.parent
+        text = (root / "scripts" / "proofs" / "formalized_loeb_zero_one.proof").read_text(encoding="utf-8")
+        return text.replace("(prove", "(prove (", 1).rstrip("\n") + ")\n"
+    if kind == "schema-name":
+        return '(theory gamma)\n(prove (axiom ' + "A" * 100_000 + ' "0 = 0"))\n'
+    return "(theory gamma)\n(prove " + "(" * DEEP + "x" + ")" * DEEP + ")\n"  # a deep list
+
+
+@pytest.mark.parametrize("kind", ["parenthesized-proof", "schema-name", "deep-list"])
+def test_script_errors_quote_a_bounded_part_of_the_input(kind, tmp_path):
+    script = tmp_path / f"{kind}.proof"
+    script.write_text(_oversized(kind), encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "omegatruth.cli", "check", str(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 2, res.stderr[-300:]
+    assert res.stderr.startswith("input error: ") and res.stderr.count("\n") == 1
+    assert len(res.stderr.encode("utf-8")) < 300

@@ -1,5 +1,6 @@
 import pytest
 
+from omegatruth import theorems as TH
 from omegatruth.coding import encode, iter_fn, name_of, omega_truth
 from omegatruth.kernel import (
     GAMMA, MissingSchema, SIGMA, SchemaId, check,
@@ -12,6 +13,8 @@ from omegatruth.theorems import (
     formalized_loeb, loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
     omega_witness, tomega_provability,
 )
+
+from helpers import reference_m2, reference_not_zero_one
 
 A = Eq(ZERO, ZERO)
 Z01 = Eq(ZERO, Succ(ZERO))
@@ -58,6 +61,26 @@ def test_m2_shapes_and_count():
     assert cert.omega_count == 1
     cert2 = m2(Z01, A, SIGMA)
     assert cert2.omega_count == 1
+
+
+def test_straight_m2_and_not_zero_one_are_the_tree_builds():
+    # the M2 lemma over the pairs Loeb's theorem for 0 = 1 passes it, both
+    # plain and formalized, and demo loeb's own pair
+    pairs = [(Z01, A)]
+    pp = tomega_provability()
+
+    def d2(phi, psi):
+        pairs.append((phi, psi))
+        return pp.d2(phi, psi)
+
+    TH._formalized_loeb(pp._replace(d2=d2), Z01)
+    assert len(set(pairs)) == 4
+    for phi, psi in pairs:
+        got, want = TH._m2(phi, psi), reference_m2(phi, psi)
+        assert got.proof is want.proof and got.formula is want.formula
+    got, want = TH._not_zero_one(), reference_not_zero_one()
+    assert got.proof is want.proof and got.formula is want.formula
+    assert check(got.proof, SIGMA).formula is Not(Z01)
 
 
 def test_m3_shape_and_family():
