@@ -18,15 +18,16 @@ from .coding import (
 )
 from .kernel import (
     Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, MissingSchema, Omega,
-    Proof, Refutation, SIGMA, SchemaId, TIntro, TheoryConfig, check,
+    Proof, SIGMA, SchemaId, TIntro, TheoryConfig, check,
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,
     taut,
 )
 from .theorems import (
-    ProvabilityPredicate, WitnessReport, formalized_loeb, loeb, m1, m2, m3,
-    mcgee_original, mcgee_via_loeb, omega_witness, tomega_provability,
+    ProvabilityPredicate, Refutation, WitnessReport, formalized_loeb, loeb,
+    m1, m2, m3, mcgee_original, mcgee_via_loeb, omega_witness,
+    tomega_provability,
 )
 
 __version__ = "0.1.0"

@@ -15,10 +15,9 @@ import sys
 from . import theorems as TH
 from .coding import decode, encode, value
 from .kernel import (
-    THEORIES, CheckError, CheckedTheorem, MissingSchema, Refutation,
-    TheoryConfig, check,
+    THEORIES, CheckError, CheckedTheorem, MissingSchema, TheoryConfig, check,
 )
-from .proofscript import parse_script
+from .proofscript import _quote, parse_script
 from .syntax import (
     Eq, Formula, ParseError, Succ, ZERO, parse_formula, parse_term,
     pretty_print, var_index, var_name,
@@ -27,30 +26,7 @@ from .tactics import (
     TacticError, derive_A1, derive_A2, diagonal_lemma, eval_closed, refl,
 )
 
-_MCGEE_NOTES = {
-    "1": "diagonal fixed point",
-    "2": "from 1 by T-Intro and T-Imp",
-    "3": "from 2 by Cons",
-    "4": "from 3 by A1",
-    "5": "A2",
-    "6": "from 4 and 5",
-    "7": "from 1 and 6",
-    "omega": "omega rule over the truth-iteration family",
-}
-
-_LOEB_NOTES = {
-    "q": "Robinson arithmetic",
-    "internal-consistency": "by T-Intro and Cons",
-    "omega-consistency": "by A2, contraposed",
-    "reflection": "vacuous reflection from omega-consistency",
-    "loeb": "Loeb's theorem for the omega-truth predicate",
-}
-
-# the two refutation demos: builder and the note for each narrative label
-_REFUTATIONS = {
-    "mcgee": (TH.mcgee_original, _MCGEE_NOTES),
-    "mcgee-via-loeb": (TH.mcgee_via_loeb, _LOEB_NOTES),
-}
+_REFUTATIONS = {"mcgee": TH.mcgee_original, "mcgee-via-loeb": TH.mcgee_via_loeb}
 
 
 def _count(text: str, what: str) -> int:
@@ -60,7 +36,7 @@ def _count(text: str, what: str) -> int:
     count reaches the bound that :class:`TheoryConfig` names."""
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"expected {what}, got {text!r}")
+        raise ValueError(f"expected {what}, got {_quote(text)}")
     return int(text)
 
 
@@ -86,26 +62,24 @@ def _print_cert(name: str, cert: CheckedTheorem, quiet: bool) -> None:
         print(f"  formula: {c['formula']}")
 
 
-def _print_refutation(ref: Refutation, notes: dict, quiet: bool) -> None:
+def _print_refutation(ref: TH.Refutation, quiet: bool) -> None:
     if not quiet:
         print(f"refutation under {ref.positive.theory.preset_name()}: "
               "both sides below are machine-checked")
-        for label, formula in ref.narrative:
-            note = notes.get(label, "")
-            suffix = f"    ; {note}" if note else ""
-            print(f"  {label}. {pretty_print(formula)}{suffix}")
+        for label, formula, note in ref.narrative:
+            print(f"  {label}. {pretty_print(formula)}    ; {note}")
         print()
     _print_cert("positive", ref.positive, quiet)
     _print_cert("negative", ref.negative, quiet)
 
 
-def _refutation_json(name: str, ref: Refutation) -> dict:
+def _refutation_json(name: str, ref: TH.Refutation) -> dict:
     return {
         "demo": name,
         "positive": ref.positive.certificate(),
         "negative": ref.negative.certificate(),
         "narrative": [
-            {"label": label, "formula": pretty_print(f)} for label, f in ref.narrative
+            {"label": label, "formula": pretty_print(f)} for label, f, _note in ref.narrative
         ],
     }
 
@@ -128,12 +102,11 @@ def _cmd_demo(args) -> int:
     config = _config(args)
     name = args.name
     if name in _REFUTATIONS:
-        build, notes = _REFUTATIONS[name]
-        ref = build(config)
+        ref = _REFUTATIONS[name](config)
         if args.json:
             print(json.dumps(_refutation_json(name, ref)))
         else:
-            _print_refutation(ref, notes, args.quiet)
+            _print_refutation(ref, args.quiet)
         return 0
     if name == "loeb":
         zero = Eq(ZERO, ZERO)
@@ -204,7 +177,7 @@ def _cmd_code(args) -> int:
 def _cmd_decode(args) -> int:
     # int() would also take signs, blanks, underscores and other scripts' digits
     if not re.fullmatch(r"[0-9]+|0[xX][0-9a-fA-F]+", args.code):
-        raise ValueError(f"expected a code in decimal or 0x hex, got {args.code!r}")
+        raise ValueError(f"expected a code in decimal or 0x hex, got {_quote(args.code)}")
     expr = decode(int(args.code, 16 if args.code[1:2] in ("x", "X") else 10))
     kind = "formula" if isinstance(expr, Formula) else "term"
     if args.json:
@@ -218,7 +191,7 @@ def _cmd_diag(args) -> int:
     phi = parse_formula(args.formula)
     v = var_index(args.var)
     if v is None:
-        raise ParseError(f"unknown variable {args.var!r}", 0, args.var)
+        raise ParseError(f"unknown variable {_quote(args.var)}", 0, args.var)
     dr = diagonal_lemma(phi, v)
     cert = check(dr.equivalence_proof, _config(args))
     if args.json:

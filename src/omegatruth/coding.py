@@ -111,7 +111,7 @@ class _Reader:
     def read(self, k: int) -> int:
         if self.pos + k > len(self.bits):
             raise DecodeError("truncated code")
-        out = int(self.bits[self.pos:self.pos + k] or "0", 2) if k else 0
+        out = int(self.bits[self.pos:self.pos + k] or "0", 2)
         self.pos += k
         return out
 
@@ -121,11 +121,10 @@ class _Reader:
         while pos + z < len(bits) and bits[pos + z] == "0":
             z += 1
         self.pos += z
+        # past the zeros, read() either runs out or starts at a 1, so
+        # nbits >= 1 and the payload is at least 1
         nbits = self.read(z + 1)
-        m = (1 << (nbits - 1)) | self.read(nbits - 1) if nbits else 0
-        if m == 0:
-            raise DecodeError("malformed natural payload")
-        return m - 1
+        return ((1 << (nbits - 1)) | self.read(nbits - 1)) - 1
 
 
 # the number of children of each compound tag: the arity of its function

@@ -44,7 +44,7 @@ __all__ = [
     "SchemaId", "TheoryConfig", "GAMMA", "SIGMA", "THEORIES",
     "Proof", "Axiom", "MP", "Gen", "TIntro", "Omega",
     "StepCombinator", "ApplyTIntro", "LiftImp", "RewriteEval", "ChainWith",
-    "CheckedTheorem", "Refutation",
+    "CheckedTheorem",
     "CheckError", "MissingSchema", "check", "q_axiom",
 ]
 
@@ -716,20 +716,6 @@ class CheckedTheorem(namedtuple(
             "samples_checked": self.samples_checked,
             "proof_size": self.proof_size,
         }
-
-
-class Refutation(_Checked, namedtuple("Refutation", "positive negative narrative")):
-    """Proofs of a sentence and of its negation under one configuration:
-    two :class:`CheckedTheorem`, and the ``(label, formula)`` pairs of the
-    derivation's narrative."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if self.negative.formula != Not(self.positive.formula):
-            raise ValueError("refutation sides do not contradict each other")
-        if self.negative.theory != self.positive.theory:
-            raise ValueError("refutation sides use different theories")
 
 
 def _spell(prefix: tuple[int, ...], link) -> tuple[int, ...]:

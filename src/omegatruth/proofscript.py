@@ -197,7 +197,8 @@ def serialize_script(proof: Proof, theory: str, samples: int | None = None) -> s
 # ---------------------------------------------------------------------------
 # expansion
 
-# the most characters of the input that an error message quotes
+# the most characters of the input, or of a formula, that an error message
+# quotes
 _QUOTE_LIMIT = 120
 
 
@@ -216,8 +217,12 @@ def _quote(x) -> str:
         else:  # a token, or punctuation as it is
             out.append(x[0] if type(x) is tuple else repr(x))
         size += len(out[-1])
-    text = "".join(out)
-    return text if size <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
+    return _cut("".join(out))
+
+
+def _cut(text: str) -> str:
+    """``text``, cut after _QUOTE_LIMIT characters."""
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
 def _want(sexp, what: str) -> None:
@@ -336,7 +341,7 @@ def _build(node, parts: list, parsed: dict):
     if head == "mp":
         (p1, f1), (p2, f2) = parts
         if type(f2) is not Imp or f2.ant != f1:
-            raise ScriptError(f"mp premises do not fit: {pretty_print(f1)} vs {pretty_print(f2)}")
+            raise ScriptError(f"mp premises do not fit: {_cut(pretty_print(f1))} vs {_cut(pretty_print(f2))}")
         return T.Thm(MP(p1, p2), f2.cons)
     if head == "gen":
         v = _var(args[0])

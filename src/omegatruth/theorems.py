@@ -15,7 +15,7 @@ from collections import namedtuple
 from .coding import OMEGA_VAR, DIAG_VAR, name_of, omega_truth
 from .kernel import (
     ApplyTIntro, ChainWith, CheckedTheorem, GAMMA, LiftImp, MissingSchema,
-    Omega, Refutation, RewriteEval, SchemaId, SIGMA, TheoryConfig, check,
+    Omega, RewriteEval, SchemaId, SIGMA, TheoryConfig, _Checked, check,
     q_axiom,
 )
 from .syntax import (
@@ -30,7 +30,7 @@ from .tactics import (
 )
 
 __all__ = [
-    "ProvabilityPredicate", "WitnessReport", "tomega_provability",
+    "ProvabilityPredicate", "Refutation", "WitnessReport", "tomega_provability",
     "m1", "m2", "m3", "loeb", "formalized_loeb",
     "mcgee_original", "mcgee_via_loeb", "omega_witness",
 ]
@@ -215,7 +215,8 @@ def formalized_loeb(
 
 
 def _mcgee_lines(config: TheoryConfig):
-    """Lines 1-7: the finitary half of the refutation, plus the omega node."""
+    """Line 6, the omega node whose conclusion it refutes, and the narrative
+    of lines 1-7 and omega, each with its justification."""
     _require_cons(config)
     v = DIAG_VAR
     dr = diagonal_lemma(Not(omega_truth(Var(v))), v)
@@ -237,24 +238,37 @@ def _mcgee_lines(config: TheoryConfig):
         mp(line5, taut(Imp(line5.formula, Imp(line4.formula, Not(w))))),
     )
     line7 = mp(line6, mp(line1, taut(Imp(line1.formula, Imp(Not(w), gamma)))))
-    omega = _omega_family(line7, gamma)
     narrative = (
-        ("1", line1.formula),
-        ("2", line2),
-        ("3", line3.formula),
-        ("4", line4.formula),
-        ("5", line5.formula),
-        ("6", line6.formula),
-        ("7", line7.formula),
-        ("omega", w),
+        ("1", line1.formula, "diagonal fixed point"),
+        ("2", line2, "from 1 by T-Intro and T-Imp"),
+        ("3", line3.formula, "from 2 by Cons"),
+        ("4", line4.formula, "from 3 by A1"),
+        ("5", line5.formula, "A2"),
+        ("6", line6.formula, "from 4 and 5"),
+        ("7", line7.formula, "from 1 and 6"),
+        ("omega", w, "omega rule over the truth-iteration family"),
     )
-    return gamma, w, line6, line7, omega, narrative
+    return line6, _omega_family(line7, gamma), narrative
+
+
+class Refutation(_Checked, namedtuple("Refutation", "positive negative narrative")):
+    """Proofs of a sentence and of its negation under one configuration:
+    two :class:`CheckedTheorem`, and the ``(label, formula, justification)``
+    lines of the derivation's narrative."""
+
+    __slots__ = ()
+
+    def _check(self):
+        if self.negative.formula != Not(self.positive.formula):
+            raise ValueError("refutation sides do not contradict each other")
+        if self.negative.theory != self.positive.theory:
+            raise ValueError("refutation sides use different theories")
 
 
 def mcgee_original(config: TheoryConfig = GAMMA) -> Refutation:
     """The direct refutation: the diagonal sentence is provable, its
     omega-truth refutable, and one omega-rule application closes the gap."""
-    gamma, w, line6, _line7, omega, narrative = _mcgee_lines(config)
+    line6, omega, narrative = _mcgee_lines(config)
     positive = check(omega, config)
     negative = check(line6.proof, config)
     return Refutation(positive, negative, narrative)
@@ -296,11 +310,11 @@ def mcgee_via_loeb(config: TheoryConfig = GAMMA) -> Refutation:
     negative_thm = _not_zero_one()
     negative = check(negative_thm.proof, config)
     narrative = (
-        ("q", negative_thm.formula),
-        ("internal-consistency", Not(Tr(name_of(z01)))),
-        ("omega-consistency", Not(omega_truth(name_of(z01)))),
-        ("reflection", reflection.formula),
-        ("loeb", z01),
+        ("q", negative_thm.formula, "Robinson arithmetic"),
+        ("internal-consistency", Not(Tr(name_of(z01))), "by T-Intro and Cons"),
+        ("omega-consistency", Not(omega_truth(name_of(z01))), "by A2, contraposed"),
+        ("reflection", reflection.formula, "vacuous reflection from omega-consistency"),
+        ("loeb", z01, "Loeb's theorem for the omega-truth predicate"),
     )
     return Refutation(positive, negative, narrative)
 
@@ -315,7 +329,7 @@ class WitnessReport(namedtuple("WitnessReport", "family var universal_negation i
 def omega_witness(config: TheoryConfig = GAMMA, count: int = 3) -> WitnessReport:
     """The witness family T(iter(y, #gamma)): refutable universally, provable
     at every instance, without any omega-rule application."""
-    _gamma, _w, line6, _line7, omega, _narr = _mcgee_lines(config)
+    line6, omega, _narrative = _mcgee_lines(config)
     negation = check(line6.proof, config)
     proofs = [omega.base] + [p for p, _ in omega.premises(count - 1)]
     return WitnessReport(

@@ -51,6 +51,40 @@ def test_demo_witness_samples(capsys):
         2, "", "input error: omega_samples must be at least 1\n")
 
 
+_G = "#1312693938656945967785784122212728150755499720023008205839"  # the code of gamma
+_DIAG = "sub(#964415193226009614, #5, #964415193226009614)"  # a term whose value is _G
+_W = f"forall y. T(iter(y, {_G}))"  # T^omega(#gamma)
+_NOT_W = "#184745247920406026394526497457065719478983439264916459042446976489217040"  # #~T^omega(#gamma)
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("mcgee", [
+        f"1. ~((~(forall y. T(iter(y, {_DIAG}))) -> ~({_W})) -> ~(~({_W}) -> ~(forall y. T(iter(y, {_DIAG})))))"
+        "    ; diagonal fixed point",
+        f"2. ~((T({_G}) -> T({_NOT_W})) -> ~(T({_NOT_W}) -> T({_G})))    ; from 1 by T-Intro and T-Imp",
+        f"3. T({_G}) -> ~T(#12201589250641931708657600900140083167705714960656795163383870894234640)"
+        "    ; from 2 by Cons",
+        f"4. T({_G}) -> ~({_W})    ; from 3 by A1",
+        f"5. ({_W}) -> T({_G})    ; A2",
+        f"6. ~({_W})    ; from 4 and 5",
+        f"7. ~(forall y. T(iter(y, {_DIAG})))    ; from 1 and 6",
+        f"omega. {_W}    ; omega rule over the truth-iteration family",
+    ]),
+    ("mcgee-via-loeb", [
+        "q. ~0 = #1    ; Robinson arithmetic",
+        "internal-consistency. ~T(#200564)    ; by T-Intro and Cons",
+        "omega-consistency. ~(forall y. T(iter(y, #200564)))    ; by A2, contraposed",
+        "reflection. (forall y. T(iter(y, #200564))) -> 0 = #1    ; vacuous reflection from omega-consistency",
+        "loeb. 0 = #1    ; Loeb's theorem for the omega-truth predicate",
+    ]),
+])
+def test_refutation_demos_print_each_line_with_its_justification(capsys, name, lines):
+    code, out, err = run(capsys, "demo", name)
+    assert (code, err) == (0, "")
+    head = "refutation under gamma: both sides below are machine-checked"
+    assert out.split("\n")[:len(lines) + 2] == [head, *(f"  {line}" for line in lines), ""]
+
+
 def test_demo_loeb_sigma(capsys):
     code, out, err = run(capsys, "demo", "loeb", "--theory", "sigma", "--json")
     assert code == 0
@@ -171,6 +205,33 @@ def test_command_line_naturals_are_ascii_digits(capsys, argv, message):
     m1 = str(Path(__file__).resolve().parent.parent / "scripts" / "proofs" / "m1_zero.proof")
     argv = [a.format(m1=m1) for a in argv]
     assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["demo", "witness", "--samples", "{arg}"], "expected a sample count, got 'xxx"),
+    (["decode", "{arg}"], "expected a code in decimal or 0x hex, got 'xxx"),
+    (["diag", "v = v", "{arg}"], "unknown variable 'xxx"),
+], ids=["sample-count", "code", "variable"])
+def test_a_long_bad_argument_is_quoted_in_part(capsys, argv, message):
+    arg = "x" * 100_000
+    code, out, err = run(capsys, *(a.format(arg=arg) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+    assert "xxx..." in err and len(err.encode("utf-8")) < 300
+
+
+def test_mp_premises_that_do_not_fit_are_quoted_in_part(tmp_path, capsys):
+    path = tmp_path / "mp.proof"
+    path.write_text('(theory sigma)\n(prove (mp (axiom EQ1 "0 = 0") (axiom EQ1 "0 = 0")))\n')
+    assert run(capsys, "check", str(path)) == (
+        2, "", "input error: mp premises do not fit: 0 = 0 vs 0 = 0\n")
+    n = 20_000
+    path.write_text(
+        f'(theory sigma)\n(prove (mp (axiom EQ1 "{"S(" * n}0{")" * n} = 0") (axiom EQ1 "0 = 0")))\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: mp premises do not fit: S(S(") and err.count("\n") == 1
+    assert err.endswith("... vs 0 = 0\n") and len(err.encode("utf-8")) < 400
 
 
 _PROVES_0_EQ_1 = """(theory sigma)

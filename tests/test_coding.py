@@ -92,6 +92,17 @@ def test_decode_rejects_noncanonical_numeral_coding():
         decode(0b10001)
 
 
+def test_decode_finds_a_natural_that_runs_out_truncated():
+    # a variable's index: z zeros, then the z + 1 bits of the payload's
+    # length n from a 1, then n - 1 payload bits; where the zeros run to the
+    # end, the read of the length runs out too
+    var = "1" + format(0, "04b")  # the sentinel and the tag of a variable
+    assert decode(int(var + "0101", 2)) is Var(2)
+    for bits in ("", "000", "01", "011", "0010"):
+        with pytest.raises(DecodeError, match="^truncated code$"):
+            decode(int(var + bits, 2))
+
+
 def _node_code(tag: int, kid) -> int:
     """The code of a one-child node with the 4-bit ``tag`` over ``kid``."""
     return int("1" + format(tag, "04b") + bin(encode(kid))[3:], 2)

@@ -21,6 +21,14 @@ def test_star_import():
     assert ns["check"] is omegatruth.check and ns["parse_formula"] is omegatruth.parse_formula
 
 
+def test_refutation_is_a_theorems_record():
+    # the kernel's soundness does not rest on it, so it is not kernel code
+    from omegatruth import kernel, theorems
+
+    assert omegatruth.Refutation is theorems.Refutation
+    assert not hasattr(kernel, "Refutation") and "Refutation" not in kernel.__all__
+
+
 def _unused_imports(path):
     """Names that a module imports but never reads; a name listed in the
     module's ``__all__`` counts as read."""

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -634,7 +635,7 @@ def test_missing_schema_message():
 
 
 def test_refutation_validates_contradiction(mcgee):
-    from omegatruth.kernel import Refutation
+    from omegatruth.theorems import Refutation
 
     with pytest.raises(ValueError, match="^refutation sides do not contradict each other$"):
         Refutation(mcgee.positive, mcgee.positive, ())
@@ -756,3 +757,20 @@ def test_check_reaches_the_pinned_functions_on_the_demos():
     reached = _reached("demos")
     assert reached == CHECK_REACHES
     assert not _TREE & set(reached["tactics"])
+
+
+def _between(text: str, start: str, end: str) -> str:
+    text = " ".join(text.split())
+    i = text.index(start) + len(start)
+    return text[i:text.index(end, i)]
+
+
+def test_the_trust_statements_list_the_pinned_tactics():
+    # the kernel docstring and the README copy CHECK_REACHES["tactics"] by hand
+    from omegatruth import kernel
+
+    in_kernel = re.split(r", | and ", _between(kernel.__doc__, "by module): ", "; no hypothesis tree"))
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    in_readme = re.findall(r"`(\w+)`", _between(readme, "on the 4 demos, these are ", ". No hypothesis tree"))
+    assert sorted(in_kernel) == CHECK_REACHES["tactics"]
+    assert sorted(in_readme) == CHECK_REACHES["tactics"]

@@ -149,16 +149,16 @@ def test_mcgee_original_structure(mcgee):
     assert mcgee.positive.omega_count == 1
     assert mcgee.negative.omega_count == 0
     assert mcgee.negative.formula == Not(mcgee.positive.formula)
-    labels = [l for l, _ in mcgee.narrative]
+    labels = [l for l, _, _ in mcgee.narrative]
     assert labels == ["1", "2", "3", "4", "5", "6", "7", "omega"]
     # lines 6 and 7 close the finitary half
-    line6 = dict(mcgee.narrative)["6"]
+    line6 = {l: f for l, f, _ in mcgee.narrative}["6"]
     assert line6 == mcgee.negative.formula
 
 
 def test_mcgee_line_2_lifts_the_sides_of_line_1(mcgee):
     # line 2 is stated, not derived: the biconditional of T of each side
-    lines = dict(mcgee.narrative)
+    lines = {l: f for l, f, _ in mcgee.narrative}
     gamma, neg_w = iff_parts(lines["1"])
     assert neg_w is Not(omega_truth(name_of(gamma)))
     assert lines["2"] is mk_iff(Tr(name_of(gamma)), Tr(name_of(neg_w)))
@@ -174,8 +174,9 @@ def test_mcgee_fails_under_sigma():
 
 
 def test_mcgee_via_loeb_pairs_with_q_negation(mcgee_loeb):
-    assert dict(mcgee_loeb.narrative)["loeb"] == Z01
-    assert dict(mcgee_loeb.narrative)["q"] == Not(Z01)
+    lines = {l: f for l, f, _ in mcgee_loeb.narrative}
+    assert lines["loeb"] == Z01
+    assert lines["q"] == Not(Z01)
 
 
 def test_witness_is_fully_finitary():
