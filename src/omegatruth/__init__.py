@@ -12,22 +12,19 @@ from .syntax import (
     ZERO, Zero, mk_iff, numeral, parse_formula, parse_term, pretty_print,
     substitute,
 )
-from .coding import (
-    decode, diagonal_pair, encode, iter_fn, name_of, omega_truth, sub_fn,
-    value,
-)
+from .coding import decode, encode, iter_fn, name_of, sub_fn, value
 from .kernel import (
-    Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, MissingSchema, Omega,
-    Proof, SIGMA, SchemaId, TIntro, TheoryConfig, check,
+    Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, Omega, Proof, SIGMA,
+    SchemaId, TIntro, TheoryConfig, check,
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,
-    taut,
+    omega_truth, taut,
 )
 from .theorems import (
-    ProvabilityPredicate, Refutation, WitnessReport, formalized_loeb, loeb,
-    m1, m2, m3, mcgee_original, mcgee_via_loeb, omega_witness,
-    tomega_provability,
+    MissingSchema, ProvabilityPredicate, Refutation, WitnessReport,
+    formalized_loeb, loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
+    omega_witness, tomega_provability,
 )
 
 __version__ = "0.1.0"

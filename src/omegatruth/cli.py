@@ -14,9 +14,7 @@ import sys
 
 from . import theorems as TH
 from .coding import decode, encode, value
-from .kernel import (
-    THEORIES, CheckError, CheckedTheorem, MissingSchema, TheoryConfig, check,
-)
+from .kernel import THEORIES, CheckError, CheckedTheorem, TheoryConfig, check
 from .proofscript import _quote, parse_script
 from .syntax import (
     Eq, Formula, ParseError, Succ, ZERO, parse_formula, parse_term,
@@ -303,7 +301,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as e:
-        if isinstance(e, (CheckError, MissingSchema, TacticError)):
+        if isinstance(e, (CheckError, TH.MissingSchema, TacticError)):
             print(f"check failure: {e}", file=sys.stderr)
             return 1
         print(f"input error: {e}", file=sys.stderr)

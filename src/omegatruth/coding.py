@@ -1,5 +1,5 @@
-"""Goedel coding, numerals, the meta-level iteration and substitution
-functions, the omega-truth predicate and the diagonal construction.
+"""Goedel coding, numerals, and the meta-level iteration and substitution
+functions.
 
 The code of an expression is a deterministic, prefix-free bit serialization
 read as a natural number (with a leading sentinel bit).  Canonical compact
@@ -22,8 +22,7 @@ from .syntax import (
 __all__ = [
     "CodingError", "DecodeError", "EvalError",
     "encode", "decode", "numeral", "name_of", "value",
-    "sub_fn", "iter_fn", "omega_truth",
-    "self_application_term", "diagonal_pair",
+    "sub_fn", "iter_fn",
     "K0", "OMEGA_VAR", "TEMPLATE_CODE_VAR", "UINF_BOUND_VAR", "DIAG_VAR",
     "iter_zero_axiom", "iter_step_axiom",
 ]
@@ -235,35 +234,6 @@ def iter_fn(n: int, c: int) -> int:
     if n == 0:
         return c
     return sub_fn(sub_fn(K0, TEMPLATE_CODE_VAR, c), OMEGA_VAR, n - 1)
-
-
-def omega_truth(t: Term) -> Formula:
-    """``forall y. T(iter(y, t))`` with ``y`` fresh for ``t``."""
-    y = OMEGA_VAR
-    while y in t.fv:
-        y += 1
-    return Forall(y, Tr(FnApp(ITER, [Var(y), t])))
-
-
-def self_application_term(v: int) -> Term:
-    """``sub(v, #v, v)``: at ``v := code of psi`` its value is the code of
-    ``psi`` applied to its own name."""
-    return FnApp(SUB, [Var(v), numeral(v), Var(v)])
-
-
-def diagonal_pair(phi: Formula, v: int) -> tuple[Formula, Formula]:
-    """The auxiliary formula theta and the fixed point gamma for ``phi``.
-
-    ``gamma`` is a sentence and satisfies, provably, ``gamma <-> phi(name of
-    gamma)``; the proof object is built by :func:`tactics.diagonal_lemma`.
-    """
-    if phi.fv != frozenset((v,)):
-        raise ValueError(
-            f"diagonalization needs exactly one free variable {v}, got {sorted(phi.fv)}"
-        )
-    theta = substitute(phi, v, self_application_term(v))
-    gamma = substitute(theta, v, name_of(theta))
-    return theta, gamma
 
 
 def iter_zero_axiom(x: int = UINF_BOUND_VAR) -> Formula:

@@ -45,7 +45,7 @@ __all__ = [
     "Proof", "Axiom", "MP", "Gen", "TIntro", "Omega",
     "StepCombinator", "ApplyTIntro", "LiftImp", "RewriteEval", "ChainWith",
     "CheckedTheorem",
-    "CheckError", "MissingSchema", "check", "q_axiom",
+    "CheckError", "check", "q_axiom",
 ]
 
 
@@ -125,14 +125,6 @@ GAMMA = TheoryConfig()
 SIGMA = TheoryConfig(has_cons=False)
 # the one map from a theory's name to its configuration
 THEORIES = {"gamma": GAMMA, "sigma": SIGMA}
-
-
-class MissingSchema(ValueError):
-    """A bundled derivation needs a schema the configuration switched off."""
-
-    def __init__(self, schema: SchemaId):
-        super().__init__(f"MissingSchema({schema.value})")
-        self.schema = schema
 
 
 class CheckError(ValueError):

@@ -33,8 +33,8 @@ from .kernel import (
     RewriteEval, SchemaId, THEORIES, TIntro, _proof_children,
 )
 from .syntax import (
-    Forall, Formula, Imp, Term, Tr, _postorder, parse_formula, parse_term,
-    pretty_print, var_index, var_name,
+    Forall, Formula, Imp, Term, Tr, _QUOTE_LIMIT, _cut, _postorder,
+    parse_formula, parse_term, pretty_print, var_index, var_name,
 )
 
 __all__ = ["Script", "ScriptError", "parse_script", "serialize_script", "expand"]
@@ -197,10 +197,6 @@ def serialize_script(proof: Proof, theory: str, samples: int | None = None) -> s
 # ---------------------------------------------------------------------------
 # expansion
 
-# the most characters of the input, or of a formula, that an error message
-# quotes
-_QUOTE_LIMIT = 120
-
 
 def _quote(x) -> str:
     """repr of a token or a list of them, cut after _QUOTE_LIMIT characters;
@@ -218,11 +214,6 @@ def _quote(x) -> str:
             out.append(x[0] if type(x) is tuple else repr(x))
         size += len(out[-1])
     return _cut("".join(out))
-
-
-def _cut(text: str) -> str:
-    """``text``, cut after _QUOTE_LIMIT characters."""
-    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
 def _want(sexp, what: str) -> None:
@@ -297,7 +288,12 @@ def _parts(node) -> tuple:
     found = {}
     for part in node[1:]:
         _want(part, "an omega part")
-        found[part[0]] = part
+        head = part[0].lower()
+        if head not in ("family", "base", "step"):
+            raise ScriptError(f"unknown omega part {_quote(part[0])}")
+        if head in found:
+            raise ScriptError(f"omega holds more than one ({head} ...) part")
+        found[head] = part
     fam_form, base_form, steps_form = map(found.get, ("family", "base", "step"))
     if fam_form is None or base_form is None or steps_form is None:
         raise ScriptError("omega needs (family ...), (base ...) and (step ...)")

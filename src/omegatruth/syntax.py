@@ -509,6 +509,16 @@ def _pp_pieces(e: Expr) -> tuple:
     return (f"forall {var_name(e.var)}. ", e.body)
 
 
+# the most characters of the input, or of a formula, that an error message
+# quotes
+_QUOTE_LIMIT = 120
+
+
+def _cut(text: str) -> str:
+    """``text``, cut after _QUOTE_LIMIT characters."""
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
+
+
 class ParseError(ValueError):
     """Syntax error in the concrete grammar, tagged with an input position."""
 
@@ -568,7 +578,7 @@ def _parse(text: str, formula: bool) -> Expr:
         return ParseError(msg, _offset(text, at), text)
 
     def expected(want: str, at: int) -> ParseError:
-        return error(f"expected {want}, found {toks[at] or 'end of input'!r}", at)
+        return error(f"expected {want}, found {_cut(repr(toks[at] or 'end of input'))}", at)
 
     while True:
         # prefixes push a frame each, up to the first atom
@@ -581,7 +591,7 @@ def _parse(text: str, formula: bool) -> Expr:
             if tok == "forall":
                 idx = var_index(toks[i])
                 if idx is None:
-                    raise error(f"expected a variable after 'forall', found {toks[i]!r}", i)
+                    raise error(f"expected a variable after 'forall', found {_cut(repr(toks[i]))}", i)
                 if toks[i + 1] != ".":
                     raise expected("'.'", i + 1)
                 i += 2
@@ -615,7 +625,7 @@ def _parse(text: str, formula: bool) -> Expr:
             idx = var_index(tok)
             if idx is None:
                 if tok.isidentifier():
-                    raise error(f"unknown identifier {tok!r}", i - 1)
+                    raise error(f"unknown identifier {_cut(repr(tok))}", i - 1)
                 raise expected("a term", i - 1)
             v = Var(idx)
         # v is an operand: pop each frame it completes, up to one that
@@ -640,7 +650,7 @@ def _parse(text: str, formula: bool) -> Expr:
                 v = FnApp(frame[1], args)
             elif kind is _OP_LEFT:
                 if tok != "+" and tok != "*":
-                    raise error(f"expected '+' or '*', found {tok!r}", i)
+                    raise error(f"expected '+' or '*', found {_cut(repr(tok))}", i)
                 i += 1
                 stack[-1] = (_OP_RIGHT, v, tok, None)
                 break
@@ -685,7 +695,7 @@ def _parse(text: str, formula: bool) -> Expr:
             stack.pop()
         else:
             if toks[i]:
-                raise error(f"trailing input after {'formula' if formula else 'term'}, found {toks[i]!r}", i)
+                raise error(f"trailing input after {'formula' if formula else 'term'}, found {_cut(repr(toks[i]))}", i)
             return v
 
 

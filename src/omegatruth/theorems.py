@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .coding import OMEGA_VAR, DIAG_VAR, name_of, omega_truth
+from .coding import OMEGA_VAR, DIAG_VAR, name_of
 from .kernel import (
-    ApplyTIntro, ChainWith, CheckedTheorem, GAMMA, LiftImp, MissingSchema,
-    Omega, RewriteEval, SchemaId, SIGMA, TheoryConfig, _Checked, check,
-    q_axiom,
+    ApplyTIntro, ChainWith, CheckedTheorem, GAMMA, LiftImp, Omega,
+    RewriteEval, SchemaId, SIGMA, TheoryConfig, _Checked, check, q_axiom,
 )
 from .syntax import (
     Eq, FnApp, Forall, Formula, ITER, Imp, Not, Succ, Tr, Var, ZERO,
@@ -25,15 +24,23 @@ from .syntax import (
 from .tactics import (
     Thm, _apply_under, _from_hyp, _mp_under, _trans_under, _weaken, ax,
     contrapose, derive_A1, derive_A2, diagonal_lemma, gen, iff_elim1,
-    iff_elim2, imp_trans, inst, lift_imp, mp, refl, rewrite_align, taut,
-    tintro,
+    iff_elim2, imp_trans, inst, lift_imp, mp, omega_truth, refl,
+    rewrite_align, taut, tintro,
 )
 
 __all__ = [
-    "ProvabilityPredicate", "Refutation", "WitnessReport", "tomega_provability",
-    "m1", "m2", "m3", "loeb", "formalized_loeb",
+    "MissingSchema", "ProvabilityPredicate", "Refutation", "WitnessReport",
+    "tomega_provability", "m1", "m2", "m3", "loeb", "formalized_loeb",
     "mcgee_original", "mcgee_via_loeb", "omega_witness",
 ]
+
+
+class MissingSchema(ValueError):
+    """A bundled derivation needs a schema the configuration switched off."""
+
+    def __init__(self, schema: SchemaId):
+        super().__init__(f"MissingSchema({schema.value})")
+        self.schema = schema
 
 
 def _require_cons(config: TheoryConfig) -> None:

@@ -8,7 +8,7 @@ import re
 from unittest import mock
 
 from omegatruth import proofscript, tactics as T
-from omegatruth.coding import OMEGA_VAR, decode, encode, iter_step_axiom, name_of, omega_truth
+from omegatruth.coding import OMEGA_VAR, decode, encode, iter_step_axiom, name_of
 from omegatruth.kernel import (
     Axiom, CheckError, Gen, LiftImp, MP, Omega, Proof, RewriteEval, SchemaId,
     TIntro, check, q_axiom,
@@ -18,6 +18,7 @@ from omegatruth.syntax import (
     ParseError, Succ, Term, Tr, Var, ZERO, _children, _rebuild, numeral,
     substitute, var_index,
 )
+from omegatruth.tactics import omega_truth
 
 # ---------------------------------------------------------------------------
 # random expressions

@@ -14,7 +14,7 @@ import pytest
 from omegatruth.cli import main
 from omegatruth.coding import decode, encode, sub_fn
 from omegatruth.kernel import (
-    CheckError, GAMMA, MissingSchema, SIGMA, SchemaId, TheoryConfig, check,
+    CheckError, GAMMA, SIGMA, SchemaId, TheoryConfig, check,
 )
 from omegatruth.syntax import (
     Eq, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
@@ -24,8 +24,8 @@ from omegatruth.tactics import (
     taut,
 )
 from omegatruth.theorems import (
-    formalized_loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
-    omega_witness, tomega_provability,
+    MissingSchema, formalized_loeb, m1, m2, m3, mcgee_original,
+    mcgee_via_loeb, omega_witness, tomega_provability,
 )
 
 from helpers import (

@@ -220,6 +220,52 @@ def test_a_long_bad_argument_is_quoted_in_part(capsys, argv, message):
     assert "xxx..." in err and len(err.encode("utf-8")) < 300
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["code", "x" * 100_000], "unknown identifier 'xxx"),
+    (["code", "0 = 0 " + "y" * 100_000], "trailing input after formula, found 'yyy"),
+    (["code", "forall " + "q" * 100_000 + ". 0 = 0"], "expected a variable after 'forall', found 'qqq"),
+    (["code", "f" * 100_000 + "(0)"], "unknown identifier 'fff"),
+], ids=["identifier", "trailing-input", "forall-variable", "function-symbol"])
+def test_a_long_bad_token_is_quoted_in_part(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 300
+
+
+def test_a_bad_token_up_to_the_cut_is_quoted_whole(capsys):
+    # its repr is 120 characters, the most that is quoted uncut
+    name = "x" * 118
+    assert run(capsys, "code", name) == (2, "", f"input error: unknown identifier '{name}' (line 1, column 1)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decode", "1"], "code lacks the sentinel bit"),
+    (["decode", "94"], "trailing bits after a complete expression"),
+    (["decode", "289"], "code is not in canonical form"),
+    (["decode", "29"], "invalid node tag 13"),
+    (["eval", "x"], "open term: variable 0 has no value"),
+    (["eval", "sub(#1, #0, #0)"], "sub: first argument does not decode: code lacks the sentinel bit"),
+    (["eval", "sub(#47, #0, #0)"], "sub: first argument is not the code of a formula"),
+    (["diag", "x = y", "x"], "diagonalization needs exactly one free variable 0, got [0, 1]"),
+])
+def test_coding_and_diagonal_rejections_are_input_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("(step ", "(junk 1 2) (step ", "unknown omega part 'junk'"),
+    ("(family y", '(family y "0 = 0") (family y', "omega holds more than one (family ...) part"),
+    (" (step (t-intro) (rewrite 0))", "", "omega needs (family ...), (base ...) and (step ...)"),
+], ids=["unknown-part", "second-family", "no-step"])
+def test_check_rejects_unknown_repeated_and_missing_omega_parts(tmp_path, capsys, old, new, message):
+    text = (ROOT / "scripts" / "proofs" / "m1_zero.proof").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "rejected.proof"
+    path.write_text(text.replace(old, new))
+    assert run(capsys, "check", str(path)) == (2, "", f"input error: {message}\n")
+
+
 def test_mp_premises_that_do_not_fit_are_quoted_in_part(tmp_path, capsys):
     path = tmp_path / "mp.proof"
     path.write_text('(theory sigma)\n(prove (mp (axiom EQ1 "0 = 0") (axiom EQ1 "0 = 0")))\n')

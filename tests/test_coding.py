@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import (
-    DecodeError, EvalError, K0, decode, diagonal_pair, encode,
-    iter_fn, iter_step_axiom, iter_zero_axiom, name_of, omega_truth, sub_fn,
-    value,
+    DecodeError, EvalError, K0, decode, encode, iter_fn, iter_step_axiom,
+    iter_zero_axiom, name_of, sub_fn, value,
 )
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
     parse_term, pretty_print, substitute,
 )
+from omegatruth.tactics import diagonal_lemma, omega_truth
 
 from helpers import (
     oracle_iter, oracle_sub, oracle_value, random_evaluable_term, random_expr,
@@ -223,17 +223,17 @@ def test_iter_axioms_are_true_sentences():
 
 
 def test_diagonal_pair_fixed_point_equation():
-    phi = Not(omega_truth(Var(5)))
-    theta, gamma = diagonal_pair(phi, 5)
-    assert not gamma.fv
-    assert gamma == substitute(theta, 5, name_of(theta))
+    # gamma is theta applied to its own name
+    dr = diagonal_lemma(Not(omega_truth(Var(5))), 5)
+    assert not dr.gamma.fv
+    assert dr.gamma == substitute(dr.theta, 5, name_of(dr.theta))
 
 
 def test_diagonal_pair_rejects_wrong_variables():
-    with pytest.raises(ValueError):
-        diagonal_pair(Eq(Var(0), Var(1)), 0)
-    with pytest.raises(ValueError):
-        diagonal_pair(Eq(ZERO, ZERO), 0)
+    with pytest.raises(ValueError, match=r"^diagonalization needs exactly one free variable 0, got \[0, 1\]$"):
+        diagonal_lemma(Eq(Var(0), Var(1)), 0)
+    with pytest.raises(ValueError, match=r"^diagonalization needs exactly one free variable 0, got \[\]$"):
+        diagonal_lemma(Eq(ZERO, ZERO), 0)
 
 
 def test_value_agrees_with_oracle_on_evaluable_terms():

@@ -29,6 +29,16 @@ def test_refutation_is_a_theorems_record():
     assert not hasattr(kernel, "Refutation") and "Refutation" not in kernel.__all__
 
 
+def test_untrusted_names_live_outside_the_trusted_files():
+    # check never raises MissingSchema nor builds an omega-truth formula
+    from omegatruth import coding, kernel, tactics, theorems
+
+    assert omegatruth.MissingSchema is theorems.MissingSchema
+    assert omegatruth.omega_truth is tactics.omega_truth
+    assert not hasattr(kernel, "MissingSchema") and "MissingSchema" not in kernel.__all__
+    assert not hasattr(coding, "omega_truth") and "omega_truth" not in coding.__all__
+
+
 def _unused_imports(path):
     """Names that a module imports but never reads; a name listed in the
     module's ``__all__`` counts as read."""
@@ -96,14 +106,24 @@ def _rejection_texts(path):
             if isinstance(c, ast.Constant) and isinstance(c.value, str)}
 
 
+def _raised_texts(path):
+    """The string constants in the arguments of every exception a module
+    raises."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    args = [a for r in ast.walk(tree) if isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call) for a in r.exc.args]
+    return {c.value for a in args for c in ast.walk(a) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
 def test_every_kernel_rejection_is_reached():
-    # a rejection no test names is one no test holds to its message, and
-    # likely one no input reaches
+    # a rejection of the trusted files that no test names is one no test
+    # holds to its message, and likely one no input reaches
     root = pathlib.Path(__file__).resolve().parent.parent
     tests = "\n".join(p.read_text(encoding="utf-8") for p in sorted((root / "tests").rglob("*.py")))
     texts = _rejection_texts(root / "src" / "omegatruth" / "kernel.py")
     assert len(texts) > 30  # the scan still finds the kernel's messages
-    assert sorted(t for t in texts if t not in tests) == []
+    coding = _raised_texts(root / "src" / "omegatruth" / "coding.py")
+    assert len(coding) > 10  # and coding's
+    assert sorted(t for t in texts | coding if t not in tests) == []
 
 
 def _recursive_functions(path):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -12,8 +13,8 @@ from omegatruth.coding import (
     K0, encode, iter_step_axiom, iter_zero_axiom, name_of, sub_fn,
 )
 from omegatruth.kernel import (
-    ApplyTIntro, Axiom, ChainWith, CheckError, GAMMA, Gen, MP, MissingSchema,
-    Omega, RewriteEval, SIGMA, SchemaId, THEORIES, TIntro, TheoryConfig, check,
+    ApplyTIntro, Axiom, ChainWith, CheckError, GAMMA, Gen, MP, Omega,
+    RewriteEval, SIGMA, SchemaId, THEORIES, TIntro, TheoryConfig, check,
     q_axiom, _one_step_rewrite, _proof_children,
 )
 from omegatruth.syntax import (
@@ -21,6 +22,7 @@ from omegatruth.syntax import (
     pretty_print, replace_at, substitute,
 )
 from omegatruth.tactics import Thm, refl, tintro
+from omegatruth.theorems import MissingSchema
 
 from helpers import random_expr, random_term, schema_of, term_positions
 
@@ -774,3 +776,11 @@ def test_the_trust_statements_list_the_pinned_tactics():
     in_readme = re.findall(r"`(\w+)`", _between(readme, "on the 4 demos, these are ", ". No hypothesis tree"))
     assert sorted(in_kernel) == CHECK_REACHES["tactics"]
     assert sorted(in_readme) == CHECK_REACHES["tactics"]
+
+
+def test_coding_defines_only_what_check_reaches():
+    # coding.py is trusted, so a function there that check never runs
+    # belongs beside the code that uses it
+    path = Path(__file__).resolve().parent.parent / "src" / "omegatruth" / "coding.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted({n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}) == CHECK_REACHES["coding"]

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 from omegatruth import tactics as T
 from omegatruth.kernel import GAMMA, SIGMA, Axiom, Gen, SchemaId, check
 from omegatruth.proofscript import (
-    _MAX_INDENT, _QUOTE_LIMIT, ScriptError, _Q, _quote, _read_forms,
-    parse_script, serialize_script,
+    _MAX_INDENT, ScriptError, _Q, _quote, _read_forms, parse_script,
+    serialize_script,
 )
-from omegatruth.syntax import Add, Eq, Imp, ZERO, numeral, parse_formula
+from omegatruth.syntax import Add, Eq, Imp, ZERO, _QUOTE_LIMIT, numeral, parse_formula
 
 from helpers import reference_read_forms
 
@@ -84,6 +84,22 @@ def test_omega_form_with_identity_step():
     cert = check(script.proof, GAMMA)
     assert cert.omega_count == 1
     assert cert.samples_checked == 8
+
+
+def test_omega_part_heads_are_read_in_any_case():
+    script = parse_script('(theory gamma) (prove (omega (FAMILY y "x = x") (Base (axiom EQ1 "x = x")) (STEP)))')
+    assert check(script.proof, GAMMA).omega_count == 1
+
+
+@pytest.mark.parametrize("parts, message", [
+    ('(junk) (family y "0 = 0") (family y "0 = 0")', "unknown omega part 'junk'"),
+    ('(family y "0 = 0") (Family y "0 = 0") (junk)', "omega holds more than one (family ...) part"),
+    ('(step) (step) ("family" y "0 = 0")', "omega holds more than one (step ...) part"),
+], ids=["unknown-then-second-family", "second-family-then-unknown", "second-step-then-quoted"])
+def test_omega_part_errors_come_in_script_order(parts, message):
+    with pytest.raises(ScriptError) as err:
+        parse_script(f"(prove (omega {parts}))")
+    assert str(err.value) == message
 
 
 def test_mp_claim_mismatch_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth import tactics as T, theorems as TH
-from omegatruth.coding import encode, name_of, omega_truth, value
+from omegatruth.coding import encode, name_of, value
 from omegatruth.kernel import (
     GAMMA, SIGMA, Axiom, Omega, SchemaId, _proof_children, check,
 )
@@ -18,7 +18,7 @@ from omegatruth.syntax import (
 from omegatruth.tactics import (
     TacticError, TautologyError, Thm, ax, chain, contrapose, derive_A1,
     derive_A2, diagonal_lemma, eval_closed, iff_elim1, iff_intro,
-    iff_parts, imp_trans, lift_imp, mp,
+    iff_parts, imp_trans, lift_imp, mp, omega_truth,
     propositional_atoms, propositional_counterexample,
     refl, rewrite_imp, sym, taut, tintro, trans,
 )

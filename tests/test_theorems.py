@@ -1,17 +1,15 @@
 import pytest
 
 from omegatruth import theorems as TH
-from omegatruth.coding import encode, iter_fn, name_of, omega_truth
-from omegatruth.kernel import (
-    GAMMA, MissingSchema, SIGMA, SchemaId, check,
-)
+from omegatruth.coding import encode, iter_fn, name_of
+from omegatruth.kernel import GAMMA, SIGMA, SchemaId, check
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, ZERO, mk_iff, numeral, substitute,
 )
-from omegatruth.tactics import Thm, ax, iff_parts, mp, refl
+from omegatruth.tactics import Thm, ax, iff_parts, mp, omega_truth, refl
 from omegatruth.theorems import (
-    formalized_loeb, loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
-    omega_witness, tomega_provability,
+    MissingSchema, formalized_loeb, loeb, m1, m2, m3, mcgee_original,
+    mcgee_via_loeb, omega_witness, tomega_provability,
 )
 
 from helpers import reference_m2, reference_not_zero_one
