@@ -24,7 +24,7 @@ __all__ = [
     "encode", "decode", "numeral", "name_of", "value",
     "sub_fn", "iter_fn",
     "K0", "OMEGA_VAR", "TEMPLATE_CODE_VAR", "UINF_BOUND_VAR", "DIAG_VAR",
-    "iter_zero_axiom", "iter_step_axiom",
+    "ITER_ZERO_AXIOM", "ITER_STEP_AXIOM",
 ]
 
 
@@ -226,6 +226,18 @@ DIAG_VAR = 5         # v: distinguished variable of diagonalized formulas
 #: code of the step template  T(iter(y, z))
 K0 = encode(Tr(FnApp(ITER, [Var(OMEGA_VAR), Var(TEMPLATE_CODE_VAR)])))
 
+# the two iteration axioms, one sentence each: forall x. iter(0, x) = x and
+# forall x. forall z. iter(S(x), z) = sub(sub(#K0, #2, z), #1, x).  The code
+# slot is substituted first, so that instantiating z with a closed name and
+# evaluating the inner application leaves exactly the one-variable template
+# used by the UInf schema.
+_X, _Z = Var(UINF_BOUND_VAR), Var(TEMPLATE_CODE_VAR)
+ITER_ZERO_AXIOM = Forall(UINF_BOUND_VAR, Eq(FnApp(ITER, [ZERO, _X]), _X))
+ITER_STEP_AXIOM = Forall(UINF_BOUND_VAR, Forall(TEMPLATE_CODE_VAR, Eq(
+    FnApp(ITER, [Succ(_X), _Z]),
+    FnApp(SUB, [FnApp(SUB, [numeral(K0), numeral(TEMPLATE_CODE_VAR), _Z]), numeral(OMEGA_VAR), _X]),
+)))
+
 
 def iter_fn(n: int, c: int) -> int:
     """The two-place iteration function: ``iter_fn(0, c) = c`` and
@@ -234,25 +246,3 @@ def iter_fn(n: int, c: int) -> int:
     if n == 0:
         return c
     return sub_fn(sub_fn(K0, TEMPLATE_CODE_VAR, c), OMEGA_VAR, n - 1)
-
-
-def iter_zero_axiom(x: int = UINF_BOUND_VAR) -> Formula:
-    """``forall x. iter(0, x) = x``."""
-    return Forall(x, Eq(FnApp(ITER, [ZERO, Var(x)]), Var(x)))
-
-
-def iter_step_axiom(
-    x: int = UINF_BOUND_VAR, z: int = TEMPLATE_CODE_VAR, k: Term = numeral(K0),
-    z_slot: Term = numeral(TEMPLATE_CODE_VAR), y_slot: Term = numeral(OMEGA_VAR),
-) -> Formula:
-    """``forall x. forall z. iter(S(x), z) = sub(sub(k, z_slot, z), y_slot, x)``,
-    by default with ``k`` the name of the step template and the slots its
-    code and iteration variables.
-
-    The code slot is substituted first, so that instantiating ``z`` with a
-    closed name and evaluating the inner application leaves exactly the
-    one-variable template used by the UInf schema.
-    """
-    inner = FnApp(SUB, [k, z_slot, Var(z)])
-    outer = FnApp(SUB, [inner, y_slot, Var(x)])
-    return Forall(x, Forall(z, Eq(FnApp(ITER, [Succ(Var(x)), Var(z)]), outer)))

@@ -23,9 +23,11 @@ _iter_step_at; no hypothesis tree among them.  The rest of the trusted base is t
 module and the ``coding`` and ``syntax`` functions the checker evaluates
 or rebuilds an instance with, pinned there too: among them
 ``substitute``, on whose refusal to let a quantifier capture a term
-QUANT1's side condition rests, ``iter_zero_axiom`` / ``iter_step_axiom``
-(the iteration template), ``value`` (numeral arithmetic) and ``sub_fn``
-(substitution).
+QUANT1's side condition rests, ``value`` (numeral arithmetic) and
+``sub_fn`` (substitution).  Q1..Q7 and the two iteration axioms are fixed
+sentences, each accepted only as itself: the iteration axioms are
+``coding.ITER_ZERO_AXIOM`` and ``ITER_STEP_AXIOM``, over the template
+``K0``.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from collections import namedtuple
 
 from . import coding
 from .syntax import (
-    Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, ITER, Mul, Not, SUB,
-    Succ, Term, Tr, Var, ZERO, TWO, _children, free_var_positions, numeral,
-    pretty_print, substitute, subterm_at,
+    Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, Mul, Not, SUB,
+    Succ, Term, Tr, Var, ZERO, TWO, _children, _cut, free_var_positions,
+    numeral, pretty_print, substitute, subterm_at,
 )
 
 __all__ = [
@@ -355,7 +357,7 @@ class Omega(Proof):
                 try:
                     proof, formula = step.apply(proof, formula, expected)
                 except Exception as e:  # tactic construction failure
-                    raise CheckError(path, "omega", f"step {j} failed at sample {n}: {e}") from e
+                    raise CheckError(path, "omega", f"step {j} failed at sample {n}: {_cut(str(e))}") from e
             yield proof, expected
             formula = expected
 
@@ -374,8 +376,9 @@ def _proof_children(p: Proof) -> tuple[Proof, ...]:
 # ---------------------------------------------------------------------------
 # schema matching
 
+# the axioms that are one sentence each, judged by identity with it
 _X, _Y = Var(0), Var(1)
-_Q_SENTENCES: dict[SchemaId, Formula] = {
+_FIXED: dict[SchemaId, Formula] = {
     SchemaId.Q1: Forall(0, Forall(1, Imp(Eq(Succ(_X), Succ(_Y)), Eq(_X, _Y)))),
     SchemaId.Q2: Forall(0, Not(Eq(Succ(_X), ZERO))),
     SchemaId.Q3: Forall(0, Imp(Not(Eq(_X, ZERO)), Not(Forall(1, Not(Eq(_X, Succ(_Y))))))),
@@ -383,6 +386,8 @@ _Q_SENTENCES: dict[SchemaId, Formula] = {
     SchemaId.Q5: Forall(0, Forall(1, Eq(Add(_X, Succ(_Y)), Succ(Add(_X, _Y))))),
     SchemaId.Q6: Forall(0, Eq(Mul(_X, ZERO), ZERO)),
     SchemaId.Q7: Forall(0, Forall(1, Eq(Mul(_X, Succ(_Y)), Add(Mul(_X, _Y), _X)))),
+    SchemaId.COMP_ITER0: coding.ITER_ZERO_AXIOM,
+    SchemaId.COMP_ITER_STEP: coding.ITER_STEP_AXIOM,
 }
 
 
@@ -609,29 +614,6 @@ def _m_comp_sub(phi):
     return True, None
 
 
-def _m_comp_iter0(phi):
-    return type(phi) is Forall and phi is coding.iter_zero_axiom(phi.var), None
-
-
-def _m_comp_iter_step(phi):
-    if not (type(phi) is Forall and type(phi.body) is Forall and type(phi.body.body) is Eq):
-        return False, None
-    x, z, rhs = phi.var, phi.body.var, phi.body.body.right
-    try:
-        k, z_slot, y_slot = (subterm_at(rhs, p) for p in ((0, 0), (0, 1), (1,)))
-    except IndexError:
-        return False, None
-    if x == z or phi is not coding.iter_step_axiom(x, z, k, z_slot, y_slot):
-        return False, None
-    if k.nv is None or z_slot.nv is None or y_slot.nv is None:
-        return False, "template arguments are not canonical numerals"
-    if z_slot.nv == y_slot.nv:
-        return False, "template slots coincide"
-    if _named(k) is not Tr(FnApp(ITER, [Var(y_slot.nv), Var(z_slot.nv)])):
-        return False, "first argument does not name the iteration step template"
-    return True, None
-
-
 def _m_comp_succ(phi):
     if not (
         type(phi) is Eq and phi.right.nv is not None
@@ -656,20 +638,18 @@ _MATCHERS = {
     SchemaId.TIMP: _m_timp,
     SchemaId.UINF: _m_uinf,
     SchemaId.COMP_SUB: _m_comp_sub,
-    SchemaId.COMP_ITER0: _m_comp_iter0,
-    SchemaId.COMP_ITER_STEP: _m_comp_iter_step,
     SchemaId.COMP_SUCC: _m_comp_succ,
 }
 
 
 def _matches(schema: SchemaId, phi: Formula):
     m = _MATCHERS.get(schema)
-    return m(phi) if m is not None else (phi == _Q_SENTENCES[schema], None)
+    return m(phi) if m is not None else (phi is _FIXED[schema], None)
 
 
 def q_axiom(schema: SchemaId) -> Formula:
-    """The canonical sentence of one of the arithmetic axioms Q1..Q7."""
-    return _Q_SENTENCES[schema]
+    """The one sentence of a fixed axiom: Q1..Q7, COMP_ITER0 or COMP_ITER_STEP."""
+    return _FIXED[schema]
 
 
 def _nearest(phi: Formula, claimed: SchemaId, config: TheoryConfig) -> str:
@@ -708,6 +688,11 @@ class CheckedTheorem(namedtuple(
             "samples_checked": self.samples_checked,
             "proof_size": self.proof_size,
         }
+
+
+def _shown(f: Formula) -> str:
+    """``f`` as a message quotes it: printed, then cut to a bounded length."""
+    return _cut(pretty_print(f))
 
 
 def _spell(prefix: tuple[int, ...], link) -> tuple[int, ...]:
@@ -749,11 +734,11 @@ class _Checker:
                 if t is MP:
                     fa, fb = node.minor._concl, node.major._concl
                     if type(fb) is not Imp:
-                        raise CheckError(_spell(path, link), "mp", f"major premise is not an implication: {pretty_print(fb)}")
+                        raise CheckError(_spell(path, link), "mp", f"major premise is not an implication: {_shown(fb)}")
                     if fb.ant != fa:
                         raise CheckError(
                             _spell(path, link), "mp",
-                            f"minor premise {pretty_print(fa)} does not match antecedent {pretty_print(fb.ant)}",
+                            f"minor premise {_shown(fa)} does not match antecedent {_shown(fb.ant)}",
                         )
                     node._concl = fb.cons
                     count = max(omega.get(node.minor, 0), omega.get(node.major, 0)) if omega else 0
@@ -768,7 +753,7 @@ class _Checker:
                 if not ok:
                     why = detail or "instance does not match the schema"
                     hint = _nearest(node.instance, node.schema, config)
-                    raise CheckError(_spell(path, link), "axiom", f"{node.schema.value}: {why}{hint}: {pretty_print(node.instance)}")
+                    raise CheckError(_spell(path, link), "axiom", f"{node.schema.value}: {why}{hint}: {_shown(node.instance)}")
                 node._concl, count = node.instance, 0
             else:
                 stack.append((node, link, True))
@@ -798,14 +783,14 @@ class _Checker:
         if t is TIntro:
             f = node.premise._concl
             if f.fv:
-                raise CheckError(_spell(prefix, link), "t-intro", f"premise is not a sentence: {pretty_print(f)}")
+                raise CheckError(_spell(prefix, link), "t-intro", f"premise is not a sentence: {_shown(f)}")
             return Tr(coding.name_of(f)), omega.get(node.premise, 0)
         # Omega
         path = _spell(prefix, link)
         base_f, worst = node.base._concl, omega.get(node.base, 0)
         fam0 = node.instance(0)
         if base_f != fam0:
-            raise CheckError(path, "omega", f"base proves {pretty_print(base_f)}, not instance 0 {pretty_print(fam0)}")
+            raise CheckError(path, "omega", f"base proves {_shown(base_f)}, not instance 0 {_shown(fam0)}")
         # sample n, the proof of instance n, is checked at child index c + n - 1
         # of an omega node with c children, so a path names one node
         first = len(_proof_children(node)) - 1
@@ -814,7 +799,7 @@ class _Checker:
             if got != expected:
                 raise CheckError(
                     path, "omega",
-                    f"sample {n} proves {pretty_print(got)}, expected {pretty_print(expected)}",
+                    f"sample {n} proves {_shown(got)}, expected {_shown(expected)}",
                 )
             worst = max(worst, ocount)
         self.samples += self.config.omega_samples

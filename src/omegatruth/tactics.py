@@ -18,8 +18,8 @@ from functools import cache, reduce
 from itertools import product
 
 from .coding import (
-    K0, OMEGA_VAR, TEMPLATE_CODE_VAR, UINF_BOUND_VAR, _parts, iter_step_axiom,
-    iter_zero_axiom, name_of, sub_fn, value,
+    ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, OMEGA_VAR, TEMPLATE_CODE_VAR,
+    UINF_BOUND_VAR, _parts, name_of, sub_fn, value,
 )
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
@@ -558,11 +558,10 @@ def eval_closed(t: Term) -> Thm:
     return th
 
 
-# the iteration step axiom, forall x. forall z. iter(S(x), z) =
-# sub(sub(#K0, .., z), .., x), and the parts of its right side
-_ITER_STEP = iter_step_axiom()
-_ITER_Z = _ITER_STEP.body.var
-_ITER_INNER, _ITER_Y_SLOT = _ITER_STEP.body.body.right.args[:2]
+# the parts of the iteration step axiom, forall x. forall z. iter(S(x), z) =
+# sub(sub(#K0, .., z), .., x), that its instances keep
+_ITER_Z = ITER_STEP_AXIOM.body.var
+_ITER_INNER, _ITER_Y_SLOT = ITER_STEP_AXIOM.body.body.right.args[:2]
 _ITER_K, _ITER_Z_SLOT = _ITER_INNER.args[:2]
 
 
@@ -573,7 +572,7 @@ def _iter_step_at(m: Term, bn: Term) -> Thm:
     sm = Succ(m)
     b1 = Forall(_ITER_Z, Eq(FnApp(ITER, (sm, Var(_ITER_Z))), FnApp(SUB, (_ITER_INNER, _ITER_Y_SLOT, m))))
     b2 = Eq(FnApp(ITER, (sm, bn)), FnApp(SUB, (FnApp(SUB, (_ITER_K, _ITER_Z_SLOT, bn)), _ITER_Y_SLOT, m)))
-    p1 = MP(Axiom(SchemaId.COMP_ITER_STEP, _ITER_STEP), Axiom(SchemaId.QUANT1, Imp(_ITER_STEP, b1)))
+    p1 = MP(Axiom(SchemaId.COMP_ITER_STEP, ITER_STEP_AXIOM), Axiom(SchemaId.QUANT1, Imp(ITER_STEP_AXIOM, b1)))
     return tuple.__new__(Thm, (MP(p1, Axiom(SchemaId.QUANT1, Imp(b1, b2))), b2))
 
 
@@ -599,7 +598,7 @@ def _eval_step(t: Term, done: list) -> Thm | None:
     an, bn = cur.args
     n0 = an.nv
     if n0 == 0:
-        links.append(inst(ax(SchemaId.COMP_ITER0, iter_zero_axiom()), bn))
+        links.append(inst(ax(SchemaId.COMP_ITER0, ITER_ZERO_AXIOM), bn))
         return reduce(trans, links)
     m = numeral(n0 - 1)
     if Succ(m) is not an:  # an even numeral is not spelled S(m)
@@ -766,7 +765,7 @@ def derive_A2(phi: Formula) -> Thm:
     w = omega_truth(nphi)
     it0 = FnApp(ITER, [ZERO, nphi])
     q1 = ax(SchemaId.QUANT1, Imp(w, Tr(it0)))
-    i = inst(ax(SchemaId.COMP_ITER0, iter_zero_axiom()), nphi)
+    i = inst(ax(SchemaId.COMP_ITER0, ITER_ZERO_AXIOM), nphi)
     c = mp(i, ax(SchemaId.EQ3, Imp(i.formula, Imp(Tr(it0), Tr(nphi)))))
     out = imp_trans(q1, c)
     MACROS[out.proof] = ("a2", phi)
@@ -788,7 +787,7 @@ def derive_A1(phi: Formula) -> Thm:
     sx = Succ(Var(x))
     q1 = ax(SchemaId.QUANT1, Imp(w, Tr(FnApp(ITER, [sx, nphi]))))
 
-    i2 = inst(inst(ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), Var(x)), nphi)
+    i2 = inst(inst(ax(SchemaId.COMP_ITER_STEP, ITER_STEP_AXIOM), Var(x)), nphi)
     e_inst = i2.formula
 
     chi = Tr(FnApp(ITER, [Var(OMEGA_VAR), nphi]))

@@ -52,18 +52,19 @@ def _require_cons(config: TheoryConfig) -> None:
 # the derivability conditions for the omega-truth predicate
 
 
-def _omega_family(base: Thm, phi: Formula) -> Omega:
-    """Omega node over the family T(iter(y, #phi)) from a proof of phi."""
-    w = omega_truth(name_of(phi))
-    fam0 = substitute(w.body, w.var, ZERO)
-    aligned = rewrite_align(tintro(base), fam0, [(0,)])
-    return Omega(w.var, w.body, aligned.proof, (ApplyTIntro(), RewriteEval((0,))))
+def _omega(fam: Formula, base: Thm, lead: tuple, positions) -> Thm:
+    """forall y. fam, for y the omega variable, by one omega node: ``base``
+    aligned to fam(0) at ``positions`` is its base, and each step is
+    ``lead`` followed by the same alignment to fam(n+1)."""
+    y = OMEGA_VAR
+    aligned = rewrite_align(base, substitute(fam, y, ZERO), positions)
+    node = Omega(y, fam, aligned.proof, lead + tuple(RewriteEval(p) for p in positions))
+    return Thm(node, node.conclusion)
 
 
 def _m1(th: Thm) -> Thm:
     """From phi conclude T^omega(#phi): introduce T and iterate."""
-    om = _omega_family(th, th.formula)
-    return Thm(om, om.conclusion)
+    return _omega(omega_truth(name_of(th.formula)).body, tintro(th), (ApplyTIntro(),), [(0,)])
 
 
 def _m2(phi: Formula, psi: Formula) -> Thm:
@@ -76,14 +77,8 @@ def _m2(phi: Formula, psi: Formula) -> Thm:
         Tr(FnApp(ITER, [Var(y), nf])),
         Imp(Tr(FnApp(ITER, [Var(y), na])), Tr(FnApp(ITER, [Var(y), nb]))),
     )
-    positions = [(0, 0), (1, 0, 0), (1, 1, 0)]
     timp = ax(SchemaId.TIMP, Imp(Tr(nf), Imp(Tr(na), Tr(nb))))
-    base = rewrite_align(timp, substitute(fam, y, ZERO), positions)
-    node = Omega(
-        y, fam, base.proof,
-        (LiftImp(2),) + tuple(RewriteEval(p) for p in positions),
-    )
-    om = Thm(node, node.conclusion)
+    om = _omega(fam, timp, (LiftImp(2),), [(0, 0), (1, 0, 0), (1, 1, 0)])
 
     p_w, q_w = omega_truth(nf), omega_truth(na)
     r_y = Tr(FnApp(ITER, [Var(y), nb]))
@@ -105,12 +100,7 @@ def _m3(phi: Formula) -> Thm:
     nw = name_of(w)
     y = OMEGA_VAR
     fam = Imp(w, Tr(FnApp(ITER, [Var(y), nw])))
-    base = rewrite_align(a1, substitute(fam, y, ZERO), [(1, 0)])
-    node = Omega(
-        y, fam, base.proof,
-        (LiftImp(1), ChainWith(a1.proof, a1.formula), RewriteEval((1, 0))),
-    )
-    om = Thm(node, node.conclusion)
+    om = _omega(fam, a1, (LiftImp(1), ChainWith(a1.proof, a1.formula)), [(1, 0)])
     q2 = ax(SchemaId.QUANT2, Imp(om.formula, Imp(w, omega_truth(nw))))
     return mp(om, q2)
 
@@ -255,7 +245,7 @@ def _mcgee_lines(config: TheoryConfig):
         ("7", line7.formula, "from 1 and 6"),
         ("omega", w, "omega rule over the truth-iteration family"),
     )
-    return line6, _omega_family(line7, gamma), narrative
+    return line6, _m1(line7).proof, narrative
 
 
 class Refutation(_Checked, namedtuple("Refutation", "positive negative narrative")):

@@ -8,7 +8,7 @@ import re
 from unittest import mock
 
 from omegatruth import proofscript, tactics as T
-from omegatruth.coding import OMEGA_VAR, decode, encode, iter_step_axiom, name_of
+from omegatruth.coding import ITER_STEP_AXIOM, OMEGA_VAR, decode, encode, name_of
 from omegatruth.kernel import (
     Axiom, CheckError, Gen, LiftImp, MP, Omega, Proof, RewriteEval, SchemaId,
     TIntro, check, q_axiom,
@@ -506,7 +506,7 @@ def reference_not_zero_one() -> T.Thm:
 
 def reference_iter_step_at(m: Term, bn: Term) -> T.Thm:
     """iter(S m, bn) = ..., the iteration step axiom instantiated twice."""
-    return T.inst(T.inst(T.ax(SchemaId.COMP_ITER_STEP, iter_step_axiom()), m), bn)
+    return T.inst(T.inst(T.ax(SchemaId.COMP_ITER_STEP, ITER_STEP_AXIOM), m), bn)
 
 
 # ---------------------------------------------------------------------------

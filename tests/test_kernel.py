@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import (
-    K0, encode, iter_step_axiom, iter_zero_axiom, name_of, sub_fn,
+    ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, encode, name_of, sub_fn,
 )
 from omegatruth.kernel import (
     ApplyTIntro, Axiom, ChainWith, CheckError, GAMMA, Gen, MP, Omega,
-    RewriteEval, SIGMA, SchemaId, THEORIES, TIntro, TheoryConfig, check,
-    q_axiom, _one_step_rewrite, _proof_children,
+    RewriteEval, SIGMA, SchemaId, StepCombinator, THEORIES, TIntro,
+    TheoryConfig, check, q_axiom, _one_step_rewrite, _proof_children,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
-    pretty_print, replace_at, substitute,
+    Add, Eq, FnApp, Forall, Imp, Mul, Not, Succ, Tr, Var, ZERO, _cut,
+    numeral, parse_formula, pretty_print, replace_at, substitute,
 )
-from omegatruth.tactics import Thm, refl, tintro
+from omegatruth.tactics import Thm, ax, gen, inst, refl, tintro
 from omegatruth.theorems import MissingSchema
 
 from helpers import random_expr, random_term, schema_of, term_positions
@@ -120,7 +120,8 @@ def test_rejection_past_the_int_digit_limit_is_a_check_error(capsys, tmp_path):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    assert err.value.reason.endswith(f"): {pretty_print(phi)}")
+    # and quotes the formula cut to a bounded length
+    assert err.value.reason.endswith(f"): {_cut(pretty_print(phi))}") and len(err.value.reason) < 300
     # the CLI reports the same message
     script = tmp_path / "big.proof"
     script.write_text(f'(theory sigma)\n(prove (axiom PROP1 "{pretty_print(phi)}"))\n')
@@ -172,16 +173,25 @@ def test_comp_sub_value_verified():
 def test_comp_succ_arithmetic_verified():
     assert schema_of(Eq(Succ(numeral(7)), numeral(8)), SIGMA) is SchemaId.COMP_SUCC
     assert schema_of(Eq(Succ(numeral(7)), numeral(9)), SIGMA) is None
-    from omegatruth.syntax import Add, Mul
-
     assert schema_of(Eq(Add(numeral(3), numeral(4)), numeral(7)), SIGMA) is SchemaId.COMP_SUCC
     assert schema_of(Eq(Mul(numeral(3), numeral(4)), numeral(12)), SIGMA) is SchemaId.COMP_SUCC
     assert schema_of(Eq(Mul(numeral(3), numeral(4)), numeral(11)), SIGMA) is None
 
 
 def test_iteration_axioms_match():
-    assert schema_of(iter_zero_axiom(), SIGMA) is SchemaId.COMP_ITER0
-    assert schema_of(iter_step_axiom(), SIGMA) is SchemaId.COMP_ITER_STEP
+    assert schema_of(ITER_ZERO_AXIOM, SIGMA) is SchemaId.COMP_ITER0
+    assert schema_of(ITER_STEP_AXIOM, SIGMA) is SchemaId.COMP_ITER_STEP
+
+
+def test_iteration_axioms_with_other_bound_variables_are_derived():
+    # the kernel accepts each iteration axiom only as its one sentence; a
+    # variant with other bound variables follows from it by inst and gen
+    zero = gen(inst(ax(SchemaId.COMP_ITER0, ITER_ZERO_AXIOM), Var(1)), 1)
+    assert pretty_print(zero.formula) == "forall y. iter(0, y) = y"
+    step = gen(gen(inst(inst(ax(SchemaId.COMP_ITER_STEP, ITER_STEP_AXIOM), Var(4)), Var(3)), 3), 4)
+    assert step.formula is parse_formula(f"forall u. forall w. iter(S(u), w) = sub(sub(#{K0}, #2, w), #1, u)")
+    assert [check(th.proof, SIGMA).proof_size for th in (zero, step)] == [4, 7]
+    assert [check(th.proof, SIGMA).formula for th in (zero, step)] == [zero.formula, step.formula]
 
 
 def test_quant1_instantiation():
@@ -293,17 +303,24 @@ _NOT_AN_INSTANCE = "consequent is not a substitution instance of the quantified 
      f"variable 0 occurs free in the antecedent (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
     ("QUANT2", "(forall x. (0 = 0 -> x = x)) -> (0 = 0 -> forall y. x = x)",
      f"instance does not match the schema (nearest: QUANT1: {_NOT_AN_INSTANCE})"),
-    ("COMP_ITER0", "forall y. iter(0, y) = y", None),
+    # the iteration axioms are fixed sentences: a renamed binder, a template
+    # slot that is not a numeral, coinciding slots and another template
+    # are all not the one sentence
+    ("COMP_ITER0", "forall x. iter(0, x) = x", None),
+    ("COMP_ITER0", "forall y. iter(0, y) = y", "instance does not match the schema"),
     ("COMP_ITER0", "forall y. iter(0, y) = x", "instance does not match the schema"),
-    ("COMP_ITER_STEP", f"forall u. forall w. iter(S(u), w) = sub(sub({_K0}, #2, w), #1, u)", None),
+    ("COMP_ITER_STEP", f"forall x. forall z. iter(S(x), z) = sub(sub({_K0}, #2, z), #1, x)", None),
+    ("COMP_ITER_STEP", f"forall u. forall w. iter(S(u), w) = sub(sub({_K0}, #2, w), #1, u)",
+     "instance does not match the schema"),
     ("COMP_ITER_STEP", f"forall x. forall x. iter(S(x), x) = sub(sub({_K0}, #2, x), #1, x)",
      "instance does not match the schema"),
     ("COMP_ITER_STEP", f"forall x. forall z. iter(S(x), z) = sub(sub({_K0}, y, z), #1, x)",
-     "template arguments are not canonical numerals"),
+     "instance does not match the schema"),
     ("COMP_ITER_STEP", f"forall x. forall z. iter(S(x), z) = sub(sub({_K0}, #1, z), #1, x)",
-     "template slots coincide"),
+     "instance does not match the schema"),
     ("COMP_ITER_STEP", "forall x. forall z. iter(S(x), z) = sub(sub(#7, #2, z), #1, x)",
-     "first argument does not name the iteration step template"),
+     "instance does not match the schema"),
+    ("COMP_SUB", "sub(#5, y, #1) = #3", "arguments are not canonical numerals"),
     ("COMP_SUCC", "(#3 * #4) = #13", "right side disagrees with numeral arithmetic"),
     ("COMP_SUCC", "#9 = #9", None),
     ("COMP_SUCC", "S(x) = #9", "instance does not match the schema"),
@@ -378,6 +395,18 @@ def test_q_axioms_are_fixed_sentences():
     for schema in (SchemaId.Q1, SchemaId.Q2, SchemaId.Q3, SchemaId.Q4,
                    SchemaId.Q5, SchemaId.Q6, SchemaId.Q7):
         assert schema_of(q_axiom(schema), SIGMA) is schema
+    assert q_axiom(SchemaId.COMP_ITER0) is ITER_ZERO_AXIOM
+    assert q_axiom(SchemaId.COMP_ITER_STEP) is ITER_STEP_AXIOM
+
+
+def test_each_schema_is_judged_one_way():
+    # by a matcher, or by identity with the one sentence of a fixed axiom
+    from omegatruth.kernel import _FIXED, _MATCHERS
+
+    assert not _MATCHERS.keys() & _FIXED.keys()
+    assert _MATCHERS.keys() | _FIXED.keys() == set(SchemaId)
+    assert [s.value for s in _FIXED] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "COMP_ITER0", "COMP_ITER_STEP"]
+    assert all(not phi.fv for phi in _FIXED.values())
 
 
 def test_check_two_node_proof():
@@ -401,6 +430,41 @@ def test_check_rejects_mp_mismatch():
     with pytest.raises(CheckError) as err:
         check(MP(one, prop1), GAMMA)
     assert str(err.value) == "at node <root> [mp]: minor premise #1 = #1 does not match antecedent 0 = 0"
+
+
+class _Loud(StepCombinator):
+    """A step that fails with a long message."""
+
+    __slots__ = ()
+
+    def apply(self, proof, formula, expected):
+        raise ValueError("x" * 1000)
+
+
+def test_every_rejection_quotes_a_bounded_part_of_a_formula():
+    # each formula a rejection prints, and a failed step's message, is cut
+    # after 120 characters, so no rejection quotes more than two such cuts
+    big = numeral(10 ** 300)
+    a, b = Eq(big, big), Eq(big, ZERO)
+    fam = Eq(Add(Var(1), big), Add(Var(1), big))
+    fam0, fam1 = substitute(fam, 1, ZERO), substitute(fam, 1, numeral(1))
+    cases = [
+        (MP(Axiom(SchemaId.EQ1, a), Axiom(SchemaId.EQ1, a)), f"major premise is not an implication: {_cut(pretty_print(a))}"),
+        (MP(Axiom(SchemaId.EQ1, a), Axiom(SchemaId.PROP1, Imp(b, Imp(a, b)))),
+         f"minor premise {_cut(pretty_print(a))} does not match antecedent {_cut(pretty_print(b))}"),
+        (Axiom(SchemaId.EQ1, b), f"EQ1: instance does not match the schema: {_cut(pretty_print(b))}"),
+        (TIntro(Axiom(SchemaId.EQ1, fam)), f"premise is not a sentence: {_cut(pretty_print(fam))}"),
+        (Omega(1, fam, Axiom(SchemaId.EQ1, a), ()),
+         f"base proves {_cut(pretty_print(a))}, not instance 0 {_cut(pretty_print(fam0))}"),
+        (Omega(1, fam, Axiom(SchemaId.EQ1, fam0), ()),
+         f"sample 1 proves {_cut(pretty_print(fam0))}, expected {_cut(pretty_print(fam1))}"),
+        (Omega(1, fam, Axiom(SchemaId.EQ1, fam0), (_Loud(),)), f"step 0 failed at sample 1: {_cut('x' * 1000)}"),
+    ]
+    for proof, reason in cases:
+        with pytest.raises(CheckError) as err:
+            check(proof, SIGMA)
+        assert err.value.reason == reason
+        assert reason.count("...") in (1, 2) and len(str(err.value)) < 400
 
 
 def test_an_mp_with_two_failing_premises_reports_the_major():
@@ -674,15 +738,14 @@ def test_steps_are_interned_by_one_constructor():
 CHECK_REACHES = {
     "coding": [
         "__init__", "_build", "_chunk_of", "_nat_chunk", "_parts", "_value_of", "decode", "encode",
-        "iter_fn", "iter_step_axiom", "iter_zero_axiom", "name_of", "read", "read_nat", "sub_fn",
-        "value",
+        "iter_fn", "name_of", "read", "read_nat", "sub_fn", "value",
     ],
     "kernel": [
-        "__init__", "__new__", "_m_comp_iter0", "_m_comp_iter_step", "_m_comp_sub", "_m_comp_succ",
-        "_m_cons", "_m_eq1", "_m_eq2", "_m_eq3", "_m_prop1", "_m_prop2", "_m_prop3", "_m_quant1",
-        "_m_quant2", "_m_timp", "_m_uinf", "_matches", "_named", "_one_step_rewrite",
-        "_proof_children", "_reduce", "_spell", "active", "apply", "check", "conclusion",
-        "instance", "lemmas", "premises", "run",
+        "__init__", "__new__", "_m_comp_sub", "_m_comp_succ", "_m_cons", "_m_eq1", "_m_eq2",
+        "_m_eq3", "_m_prop1", "_m_prop2", "_m_prop3", "_m_quant1", "_m_quant2", "_m_timp",
+        "_m_uinf", "_matches", "_named", "_one_step_rewrite", "_proof_children", "_reduce",
+        "_spell", "active", "apply", "check", "conclusion", "instance", "lemmas", "premises",
+        "run",
     ],
     "syntax": [
         "__getattr__", "__new__", "_children", "_make", "_postorder", "_rebuild", "_union",

@@ -11,7 +11,7 @@ import pytest
 
 from omegatruth.coding import DecodeError, decode, encode
 from omegatruth.proofscript import ScriptError, parse_script
-from omegatruth.syntax import Formula, ParseError, Term, parse_formula
+from omegatruth.syntax import Formula, ParseError, Term, _cut, parse_formula
 
 
 def test_decode_random_integers_fail_cleanly():
@@ -115,7 +115,8 @@ def _deep_case(kind):
         proof = f'(axiom QUANT1 "(forall x. {"~" * n}x = 0) -> {"~" * n}0 = 0")'
         return proof, 0, {"proof_size": 1}, ""
     sum_ = "(0 + " * n + "0" + ")" * n
-    # each formula as the rejection prints it: S(0) is the numeral #1
+    # each formula as the rejection prints it, before the cut: S(0) is the
+    # numeral #1
     formula = {
         "negations": "~" * n + "0 = 0",
         "foralls": "forall x. " * n + "0 = 0",
@@ -127,7 +128,7 @@ def _deep_case(kind):
     }[kind]
     if kind in ("parentheses", "sums"):
         return f'(axiom EQ1 "{formula}")', 0, {"proof_size": 1}, ""
-    return f'(axiom EQ1 "{formula}")', 1, None, _EQ1_REJECTS + formula + "\n"
+    return f'(axiom EQ1 "{formula}")', 1, None, _EQ1_REJECTS + _cut(formula) + "\n"
 
 
 @pytest.mark.parametrize("kind", [
@@ -149,6 +150,7 @@ def test_deep_scripts_in_a_fresh_process(kind, tmp_path):
     assert res.returncode >= 0, f"killed by signal {-res.returncode}"
     assert "Traceback" not in res.stderr
     assert (res.returncode, res.stderr) == (code, err)
+    assert len(res.stderr.encode("utf-8")) < 300  # a rejection quotes a bounded part
     if cert is not None:
         got = json.loads(res.stdout)
         assert {k: got[k] for k in cert} == cert
