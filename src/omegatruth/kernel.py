@@ -28,6 +28,13 @@ QUANT1's side condition rests, ``value`` (numeral arithmetic) and
 sentences, each accepted only as itself: the iteration axioms are
 ``coding.ITER_ZERO_AXIOM`` and ``ITER_STEP_AXIOM``, over the template
 ``K0``.
+
+The checker judges only its own objects: a node of its five node classes,
+a step of its four step classes and a ``SchemaId``, each by exact class,
+before it reads the object; anything else is a :class:`CheckError`.  It
+compares formulas and terms by identity, never by ``__eq__``.  It assumes
+that nothing patches its modules or the nodes it built, and that every
+formula inside a node is built by the ``syntax`` constructors alone.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from collections import namedtuple
 from . import coding
 from .syntax import (
     Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, Mul, Not, SUB,
-    Succ, Term, Tr, Var, ZERO, TWO, _children, _cut, free_var_positions,
-    numeral, pretty_print, substitute, subterm_at,
+    Succ, Term, Tr, Var, ZERO, TWO, _children, _cut, _shown,
+    free_var_positions, numeral, pretty_print, substitute, subterm_at,
 )
 
 __all__ = [
@@ -233,12 +240,11 @@ class TIntro(Proof):
 
 
 class StepCombinator:
-    """An omega step, interned under its class and fields.  The kernel knows
-    it only by ``apply(proof, formula, expected)``, from a proof of instance
-    n to one of instance n+1, and by ``lemmas``, the proofs it carries."""
+    """An omega step, interned under its class and fields.  The kernel runs
+    a step of its own four classes only, by ``apply(proof, formula,
+    expected)``, from a proof of instance n to one of instance n+1."""
 
     __slots__ = ()
-    lemmas = ()
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -301,10 +307,6 @@ class ChainWith(StepCombinator):
 
     __slots__ = ("lemma", "conclusion")
 
-    @property
-    def lemmas(self):
-        return (self.lemma,)
-
     def apply(self, proof: Proof, formula: Formula, expected: Formula):
         from . import tactics as T
 
@@ -362,6 +364,10 @@ class Omega(Proof):
             formula = expected
 
 
+# the kernel's step classes, the only ones whose ``apply`` a check runs
+_STEP_CLASSES = (ApplyTIntro, LiftImp, RewriteEval, ChainWith)
+
+
 def _proof_children(p: Proof) -> tuple[Proof, ...]:
     t = type(p)
     if t is MP:
@@ -369,7 +375,7 @@ def _proof_children(p: Proof) -> tuple[Proof, ...]:
     if t is Gen or t is TIntro:
         return (p.premise,)
     if t is Omega:
-        return (p.base,) + tuple(q for s in p.steps for q in s.lemmas)
+        return (p.base, *[s.lemma for s in p.steps if type(s) is ChainWith])
     return ()
 
 
@@ -392,7 +398,7 @@ _FIXED: dict[SchemaId, Formula] = {
 
 
 def _m_prop1(phi):
-    ok = type(phi) is Imp and type(phi.cons) is Imp and phi.cons.cons == phi.ant
+    ok = type(phi) is Imp and type(phi.cons) is Imp and phi.cons.cons is phi.ant
     return ok, None
 
 
@@ -406,10 +412,10 @@ def _m_prop2(phi):
         return False, None
     a, bc = phi.ant.ant, phi.ant.cons
     ok = (
-        phi.cons.ant.ant == a
-        and phi.cons.ant.cons == bc.ant
-        and phi.cons.cons.ant == a
-        and phi.cons.cons.cons == bc.cons
+        phi.cons.ant.ant is a
+        and phi.cons.ant.cons is bc.ant
+        and phi.cons.cons.ant is a
+        and phi.cons.cons.cons is bc.cons
     )
     return ok, None
 
@@ -420,8 +426,8 @@ def _m_prop3(phi):
         and type(phi.ant) is Imp
         and type(phi.ant.ant) is Not and type(phi.ant.cons) is Not
         and type(phi.cons) is Imp
-        and phi.cons.ant == phi.ant.cons.body
-        and phi.cons.cons == phi.ant.ant.body
+        and phi.cons.ant is phi.ant.cons.body
+        and phi.cons.cons is phi.ant.ant.body
     )
     return ok, None
 
@@ -453,7 +459,7 @@ def _m_quant2(phi):
 
 
 def _m_eq1(phi):
-    return (type(phi) is Eq and phi.left == phi.right), None
+    return (type(phi) is Eq and phi.left is phi.right), None
 
 
 def _one_step_rewrite(src, dst, s: Term, t: Term) -> bool:
@@ -547,7 +553,7 @@ def _m_cons(phi):
         return False, "arguments are not names of formulas"
     if db.fv:
         return False, "named formula is not a sentence"
-    if da != Not(db):
+    if da is not Not(db):
         return False, "left name is not the negation of the right name"
     return True, None
 
@@ -566,7 +572,7 @@ def _m_timp(phi):
         return False, "arguments are not names of formulas"
     if not (isinstance(da, Formula) and isinstance(db, Formula)) or da.fv or db.fv:
         return False, "named formulas are not sentences"
-    if di != Imp(da, db):
+    if di is not Imp(da, db):
         return False, "first name is not the implication of the other two"
     return True, None
 
@@ -690,11 +696,6 @@ class CheckedTheorem(namedtuple(
         }
 
 
-def _shown(f: Formula) -> str:
-    """``f`` as a message quotes it: printed, then cut to a bounded length."""
-    return _cut(pretty_print(f))
-
-
 def _spell(prefix: tuple[int, ...], link) -> tuple[int, ...]:
     """The path, below ``prefix``, of the node whose stack link is ``link``."""
     rev = []
@@ -724,7 +725,10 @@ class _Checker:
         # only for an error or an omega node.  The loop applies the two
         # rules nearly every node is checked by: an axiom is settled where
         # it is met, and modus ponens once both premises are, the major
-        # first (it is pushed last).  _reduce settles the other rules
+        # first (it is pushed last).  _reduce settles the other rules.  A
+        # node is judged by its exact class before any of its attributes is
+        # read, so a child is pushed unread and skipped, if checked, when
+        # popped
         stamp, omega, config = self.stamp, self.omega, self.config
         stack: list[tuple[Proof, tuple | None, bool]] = [(root, None, False)]
         while stack:
@@ -735,7 +739,7 @@ class _Checker:
                     fa, fb = node.minor._concl, node.major._concl
                     if type(fb) is not Imp:
                         raise CheckError(_spell(path, link), "mp", f"major premise is not an implication: {_shown(fb)}")
-                    if fb.ant != fa:
+                    if fb.ant is not fa:
                         raise CheckError(
                             _spell(path, link), "mp",
                             f"minor premise {_shown(fa)} does not match antecedent {_shown(fb.ant)}",
@@ -744,28 +748,29 @@ class _Checker:
                     count = max(omega.get(node.minor, 0), omega.get(node.major, 0)) if omega else 0
                 else:
                     node._concl, count = self._reduce(node, path, link)
+            elif not (t is Axiom or t is MP or t is Gen or t is TIntro or t is Omega):
+                raise CheckError(_spell(path, link), "node", f"not a kernel proof node: {_cut(t.__name__)}")
             elif node._seen is stamp:
                 continue
             elif t is Axiom:
-                if not config.active(node.schema):
-                    raise CheckError(_spell(path, link), "axiom", f"schema {node.schema.value} is inactive under this theory")
-                ok, detail = _matches(node.schema, node.instance)
+                schema = node.schema
+                if type(schema) is not SchemaId:
+                    raise CheckError(_spell(path, link), "axiom", f"not a kernel schema: {_cut(type(schema).__name__)}")
+                if not config.active(schema):
+                    raise CheckError(_spell(path, link), "axiom", f"schema {schema.value} is inactive under this theory")
+                ok, detail = _matches(schema, node.instance)
                 if not ok:
                     why = detail or "instance does not match the schema"
-                    hint = _nearest(node.instance, node.schema, config)
-                    raise CheckError(_spell(path, link), "axiom", f"{node.schema.value}: {why}{hint}: {_shown(node.instance)}")
+                    hint = _nearest(node.instance, schema, config)
+                    raise CheckError(_spell(path, link), "axiom", f"{schema.value}: {why}{hint}: {_shown(node.instance)}")
                 node._concl, count = node.instance, 0
             else:
                 stack.append((node, link, True))
                 if t is MP:
-                    if node.minor._seen is not stamp:
-                        stack.append((node.minor, (link, 0), False))
-                    if node.major._seen is not stamp:
-                        stack.append((node.major, (link, 1), False))
+                    stack.append((node.minor, (link, 0), False))
+                    stack.append((node.major, (link, 1), False))
                 else:
-                    for i, child in enumerate(_proof_children(node)):
-                        if child._seen is not stamp:
-                            stack.append((child, (link, i), False))
+                    stack += [(child, (link, i), False) for i, child in enumerate(_proof_children(node))]
                 continue
             node._seen = stamp
             self.size += 1
@@ -787,22 +792,25 @@ class _Checker:
             return Tr(coding.name_of(f)), omega.get(node.premise, 0)
         # Omega
         path = _spell(prefix, link)
+        for j, step in enumerate(node.steps):
+            if not any(type(step) is c for c in _STEP_CLASSES):
+                raise CheckError(path, "omega", f"step {j} is not a kernel step: {_cut(type(step).__name__)}")
         base_f, worst = node.base._concl, omega.get(node.base, 0)
         fam0 = node.instance(0)
-        if base_f != fam0:
+        if base_f is not fam0:
             raise CheckError(path, "omega", f"base proves {_shown(base_f)}, not instance 0 {_shown(fam0)}")
         # sample n, the proof of instance n, is checked at child index c + n - 1
         # of an omega node with c children, so a path names one node
         first = len(_proof_children(node)) - 1
         for n, (proof, expected) in enumerate(node.premises(self.config.omega_samples, path), 1):
             got, ocount = self.run(proof, path + (first + n,))
-            if got != expected:
+            if got is not expected:
                 raise CheckError(
                     path, "omega",
                     f"sample {n} proves {_shown(got)}, expected {_shown(expected)}",
                 )
             worst = max(worst, ocount)
-        self.samples += self.config.omega_samples
+            self.samples += 1
         return node.conclusion, 1 + worst
 
 

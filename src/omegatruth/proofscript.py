@@ -33,7 +33,7 @@ from .kernel import (
     RewriteEval, SchemaId, THEORIES, TIntro, _proof_children,
 )
 from .syntax import (
-    Forall, Formula, Imp, Term, Tr, _QUOTE_LIMIT, _cut, _postorder,
+    Forall, Formula, Imp, Term, Tr, _QUOTE_LIMIT, _cut, _postorder, _shown,
     parse_formula, parse_term, pretty_print, var_index, var_name,
 )
 
@@ -337,7 +337,7 @@ def _build(node, parts: list, parsed: dict):
     if head == "mp":
         (p1, f1), (p2, f2) = parts
         if type(f2) is not Imp or f2.ant != f1:
-            raise ScriptError(f"mp premises do not fit: {_cut(pretty_print(f1))} vs {_cut(pretty_print(f2))}")
+            raise ScriptError(f"mp premises do not fit: {_shown(f1)} vs {_shown(f2)}")
         return T.Thm(MP(p1, p2), f2.cons)
     if head == "gen":
         v = _var(args[0])

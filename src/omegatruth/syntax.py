@@ -34,6 +34,7 @@ the kernel's walkers read nodes through these two.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Union
 
@@ -455,13 +456,21 @@ def var_index(name: str) -> int | None:
 
 
 def pretty_print(e: Expr) -> str:
-    # iterative, so deeply nested expressions print under any recursion limit
+    return _print(e, math.inf)
+
+
+def _print(e: Expr, limit: float) -> str:
+    """The start of the text of ``e``: its pieces up to the first that
+    takes it past ``limit`` characters.  Iterative, so deeply nested
+    expressions print under any recursion limit."""
     parts: list[str] = []
+    size = 0
     stack: list = [e]
-    while stack:
+    while stack and size <= limit:
         e = stack.pop()
         if type(e) is str:
             parts.append(e)
+            size += len(e)
         else:
             stack.extend(reversed(_pp_pieces(e)))
     return "".join(parts)
@@ -481,7 +490,7 @@ def _decimal(n: int) -> str:
 def _pp_pieces(e: Expr) -> tuple:
     """The text of one node, as strings and child nodes in print order."""
     t = type(e)
-    if isinstance(e, Term) and e.nv:
+    if (t is Succ or t is Mul) and e.nv:
         return ("#" + _decimal(e.nv),)
     if t is Var:
         return (var_name(e.idx),)
@@ -506,7 +515,9 @@ def _pp_pieces(e: Expr) -> tuple:
         if type(e.ant) in (Imp, Forall):
             return ("(", e.ant, ") -> ", e.cons)
         return (e.ant, " -> ", e.cons)
-    return (f"forall {var_name(e.var)}. ", e.body)
+    if t is Forall:
+        return (f"forall {var_name(e.var)}. ", e.body)
+    return (f"<{_cut(t.__name__)}>",)  # an object of no syntax class, read no further
 
 
 # the most characters of the input, or of a formula, that an error message
@@ -517,6 +528,12 @@ _QUOTE_LIMIT = 120
 def _cut(text: str) -> str:
     """``text``, cut after _QUOTE_LIMIT characters."""
     return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
+
+
+def _shown(e: Expr) -> str:
+    """``e`` as a message quotes it: ``_cut(pretty_print(e))``, printed only
+    up to the cut, so a large formula costs no more than the cut."""
+    return _cut(_print(e, _QUOTE_LIMIT))
 
 
 class ParseError(ValueError):

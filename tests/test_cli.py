@@ -341,6 +341,20 @@ def test_matcher_near_misses_are_check_failures(tmp_path, capsys, schema, instan
     assert run(capsys, "check", str(path)) == (1, "", message)
 
 
+# the matcher branches reached only by a numeral that decodes to nothing:
+# #3 and #5 are truncated codes, and COMP_SUB's first argument too
+@pytest.mark.parametrize("schema, instance, message", [
+    ("CONS", "T(#3) -> ~T(#5)", "CONS: arguments are not names of formulas: T(#3) -> ~T(#5)"),
+    ("TIMP", "T(#3) -> T(#5) -> T(#7)", "TIMP: arguments are not names of formulas: T(#3) -> T(#5) -> T(#7)"),
+    ("COMP_SUB", "sub(#3, #1, #0) = #0",
+     "COMP_SUB: sub: first argument does not decode: truncated code: sub(#3, #1, 0) = 0"),
+], ids=["cons-undecodable-names", "timp-undecodable-names", "comp-sub-undecodable-code"])
+def test_undecodable_names_are_check_failures(tmp_path, capsys, schema, instance, message):
+    path = tmp_path / "undecodable.proof"
+    path.write_text(f'(theory gamma)(prove (axiom {schema} "{instance}"))')
+    assert run(capsys, "check", str(path)) == (1, "", f"check failure: at node <root> [axiom]: {message}\n")
+
+
 @pytest.mark.parametrize("script, options, message", [
     ('(prove (tintro (axiom EQ1 "x = x")))', (), "[t-intro]: premise is not a sentence: x = x"),
     (None, ("--max-omega", "0"), "[omega]: omega_count 1 exceeds the configured cap 0"),

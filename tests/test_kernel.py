@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import re
@@ -18,9 +19,11 @@ from omegatruth.kernel import (
     TheoryConfig, check, q_axiom, _one_step_rewrite, _proof_children,
 )
 from omegatruth.syntax import (
-    Add, Eq, FnApp, Forall, Imp, Mul, Not, Succ, Tr, Var, ZERO, _cut,
-    numeral, parse_formula, pretty_print, replace_at, substitute,
+    Add, Eq, FnApp, Forall, Imp, Mul, Not, Succ, Tr, Var, ZERO, _children, _cut,
+    numeral, parse_formula, pretty_print, replace_at, substitute, subterm_at,
 )
+from omegatruth import tactics as T
+from omegatruth.proofscript import parse_script
 from omegatruth.tactics import Thm, ax, gen, inst, refl, tintro
 from omegatruth.theorems import MissingSchema
 
@@ -432,15 +435,6 @@ def test_check_rejects_mp_mismatch():
     assert str(err.value) == "at node <root> [mp]: minor premise #1 = #1 does not match antecedent 0 = 0"
 
 
-class _Loud(StepCombinator):
-    """A step that fails with a long message."""
-
-    __slots__ = ()
-
-    def apply(self, proof, formula, expected):
-        raise ValueError("x" * 1000)
-
-
 def test_every_rejection_quotes_a_bounded_part_of_a_formula():
     # each formula a rejection prints, and a failed step's message, is cut
     # after 120 characters, so no rejection quotes more than two such cuts
@@ -448,6 +442,11 @@ def test_every_rejection_quotes_a_bounded_part_of_a_formula():
     a, b = Eq(big, big), Eq(big, ZERO)
     fam = Eq(Add(Var(1), big), Add(Var(1), big))
     fam0, fam1 = substitute(fam, 1, ZERO), substitute(fam, 1, numeral(1))
+    # a chain step whose lemma fits neither end of instance 0 fails with a
+    # message that prints both
+    loud, lemma = Imp(fam, Imp(b, fam)), Imp(a, Imp(a, a))
+    loud0 = substitute(loud, 1, ZERO)
+    unchained = ChainWith(Axiom(SchemaId.PROP1, lemma), lemma)
     cases = [
         (MP(Axiom(SchemaId.EQ1, a), Axiom(SchemaId.EQ1, a)), f"major premise is not an implication: {_cut(pretty_print(a))}"),
         (MP(Axiom(SchemaId.EQ1, a), Axiom(SchemaId.PROP1, Imp(b, Imp(a, b)))),
@@ -458,13 +457,251 @@ def test_every_rejection_quotes_a_bounded_part_of_a_formula():
          f"base proves {_cut(pretty_print(a))}, not instance 0 {_cut(pretty_print(fam0))}"),
         (Omega(1, fam, Axiom(SchemaId.EQ1, fam0), ()),
          f"sample 1 proves {_cut(pretty_print(fam0))}, expected {_cut(pretty_print(fam1))}"),
-        (Omega(1, fam, Axiom(SchemaId.EQ1, fam0), (_Loud(),)), f"step 0 failed at sample 1: {_cut('x' * 1000)}"),
+        (Omega(1, loud, Axiom(SchemaId.PROP1, loud0), (unchained,)),
+         f"step 0 failed at sample 1: {_cut(f'cannot chain {pretty_print(loud0)} with {pretty_print(lemma)}')}"),
     ]
     for proof, reason in cases:
         with pytest.raises(CheckError) as err:
             check(proof, SIGMA)
         assert err.value.reason == reason
         assert reason.count("...") in (1, 2) and len(str(err.value)) < 400
+
+
+# ---------------------------------------------------------------------------
+# the kernel judges only its own objects: ROADMAP item 23's three ways to
+# make check accept a false sentence under sigma, and a fourth through an
+# axiom's schema field.  Each foreign object is met by a CheckError that
+# names its class, before anything of it is trusted
+
+
+class _FalseOmega(Omega):
+    """An omega node that replays nothing and concludes 0 = #1."""
+
+    __slots__ = ()
+
+    def premises(self, count, path=()):
+        return iter(())
+
+    @property
+    def conclusion(self):
+        return Eq(ZERO, numeral(1))
+
+
+class _Opaque:
+    """An object that raises on every attribute read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read {name}")
+
+
+def test_a_proof_node_of_a_foreign_class_is_rejected():
+    base = refl(ZERO).proof
+    check(base, SIGMA)  # so that the base holds a conclusion
+    node = object.__new__(_FalseOmega)
+    node._seen, node.var, node.family, node.base, node.steps = None, 0, Eq(ZERO, ZERO), base, ()
+    with pytest.raises(CheckError) as err:
+        check(node, SIGMA)
+    assert str(err.value) == "at node <root> [node]: not a kernel proof node: _FalseOmega"
+    # a foreign node is judged by its class alone, below other nodes too
+    with pytest.raises(CheckError) as err:
+        check(MP(base, TIntro(_Opaque())), SIGMA)
+    assert str(err.value) == "at node 1/0 [node]: not a kernel proof node: _Opaque"
+
+
+_NINE = numeral(9)
+
+
+def _peel(k):
+    """#k = S(#(k - 1)), by COMP_SUCC."""
+    return T.sym(ax(SchemaId.COMP_SUCC, Eq(Succ(numeral(k - 1)), numeral(k))))
+
+
+def _not_nine(m):
+    """~#m = #9 for m < 9, from Q1, Q2, EQ3 and COMP_SUCC."""
+    h = T.taut_id(Eq(numeral(m), _NINE))  # #m = #9 -> #a = #b, for a = m, m - 1, ..., 0
+    q1 = ax(SchemaId.Q1, q_axiom(SchemaId.Q1))
+    for a in range(m, 0, -1):
+        b = a + 9 - m
+        for side, k in ((0, a), (1, b)):
+            h = T.imp_trans(h, T.rewrite_imp(_peel(k), h.formula.cons, (side,)))
+        h = T.imp_trans(h, inst(inst(q1, numeral(a - 1)), numeral(b - 1)))
+    # then 0 = S(#(d - 1)) and S(#(d - 1)) = 0, against Q2
+    h = T.imp_trans(h, T.rewrite_imp(_peel(9 - m), h.formula.cons, (1,)))
+    z, s = h.formula.cons, h.formula.cons.right
+    flip = ax(SchemaId.EQ3, Imp(z, Imp(Eq(ZERO, ZERO), Eq(s, ZERO))))
+    h = T.imp_trans(h, T._mp_under(z, T._weaken(z, refl(ZERO)), T._from_hyp(z, flip)))
+    return T.mp(inst(ax(SchemaId.Q2, q_axiom(SchemaId.Q2)), s.arg), T.contrapose(h))
+
+
+class _NotNine(StepCombinator):
+    """A step that proves each ~#n = #9 afresh and so fails only at n = 9:
+    not parametric, which no replay of samples 1..8 shows."""
+
+    __slots__ = ()
+    applied = 0
+
+    def apply(self, proof, formula, expected):
+        type(self).applied += 1
+        return _not_nine(expected.body.left.nv)
+
+
+class _LemmaLess(ChainWith):
+    """A chain step whose lemma no reader may read."""
+
+    __slots__ = ()
+
+    @property
+    def lemma(self):
+        raise AssertionError("read lemma")
+
+
+def test_an_omega_step_of_a_foreign_class_is_rejected_before_any_step_runs():
+    fam = Not(Eq(Var(1), _NINE))
+    # the step builds eight good samples, so a kernel that ran it would
+    # accept forall y. ~y = #9
+    for n in range(1, 9):
+        th = _NotNine().apply(None, None, substitute(fam, 1, numeral(n)))
+        assert check(th.proof, SIGMA).formula is th.formula is substitute(fam, 1, numeral(n))
+    base = _not_nine(0).proof
+    _NotNine.applied = 0
+    for steps, name in [((_NotNine(),), "_NotNine"), ((ApplyTIntro(), object.__new__(_LemmaLess)), "_LemmaLess")]:
+        om = Omega(1, fam, base, steps)
+        assert _proof_children(om) == (base,)
+        with pytest.raises(CheckError) as err:
+            check(om, SIGMA)
+        assert str(err.value) == f"at node <root> [omega]: step {len(steps) - 1} is not a kernel step: {name}"
+    assert _NotNine.applied == 0
+
+
+class _EqualsAll(Eq):
+    """An equation equal to every object."""
+
+    __slots__ = ()
+    __hash__ = Eq.__hash__
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+
+def test_a_formula_equal_to_everything_proves_nothing():
+    w = object.__new__(_EqualsAll)
+    w.fv, w.left, w.right = frozenset(), ZERO, ZERO
+    zero, z01 = refl(ZERO).proof, Eq(ZERO, numeral(1))
+    # W -> (0 = 0 -> 0 = #1) is no PROP1 instance, however W compares
+    prop1 = Axiom(SchemaId.PROP1, Imp(w, Imp(Eq(ZERO, ZERO), z01)))
+    with pytest.raises(CheckError) as err:
+        check(MP(zero, MP(zero, prop1)), SIGMA)
+    assert str(err.value) == "at node 1/1 [axiom]: PROP1: instance does not match the schema: <_EqualsAll> -> 0 = 0 -> 0 = #1"
+    # and modus ponens does not take 0 = 0 for W
+    prop1 = Axiom(SchemaId.PROP1, Imp(Eq(ZERO, ZERO), Imp(w, Eq(ZERO, ZERO))))
+    with pytest.raises(CheckError) as err:
+        check(MP(zero, MP(zero, prop1)), SIGMA)
+    assert str(err.value) == "at node <root> [mp]: minor premise 0 = 0 does not match antecedent <_EqualsAll>"
+
+
+class _PosingAsCons:
+    """A schema the constructor files under CONS, and no kernel schema."""
+
+    value = "CONS"
+
+    def __hash__(self):
+        return hash(SchemaId.CONS)
+
+    def __eq__(self, other):
+        return True
+
+
+def test_an_axiom_of_a_foreign_schema_is_rejected():
+    # an instance no other test builds, as the constructor interns the node
+    node = Axiom(_PosingAsCons(), _cons_instance(Eq(numeral(7919), ZERO)))
+    assert type(node.schema) is _PosingAsCons
+    with pytest.raises(CheckError) as err:
+        check(node, SIGMA)
+    assert str(err.value) == "at node <root> [axiom]: not a kernel schema: _PosingAsCons"
+
+
+_FOREIGN: dict = {}
+
+
+def _foreign_copy(x):
+    """A copy of ``x`` whose class subclasses x's and equals everything."""
+    cls = type(x)
+    if cls not in _FOREIGN:
+        _FOREIGN[cls] = type(f"_Foreign{cls.__name__}", (cls,), {
+            "__slots__": (), "__hash__": object.__hash__,
+            "__eq__": lambda self, other: True, "__ne__": lambda self, other: False,
+        })
+    y = object.__new__(_FOREIGN[cls])
+    for c in cls.__mro__:
+        for name in vars(c).get("__slots__", ()):
+            if hasattr(x, name):
+                setattr(y, name, getattr(x, name))
+    return y
+
+
+def _kernel_sentence(f) -> bool:
+    """Whether ``f`` is a sentence whose every node is of a syntax class."""
+    kinds = (Var, type(ZERO), Succ, Add, Mul, FnApp, Eq, Tr, Not, Imp, Forall)
+    stack = [f]
+    while stack:
+        e = stack.pop()
+        if not any(type(e) is k for k in kinds):
+            return False
+        stack.extend(_children(e))
+    return not f.fv
+
+
+@functools.cache
+def _bundled(name):
+    text = (Path(__file__).resolve().parent.parent / "scripts" / "proofs" / f"{name}.proof").read_text(encoding="utf-8")
+    script = parse_script(text)
+    config = THEORIES[script.theory]
+    return script.proof, config, check(script.proof, config).formula
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["not_zero_one", "m1_zero"]), st.sampled_from(["node", "step", "subformula"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_no_foreign_copy_in_a_bundled_proof_proves_another_sentence(name, kind, i, j):
+    # one node, one omega step or one subformula of one axiom instance is
+    # swapped for a copy of a subclass whose __eq__ is always True
+    from helpers import proof_paths, proof_replace
+
+    if kind == "step":
+        name = "m1_zero"  # not_zero_one has no omega node
+    root, config, want = _bundled(name)
+    nodes = [(p, n) for p, n in proof_paths(root) if kind == "node" or type(n) is (Omega if kind == "step" else Axiom)]
+    path, old = nodes[i % len(nodes)]
+    if kind == "node":
+        new = _foreign_copy(old)
+    elif kind == "step":
+        steps = list(old.steps)
+        steps[j % len(steps)] = _foreign_copy(steps[j % len(steps)])
+        new = Omega(old.var, old.family, old.base, steps)
+    else:
+        spots, stack = [], [()]  # the positions of the subformulas
+        while stack:
+            at = stack.pop()
+            spots.append(at)
+            f = subterm_at(old.instance, at)
+            stack += [at + (k,) for k in range(len(_children(f))) if type(f) in (Not, Imp, Forall)]
+        at = spots[j % len(spots)]
+        new = Axiom(old.schema, replace_at(old.instance, at, _foreign_copy(subterm_at(old.instance, at))))
+    mutant = proof_replace(root, path, new)
+    try:
+        got = check(mutant, config).formula
+    except CheckError:
+        return
+    except Exception:
+        # only a foreign object inside a formula, which the kernel assumes
+        # away, may end otherwise
+        assert kind == "subformula"
+        return
+    assert kind == "subformula"
+    assert got is want or not _kernel_sentence(got)
 
 
 def test_an_mp_with_two_failing_premises_reports_the_major():
@@ -716,10 +953,10 @@ def test_steps_are_interned_by_one_constructor():
 
     lemma = Axiom(SchemaId.EQ1, Eq(ZERO, ZERO))
     chain = ChainWith(lemma, Eq(ZERO, ZERO))
-    assert chain is ChainWith(lemma, Eq(ZERO, ZERO)) and chain.lemmas == (lemma,)
+    assert chain is ChainWith(lemma, Eq(ZERO, ZERO)) and chain.lemma is lemma
     assert LiftImp(2) is LiftImp(2) and LiftImp(2).depth == 2 and LiftImp().depth == 1
     assert RewriteEval([1, 0]) is RewriteEval((1, 0)) and RewriteEval([1, 0]).position == (1, 0)
-    assert ApplyTIntro() is ApplyTIntro() and ApplyTIntro().lemmas == LiftImp(1).lemmas == ()
+    assert ApplyTIntro() is ApplyTIntro()
     with pytest.raises(ValueError, match="^LiftImp depth must be 1 or 2$"):
         LiftImp(3)
     steps = (ApplyTIntro, LiftImp, RewriteEval, ChainWith)
@@ -744,8 +981,7 @@ CHECK_REACHES = {
         "__init__", "__new__", "_m_comp_sub", "_m_comp_succ", "_m_cons", "_m_eq1", "_m_eq2",
         "_m_eq3", "_m_prop1", "_m_prop2", "_m_prop3", "_m_quant1", "_m_quant2", "_m_timp",
         "_m_uinf", "_matches", "_named", "_one_step_rewrite", "_proof_children", "_reduce",
-        "_spell", "active", "apply", "check", "conclusion", "instance", "lemmas", "premises",
-        "run",
+        "_spell", "active", "apply", "check", "conclusion", "instance", "premises", "run",
     ],
     "syntax": [
         "__getattr__", "__new__", "_children", "_make", "_postorder", "_rebuild", "_union",
@@ -847,3 +1083,29 @@ def test_coding_defines_only_what_check_reaches():
     path = Path(__file__).resolve().parent.parent / "src" / "omegatruth" / "coding.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted({n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}) == CHECK_REACHES["coding"]
+
+
+# Every == and != left in kernel.py, by function: each compares naturals or
+# strings.  Kernel objects, proof nodes, formulas and terms, are compared by
+# identity, as interning makes equal ones the same object and a foreign
+# __eq__ could otherwise decide a rule; a new == shows here as a diff.
+KERNEL_EQUALITIES = {
+    "_one_step_rewrite": ["a.var != b.var", "a.sym != b.sym", "len(differ) != 1"],
+    "_occurs": ["k == p", "k == p - 1"],
+    "_m_uinf": ["arg.sym == SUB", "phi.cons.arg.nv != want"],
+    "_m_comp_sub": ["phi.left.sym == SUB", "got != k.nv"],
+    "_m_comp_succ": ["coding.value(phi.left) == phi.right.nv"],
+}
+
+
+def test_kernel_compares_its_objects_by_identity():
+    path = Path(__file__).resolve().parent.parent / "src" / "omegatruth" / "kernel.py"
+    text = path.read_text(encoding="utf-8")
+    found: dict[str, list] = {}
+    for f in ast.walk(ast.parse(text)):
+        if isinstance(f, ast.FunctionDef):
+            for n in ast.walk(f):
+                if isinstance(n, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in n.ops):
+                    found.setdefault(f.name, []).append((n.lineno, n.col_offset, ast.unparse(n)))
+    assert {name: [c[-1] for c in sorted(cs)] for name, cs in found.items()} == KERNEL_EQUALITIES
+    assert "lemmas" not in text

@@ -156,6 +156,23 @@ def test_deep_scripts_in_a_fresh_process(kind, tmp_path):
         assert {k: got[k] for k in cert} == cert
 
 
+def test_a_rejection_prints_only_the_start_of_a_deep_formula(monkeypatch):
+    # the DEEP iter( formula is quoted as the whole print, cut, but only
+    # its first pieces are printed: counted in nodes visited, not in time
+    from omegatruth import kernel, syntax
+
+    deep = "iter(" * DEEP + "0" + ", 0)" * DEEP + " = 0"
+    f = parse_formula(deep)
+    whole = _cut(syntax.pretty_print(f))
+    pieces, visits = syntax._pp_pieces, []
+    monkeypatch.setattr(syntax, "_pp_pieces", lambda e: visits.append(e) or pieces(e))
+    assert kernel._shown(f) == whole and len(visits) <= 200
+    visits.clear()
+    with pytest.raises(ScriptError) as err:
+        parse_script(f'(theory gamma)(prove (mp (axiom EQ1 "0 = 0") (axiom EQ1 "{deep}")))')
+    assert str(err.value) == f"mp premises do not fit: 0 = 0 vs {whole}" and len(visits) <= 200
+
+
 def _oversized(kind: str) -> str:
     """A script whose offending form is far longer than any message."""
     if kind == "parenthesized-proof":
