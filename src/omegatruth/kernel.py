@@ -32,9 +32,10 @@ sentences, each accepted only as itself: the iteration axioms are
 The checker judges only its own objects: a node of its five node classes,
 a step of its four step classes and a ``SchemaId``, each by exact class,
 before it reads the object; anything else is a :class:`CheckError`.  It
-compares formulas and terms by identity, never by ``__eq__``.  It assumes
-that nothing patches its modules or the nodes it built, and that every
-formula inside a node is built by the ``syntax`` constructors alone.
+compares formulas and terms by identity, never by ``__eq__``, and so do
+the tactics its steps run.  It assumes that nothing patches its modules or
+the nodes it built, and that every formula inside a node is built by the
+``syntax`` constructors alone.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ class Axiom(Proof):
     __slots__ = ("schema", "instance")
 
     def __new__(cls, schema: SchemaId, instance: Formula):
+        if type(schema) is not SchemaId:  # before any hash or __eq__ of it runs
+            raise ValueError(f"not a kernel schema: {_cut(type(schema).__name__)}")
         table = _AXIOMS[schema]
         self = table.get(instance)
         if self is None:
@@ -303,7 +306,7 @@ class RewriteEval(StepCombinator):
 
 
 class ChainWith(StepCombinator):
-    """Compose the input implication with a fixed checked lemma."""
+    """Put a fixed checked lemma c -> a in front of the input a -> b."""
 
     __slots__ = ("lemma", "conclusion")
 

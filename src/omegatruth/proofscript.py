@@ -164,11 +164,11 @@ def _proof_form(p: Proof, parts: list):
     lemmas = iter(parts[1:])
     steps = []
     for s in p.steps:
-        if isinstance(s, ApplyTIntro):
+        if type(s) is ApplyTIntro:
             steps.append(["t-intro"])
-        elif isinstance(s, LiftImp):
+        elif type(s) is LiftImp:
             steps.append(["lift", str(s.depth)])
-        elif isinstance(s, RewriteEval):
+        elif type(s) is RewriteEval:
             steps.append(["rewrite", *map(str, s.position)])
         else:
             steps.append(["chain", next(lemmas)])
@@ -336,7 +336,7 @@ def _build(node, parts: list, parsed: dict):
         return T.Thm(Axiom(schema, inst), inst)
     if head == "mp":
         (p1, f1), (p2, f2) = parts
-        if type(f2) is not Imp or f2.ant != f1:
+        if type(f2) is not Imp or f2.ant is not f1:
             raise ScriptError(f"mp premises do not fit: {_shown(f1)} vs {_shown(f2)}")
         return T.Thm(MP(p1, p2), f2.cons)
     if head == "gen":

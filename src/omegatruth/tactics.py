@@ -78,7 +78,7 @@ def ax(schema: SchemaId, instance: Formula) -> Thm:
 
 def mp(minor: Thm, major: Thm) -> Thm:
     f = major.formula
-    if type(f) is not Imp or f.ant != minor.formula:
+    if type(f) is not Imp or f.ant is not minor.formula:
         raise TacticError(
             f"modus ponens mismatch: {pretty_print(minor.formula)} against {pretty_print(f)}"
         )
@@ -484,7 +484,7 @@ def iff_parts(f: Formula) -> tuple[Formula, Formula]:
     ):
         a, b = f.body.ant.ant, f.body.ant.cons
         rev = f.body.cons.body
-        if rev.ant == b and rev.cons == a:
+        if rev.ant is b and rev.cons is a:
             return a, b
     raise TacticError(f"not a biconditional: {pretty_print(f)}")
 
@@ -525,7 +525,7 @@ def trans(a: Thm, b: Thm) -> Thm:
     """From s = t and t = u conclude s = u."""
     s, t = a.formula.left, a.formula.right
     t2, u = b.formula.left, b.formula.right
-    if t2 != t:
+    if t2 is not t:
         raise TacticError("equality chain mismatch")
     step = ax(SchemaId.EQ3, Imp(Eq(t, u), Imp(Eq(s, t), Eq(s, u))))
     return mp(a, mp(b, step))
@@ -537,7 +537,7 @@ def cong_term(e: Thm, context: Term, path) -> Thm:
     path = tuple(path)
     if not path:
         return e
-    if subterm_at(context, path) != s:
+    if subterm_at(context, path) is not s:
         raise TacticError(f"position {path} does not hold the rewritten term")
     goal = Eq(context, replace_at(context, path, t))
     return mp(e, ax(SchemaId.EQ2, Imp(e.formula, goal)))
@@ -657,7 +657,7 @@ def rewrite_imp(e: Thm, phi: Formula, path, forward: bool = True) -> Thm:
         phi = phi.body if side is None else phi.ant if side == 0 else phi.cons
         path = path[1:]
     phi2 = replace_at(phi, path, t)
-    if subterm_at(phi, path) != s:
+    if subterm_at(phi, path) is not s:
         raise TacticError(f"position {path} of {pretty_print(phi)} does not hold {pretty_print(s)}")
     if forward:
         th = mp(e, ax(SchemaId.EQ3, Imp(e.formula, Imp(phi, phi2))))
@@ -692,7 +692,7 @@ def rewrite_align(th: Thm, expected: Formula, positions) -> Thm:
         pos = tuple(pos)
         cur_t = subterm_at(th.formula, pos)
         exp_t = subterm_at(expected, pos)
-        if cur_t == exp_t:
+        if cur_t is exp_t:
             continue
         if not isinstance(cur_t, Term) or not isinstance(exp_t, Term):
             raise TacticError(f"position {pos} does not address a term")
@@ -732,17 +732,14 @@ def lift_imp(th: Thm, depth: int = 1) -> Thm:
 
 
 def chain(th: Thm, lemma: Thm) -> Thm:
-    """Compose implications: the lemma extends the input at either end."""
+    """Compose implications, the lemma in front: from a -> b and the lemma
+    c -> a conclude c -> b."""
     f, g = th.formula, lemma.formula
     if type(f) is not Imp or type(g) is not Imp:
         raise TacticError("chain needs implications")
-    if f.cons == g.ant:
-        return imp_trans(th, lemma)
-    if g.cons == f.ant:
+    if g.cons is f.ant:
         return imp_trans(lemma, th)
-    raise TacticError(
-        f"cannot chain {pretty_print(f)} with {pretty_print(g)}"
-    )
+    raise TacticError(f"cannot chain {pretty_print(f)} with {pretty_print(g)}")
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def _loeb_core(pp: ProvabilityPredicate, phi: Formula):
 
 def _loeb(pp: ProvabilityPredicate, phi: Formula, premise: Thm) -> Thm:
     """From P(#phi) -> phi conclude phi."""
-    if premise.formula != Imp(pp.apply(phi), phi):
+    if premise.formula is not Imp(pp.apply(phi), phi):
         raise ValueError("premise must be the reflection implication for phi")
     _psi, eqv, s, _p_psi, _p_phi = _loeb_core(pp, phi)
     t7 = imp_trans(s, premise)  # P(#psi) -> phi
@@ -256,7 +256,7 @@ class Refutation(_Checked, namedtuple("Refutation", "positive negative narrative
     __slots__ = ()
 
     def _check(self):
-        if self.negative.formula != Not(self.positive.formula):
+        if self.negative.formula is not Not(self.positive.formula):
             raise ValueError("refutation sides do not contradict each other")
         if self.negative.theory != self.positive.theory:
             raise ValueError("refutation sides use different theories")

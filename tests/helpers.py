@@ -116,6 +116,28 @@ def schema_of(phi: Formula, config):
     return None
 
 
+class EqualsAll(Eq):
+    """An equation equal to every object: a foreign formula that no rule or
+    tactic may take for the one it is compared with."""
+
+    __slots__ = ()
+    __hash__ = Eq.__hash__
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+
+def equals_all() -> EqualsAll:
+    """An EqualsAll with the sides of 0 = 0, built past the interning
+    constructor."""
+    w = object.__new__(EqualsAll)
+    w.fv, w.left, w.right = frozenset(), ZERO, ZERO
+    return w
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

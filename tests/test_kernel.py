@@ -27,7 +27,7 @@ from omegatruth.proofscript import parse_script
 from omegatruth.tactics import Thm, ax, gen, inst, refl, tintro
 from omegatruth.theorems import MissingSchema
 
-from helpers import random_expr, random_term, schema_of, term_positions
+from helpers import equals_all, random_expr, random_term, schema_of, term_positions
 
 
 def _cons_instance(phi):
@@ -573,37 +573,23 @@ def test_an_omega_step_of_a_foreign_class_is_rejected_before_any_step_runs():
     assert _NotNine.applied == 0
 
 
-class _EqualsAll(Eq):
-    """An equation equal to every object."""
-
-    __slots__ = ()
-    __hash__ = Eq.__hash__
-
-    def __eq__(self, other):
-        return True
-
-    def __ne__(self, other):
-        return False
-
-
 def test_a_formula_equal_to_everything_proves_nothing():
-    w = object.__new__(_EqualsAll)
-    w.fv, w.left, w.right = frozenset(), ZERO, ZERO
+    w = equals_all()
     zero, z01 = refl(ZERO).proof, Eq(ZERO, numeral(1))
     # W -> (0 = 0 -> 0 = #1) is no PROP1 instance, however W compares
     prop1 = Axiom(SchemaId.PROP1, Imp(w, Imp(Eq(ZERO, ZERO), z01)))
     with pytest.raises(CheckError) as err:
         check(MP(zero, MP(zero, prop1)), SIGMA)
-    assert str(err.value) == "at node 1/1 [axiom]: PROP1: instance does not match the schema: <_EqualsAll> -> 0 = 0 -> 0 = #1"
+    assert str(err.value) == "at node 1/1 [axiom]: PROP1: instance does not match the schema: <EqualsAll> -> 0 = 0 -> 0 = #1"
     # and modus ponens does not take 0 = 0 for W
     prop1 = Axiom(SchemaId.PROP1, Imp(Eq(ZERO, ZERO), Imp(w, Eq(ZERO, ZERO))))
     with pytest.raises(CheckError) as err:
         check(MP(zero, MP(zero, prop1)), SIGMA)
-    assert str(err.value) == "at node <root> [mp]: minor premise 0 = 0 does not match antecedent <_EqualsAll>"
+    assert str(err.value) == "at node <root> [mp]: minor premise 0 = 0 does not match antecedent <EqualsAll>"
 
 
 class _PosingAsCons:
-    """A schema the constructor files under CONS, and no kernel schema."""
+    """A schema that hashes like CONS and equals everything: no kernel schema."""
 
     value = "CONS"
 
@@ -615,12 +601,24 @@ class _PosingAsCons:
 
 
 def test_an_axiom_of_a_foreign_schema_is_rejected():
-    # an instance no other test builds, as the constructor interns the node
-    node = Axiom(_PosingAsCons(), _cons_instance(Eq(numeral(7919), ZERO)))
-    assert type(node.schema) is _PosingAsCons
+    # the constructor refuses such a schema, so the node is built past it
+    node = object.__new__(Axiom)
+    node._seen, node.schema, node.instance = None, _PosingAsCons(), _cons_instance(Eq(numeral(7919), ZERO))
     with pytest.raises(CheckError) as err:
         check(node, SIGMA)
     assert str(err.value) == "at node <root> [axiom]: not a kernel schema: _PosingAsCons"
+
+
+def test_a_foreign_schema_cannot_take_the_place_of_a_kernel_one():
+    # an instance no other test builds, as the constructor interns the node;
+    # filed under the foreign schema, it would stand in for the CONS axiom
+    inst = _cons_instance(Eq(numeral(7927), ZERO))
+    with pytest.raises(ValueError) as err:
+        Axiom(_PosingAsCons(), inst)
+    assert str(err.value) == "not a kernel schema: _PosingAsCons"
+    node = Axiom(SchemaId.CONS, inst)
+    assert node.schema is SchemaId.CONS
+    assert check(node, GAMMA).formula is inst
 
 
 _FOREIGN: dict = {}
@@ -1085,27 +1083,80 @@ def test_coding_defines_only_what_check_reaches():
     assert sorted({n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}) == CHECK_REACHES["coding"]
 
 
-# Every == and != left in kernel.py, by function: each compares naturals or
-# strings.  Kernel objects, proof nodes, formulas and terms, are compared by
-# identity, as interning makes equal ones the same object and a foreign
-# __eq__ could otherwise decide a rule; a new == shows here as a diff.
-KERNEL_EQUALITIES = {
-    "_one_step_rewrite": ["a.var != b.var", "a.sym != b.sym", "len(differ) != 1"],
-    "_occurs": ["k == p", "k == p - 1"],
-    "_m_uinf": ["arg.sym == SUB", "phi.cons.arg.nv != want"],
-    "_m_comp_sub": ["phi.left.sym == SUB", "got != k.nv"],
-    "_m_comp_succ": ["coding.value(phi.left) == phi.right.nv"],
+# Every == and != left where checking compares, by module and function:
+# kernel.py whole, the functions CHECK_REACHES names in the other modules,
+# the script reader's _build and theorems whole.  Each compares naturals,
+# strings or theory records.  Kernel objects, proof nodes, steps, formulas
+# and terms, are compared by identity, as interning makes equal ones the
+# same object and a foreign __eq__ could otherwise decide a rule or a
+# tactic; a new == shows here as a diff.  A comparison belongs to the
+# innermost function around it.
+_EQUALITY_SCOPE = {**CHECK_REACHES, "kernel": None, "proofscript": ["_build"], "theorems": None}
+CHECK_EQUALITIES = {
+    "coding": {
+        "_value_of": ["t.sym == ITER"],
+        "decode": ["r.pos != len(r.bits)", "encode(node) != code"],
+        "iter_fn": ["n == 0"],
+        "read": ["tag == _T_ZERO", "tag == _T_NUM", "tag == _T_FORALL"],
+        "read_nat": ["bits[pos + z] == '0'"],
+    },
+    "kernel": {
+        "_m_comp_sub": ["phi.left.sym == SUB", "got != k.nv"],
+        "_m_comp_succ": ["coding.value(phi.left) == phi.right.nv"],
+        "_m_uinf": ["arg.sym == SUB", "phi.cons.arg.nv != want"],
+        "_occurs": ["k == p", "k == p - 1"],
+        "_one_step_rewrite": ["a.var != b.var", "a.sym != b.sym", "len(differ) != 1"],
+    },
+    "proofscript": {
+        "_build": [
+            "kind == 'family'", "head == 't-intro'", "head == 'lift'", "head == 'rewrite'",
+            "head == 'chain'", "head == 'axiom'", "head == 'mp'", "head == 'gen'",
+            "head == 'tintro'", "head == 'omega'", "head == 'eval'", "head == 'diag'",
+        ],
+    },
+    "syntax": {
+        "__getattr__": ["name != 'arg'", "name == 'left'"],
+        "__new__": ["len(args) != FN_ARITY[sym]"],
+        "_postorder": ["n == 1"],
+    },
+    "tactics": {
+        "_eval_step": ["t.sym != ITER", "n0 == 0"],
+        "lift_imp": ["depth == 1"],
+        "rewrite_align": ["value(cur_t) != value(exp_t)"],
+        "rewrite_imp": ["side == 0", "side == 0", "side == 0"],
+    },
+    "theorems": {
+        "_check": ["self.negative.theory != self.positive.theory"],
+    },
 }
 
 
-def test_kernel_compares_its_objects_by_identity():
-    path = Path(__file__).resolve().parent.parent / "src" / "omegatruth" / "kernel.py"
-    text = path.read_text(encoding="utf-8")
+def _equalities(tree: ast.AST, names) -> dict:
+    """The == and != comparisons in ``tree``, by the innermost function
+    around each, kept for the functions in ``names`` (all when None)."""
     found: dict[str, list] = {}
-    for f in ast.walk(ast.parse(text)):
-        if isinstance(f, ast.FunctionDef):
-            for n in ast.walk(f):
-                if isinstance(n, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in n.ops):
-                    found.setdefault(f.name, []).append((n.lineno, n.col_offset, ast.unparse(n)))
-    assert {name: [c[-1] for c in sorted(cs)] for name, cs in found.items()} == KERNEL_EQUALITIES
-    assert "lemmas" not in text
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                walk(child, child.name)
+                continue
+            if (
+                fn is not None and (names is None or fn in names) and isinstance(child, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in child.ops)
+            ):
+                found.setdefault(fn, []).append((child.lineno, child.col_offset, ast.unparse(child)))
+            walk(child, fn)
+
+    walk(tree, None)
+    return {fn: [c[-1] for c in sorted(cs)] for fn, cs in found.items()}
+
+
+def test_kernel_compares_its_objects_by_identity():
+    src = Path(__file__).resolve().parent.parent / "src" / "omegatruth"
+    found = {
+        module: _equalities(ast.parse((src / f"{module}.py").read_text(encoding="utf-8")), names)
+        for module, names in _EQUALITY_SCOPE.items()
+    }
+    assert found == CHECK_EQUALITIES
+    assert "lemmas" not in (src / "kernel.py").read_text(encoding="utf-8")

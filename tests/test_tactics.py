@@ -12,11 +12,11 @@ from omegatruth.kernel import (
     GAMMA, SIGMA, Axiom, Omega, SchemaId, _proof_children, check,
 )
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral,
+    Add, Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral,
     parse_term, pretty_print, replace_at,
 )
 from omegatruth.tactics import (
-    TacticError, TautologyError, Thm, ax, chain, contrapose, derive_A1,
+    TacticError, TautologyError, Thm, ax, chain, cong_term, contrapose, derive_A1,
     derive_A2, diagonal_lemma, eval_closed, iff_elim1, iff_intro,
     iff_parts, imp_trans, lift_imp, mp, omega_truth,
     propositional_atoms, propositional_counterexample,
@@ -24,7 +24,7 @@ from omegatruth.tactics import (
 )
 
 from helpers import (
-    oracle_taut, oracle_value, random_evaluable_term, random_formula,
+    equals_all, oracle_taut, oracle_value, random_evaluable_term, random_formula,
     reference_imp_mono_ant, reference_imp_mono_cons, reference_imp_trans,
     reference_iter_step_at, reference_l_caa, reference_l_cases,
     reference_l_counter, reference_l_dne, reference_l_efq, term_positions,
@@ -302,6 +302,44 @@ def test_straight_imp_trans_and_chain_keep_their_messages():
     with pytest.raises(TacticError) as err:
         chain(a, T.taut_id(C))
     assert str(err.value) == "cannot chain 0 = 0 -> T(0) -> 0 = 0 with #1 = 0 -> #1 = 0"
+
+
+def test_chain_puts_the_lemma_in_front_only():
+    # every omega chain step of the scripts and demos puts its lemma c -> a
+    # in front of a -> b; a lemma that would go behind is refused
+    a = ax(SchemaId.PROP1, Imp(A, Imp(B, A)))
+    front = chain(a, taut(Imp(Not(Not(A)), A)))
+    assert front.formula is Imp(Not(Not(A)), a.formula.cons)
+    _checked(front)
+    with pytest.raises(TacticError) as err:
+        chain(a, T.taut_id(a.formula.cons))
+    assert str(err.value) == "cannot chain 0 = 0 -> T(0) -> 0 = 0 with (T(0) -> 0 = 0) -> T(0) -> 0 = 0"
+
+
+def test_mismatched_tactic_inputs_are_refused_by_identity():
+    # the failing branch of each comparison of formulas or terms in the
+    # tactics check runs, with a formula equal to everything where a
+    # foreign __eq__ once decided it
+    a, w = ax(SchemaId.PROP1, Imp(A, Imp(B, A))), equals_all()
+    cases = [
+        (lambda: mp(refl(ZERO), ax(SchemaId.PROP1, Imp(C, Imp(A, C)))),
+         "modus ponens mismatch: 0 = 0 against #1 = 0 -> 0 = 0 -> #1 = 0"),
+        (lambda: mp(refl(ZERO), refl(ZERO)), "modus ponens mismatch: 0 = 0 against 0 = 0"),
+        (lambda: mp(Thm(refl(ZERO).proof, w), a), "modus ponens mismatch: <EqualsAll> against 0 = 0 -> T(0) -> 0 = 0"),
+        (lambda: trans(refl(ZERO), refl(Succ(ZERO))), "equality chain mismatch"),
+        (lambda: cong_term(refl(ZERO), Add(Var(0), ZERO), (0,)), "position (0,) does not hold the rewritten term"),
+        (lambda: rewrite_imp(refl(ZERO), Eq(Var(0), ZERO), (0,)), "position (0,) of x = 0 does not hold 0"),
+        (lambda: iff_parts(A), "not a biconditional: 0 = 0"),
+        (lambda: iff_parts(Not(Imp(Imp(A, B), Not(Imp(B, C))))),
+         "not a biconditional: ~((0 = 0 -> T(0)) -> ~(T(0) -> #1 = 0))"),
+        (lambda: iff_parts(Not(Imp(Imp(A, B), Not(Imp(B, w))))),
+         "not a biconditional: ~((0 = 0 -> T(0)) -> ~(T(0) -> <EqualsAll>))"),
+        (lambda: lift_imp(T.taut_id(A), 2), "depth-2 lift needs a nested implication"),
+    ]
+    for build, msg in cases:
+        with pytest.raises(TacticError) as err:
+            build()
+        assert str(err.value) == msg
 
 
 def test_taut_matches_oracle_on_random_skeletons():

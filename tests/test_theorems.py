@@ -4,7 +4,7 @@ from omegatruth import theorems as TH
 from omegatruth.coding import encode, iter_fn, name_of
 from omegatruth.kernel import GAMMA, SIGMA, SchemaId, check
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, ZERO, mk_iff, numeral, substitute,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral, substitute,
 )
 from omegatruth.tactics import Thm, ax, iff_parts, mp, omega_truth, refl
 from omegatruth.theorems import (
@@ -12,7 +12,7 @@ from omegatruth.theorems import (
     mcgee_via_loeb, omega_witness, tomega_provability,
 )
 
-from helpers import reference_m2, reference_not_zero_one
+from helpers import equals_all, reference_m2, reference_not_zero_one
 
 A = Eq(ZERO, ZERO)
 Z01 = Eq(ZERO, Succ(ZERO))
@@ -206,3 +206,19 @@ def test_witness_instances_name_the_iterates():
         # codes the n+1-st
         assert value(inst.formula.arg) == iter_fn(n, gamma_code)
         assert encode(inst.formula) == iter_fn(n + 1, gamma_code)
+
+
+def test_theorem_builders_refuse_what_they_cannot_use():
+    # Loeb's premise is compared by identity: a formula equal to everything
+    # is not the reflection implication
+    pp = tomega_provability()
+    for premise in (refl(ZERO), Thm(refl(ZERO).proof, equals_all())):
+        with pytest.raises(ValueError) as err:
+            TH._loeb(pp, Z01, premise)
+        assert str(err.value) == "premise must be the reflection implication for phi"
+    with pytest.raises(ValueError) as err:
+        loeb(pp, Z01, check(refl(ZERO).proof, SIGMA))
+    assert str(err.value) == "premise must be the reflection implication for phi"
+    with pytest.raises(ValueError) as err:
+        m2(Eq(Var(0), ZERO), A)
+    assert str(err.value) == "M2 needs sentences"
