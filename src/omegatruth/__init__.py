@@ -12,14 +12,14 @@ from .syntax import (
     ZERO, Zero, mk_iff, numeral, parse_formula, parse_term, pretty_print,
     substitute,
 )
-from .coding import decode, encode, iter_fn, name_of, sub_fn, value
+from .coding import decode, encode, name_of, sub_fn
 from .kernel import (
     Axiom, CheckError, CheckedTheorem, GAMMA, Gen, MP, Omega, Proof, SIGMA,
     SchemaId, TIntro, TheoryConfig, check,
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,
-    omega_truth, taut,
+    iter_fn, omega_truth, taut, value,
 )
 from .theorems import (
     MissingSchema, ProvabilityPredicate, Refutation, WitnessReport,

@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import theorems as TH
-from .coding import decode, encode, value
+from .coding import decode, encode
 from .kernel import THEORIES, CheckError, CheckedTheorem, TheoryConfig, check
 from .proofscript import _quote, parse_script
 from .syntax import (
@@ -21,7 +21,7 @@ from .syntax import (
     pretty_print, var_index, var_name,
 )
 from .tactics import (
-    TacticError, derive_A1, derive_A2, diagonal_lemma, eval_closed, refl,
+    TacticError, derive_A1, derive_A2, diagonal_lemma, eval_closed, refl, value,
 )
 
 _REFUTATIONS = {"mcgee": TH.mcgee_original, "mcgee-via-loeb": TH.mcgee_via_loeb}

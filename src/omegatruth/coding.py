@@ -1,5 +1,4 @@
-"""Goedel coding, numerals, and the meta-level iteration and substitution
-functions.
+"""Goedel coding, the substitution function and the two iteration axioms.
 
 The code of an expression is a deterministic, prefix-free bit serialization
 read as a natural number (with a leading sentinel bit).  Canonical compact
@@ -21,9 +20,8 @@ from .syntax import (
 
 __all__ = [
     "CodingError", "DecodeError", "EvalError",
-    "encode", "decode", "numeral", "name_of", "value",
-    "sub_fn", "iter_fn",
-    "K0", "OMEGA_VAR", "TEMPLATE_CODE_VAR", "UINF_BOUND_VAR", "DIAG_VAR",
+    "encode", "decode", "numeral", "name_of", "sub_fn",
+    "K0", "OMEGA_VAR", "TEMPLATE_CODE_VAR", "UINF_BOUND_VAR",
     "ITER_ZERO_AXIOM", "ITER_STEP_AXIOM",
 ]
 
@@ -64,10 +62,9 @@ def _nat_chunk(n: int) -> tuple[int, int]:
     return val, (2 * l - 1) + (nbits - 1)
 
 
-# the (bits, length) chunk of each node coded so far, and the value of each
-# term evaluated so far; nodes are interned, so these are keyed by identity
+# the (bits, length) chunk of each node coded so far; nodes are interned, so
+# it is keyed by identity
 _chunks: dict[Expr, tuple[int, int]] = {}
-_values: dict[Term, int] = {}
 
 
 def _parts(e: Expr) -> tuple:
@@ -184,27 +181,6 @@ def name_of(e: Expr) -> Term:
     return numeral(encode(e))
 
 
-def _value_of(t: Term, vals: list) -> int:
-    """The value of ``t`` from the values of its children."""
-    tt = type(t)
-    if t.nv is not None:
-        return t.nv
-    if tt is Var:
-        raise EvalError(f"open term: variable {t.idx} has no value")
-    if tt is Succ:
-        return vals[0] + 1
-    if tt is Add:
-        return vals[0] + vals[1]
-    if tt is Mul:
-        return vals[0] * vals[1]
-    return (iter_fn if t.sym == ITER else sub_fn)(*vals)
-
-
-def value(t: Term) -> int:
-    """Value of a closed term under the standard interpretation."""
-    return t.nv if t.nv is not None else _postorder(t, _parts, _value_of, _values)
-
-
 def sub_fn(c: int, v: int, n: int) -> int:
     """Code of the formula obtained from ``decode(c)`` by substituting the
     numeral of ``n`` for variable ``v``."""
@@ -221,7 +197,6 @@ def sub_fn(c: int, v: int, n: int) -> int:
 UINF_BOUND_VAR = 0   # x: outer quantifier of the UInf schema
 OMEGA_VAR = 1        # y: bound variable of the omega-truth predicate
 TEMPLATE_CODE_VAR = 2  # z: code slot of the iteration step template
-DIAG_VAR = 5         # v: distinguished variable of diagonalized formulas
 
 #: code of the step template  T(iter(y, z))
 K0 = encode(Tr(FnApp(ITER, [Var(OMEGA_VAR), Var(TEMPLATE_CODE_VAR)])))
@@ -237,12 +212,3 @@ ITER_STEP_AXIOM = Forall(UINF_BOUND_VAR, Forall(TEMPLATE_CODE_VAR, Eq(
     FnApp(ITER, [Succ(_X), _Z]),
     FnApp(SUB, [FnApp(SUB, [numeral(K0), numeral(TEMPLATE_CODE_VAR), _Z]), numeral(OMEGA_VAR), _X]),
 )))
-
-
-def iter_fn(n: int, c: int) -> int:
-    """The two-place iteration function: ``iter_fn(0, c) = c`` and
-    ``iter_fn(n+1, c)`` is the code of ``T(iter(numeral(n), numeral(c)))``,
-    produced by instantiating the step template via :func:`sub_fn`."""
-    if n == 0:
-        return c
-    return sub_fn(sub_fn(K0, TEMPLATE_CODE_VAR, c), OMEGA_VAR, n - 1)

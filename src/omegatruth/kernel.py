@@ -18,16 +18,16 @@ the tactics through ``apply``, and on the bundled scripts and the demos
 ``tests/test_kernel.py`` pins them by module): ax, mp, refl, sym, trans,
 cong_term, tintro, taut_id, imp_trans, _imp_mono_ant, _imp_mono_cons,
 _weaken, _mp_under, _apply_under, _from_hyp, _distribute, _trans_under,
-chain, lift_imp, rewrite_imp, rewrite_align, eval_closed, _eval_step and
-_iter_step_at; no hypothesis tree among them.  The rest of the trusted base is this
-module and the ``coding`` and ``syntax`` functions the checker evaluates
-or rebuilds an instance with, pinned there too: among them
-``substitute``, on whose refusal to let a quantifier capture a term
-QUANT1's side condition rests, ``value`` (numeral arithmetic) and
-``sub_fn`` (substitution).  Q1..Q7 and the two iteration axioms are fixed
-sentences, each accepted only as itself: the iteration axioms are
-``coding.ITER_ZERO_AXIOM`` and ``ITER_STEP_AXIOM``, over the template
-``K0``.
+chain, lift_imp, rewrite_imp, rewrite_align, eval_closed, _eval_step,
+_iter_step_at, value and _value_of; no hypothesis tree among them.  The
+rest of the trusted base is this module and the ``coding`` and ``syntax``
+functions the checker decodes, substitutes or rebuilds an instance with,
+pinned there too: among them ``substitute``, on whose refusal to let a
+quantifier capture a term QUANT1's side condition rests, and ``sub_fn``
+(substitution).  COMP_SUCC's one operation, ``+1``, ``+`` or ``*`` on the
+values of numerals, is computed here.  Q1..Q7 and the two iteration axioms
+are fixed sentences, each accepted only as itself: the iteration axioms
+are ``coding.ITER_ZERO_AXIOM`` and ``ITER_STEP_AXIOM``, over ``K0``.
 
 The checker judges only its own objects: a node of its five node classes,
 a step of its four step classes and a ``SchemaId``, each by exact class,
@@ -601,8 +601,7 @@ def _m_uinf(phi):
     v = vn.nv
     if not body.fv <= {v}:
         return False, "named formula has free variables other than the distinguished one"
-    want = coding.encode(Forall(v, body))
-    if phi.cons.arg.nv != want:
+    if phi.cons.arg is not coding.name_of(Forall(v, body)):
         return False, "consequent does not name the universal closure"
     return True, None
 
@@ -630,7 +629,9 @@ def _m_comp_succ(phi):
         and all(c.nv is not None for c in _children(phi.left))
     ):
         return False, None
-    ok = coding.value(phi.left) == phi.right.nv
+    t, (a, *b) = type(phi.left), [c.nv for c in _children(phi.left)]
+    got = a + 1 if t is Succ else a + b[0] if t is Add else a * b[0]
+    ok = got == phi.right.nv
     return ok, (None if ok else "right side disagrees with numeral arithmetic")
 
 

@@ -18,18 +18,19 @@ from functools import cache, reduce
 from itertools import product
 
 from .coding import (
-    ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, OMEGA_VAR, TEMPLATE_CODE_VAR,
-    UINF_BOUND_VAR, _parts, name_of, sub_fn, value,
+    EvalError, ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, OMEGA_VAR,
+    TEMPLATE_CODE_VAR, UINF_BOUND_VAR, _parts, name_of, sub_fn,
 )
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
-    Eq, FnApp, Forall, Formula, ITER, Imp, Not, SUB, Succ, Term, Tr, Var,
-    ZERO, _postorder, free_var_positions, mk_iff, numeral,
+    Add, Eq, FnApp, Forall, Formula, ITER, Imp, Mul, Not, SUB, Succ, Term, Tr,
+    Var, ZERO, _postorder, free_var_positions, mk_iff, numeral,
     pretty_print, replace_at, substitute, subterm_at,
 )
 
 __all__ = [
     "Thm", "TacticError", "TautologyError",
+    "value", "iter_fn",
     "ax", "mp", "gen", "inst", "tintro",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
@@ -546,6 +547,40 @@ def cong_term(e: Thm, context: Term, path) -> Thm:
 # ---------------------------------------------------------------------------
 # closed-term evaluation
 
+# the value of each term evaluated so far; terms are interned, so it is
+# keyed by identity
+_values: dict[Term, int] = {}
+
+
+def _value_of(t: Term, vals: list) -> int:
+    """The value of ``t`` from the values of its children."""
+    tt = type(t)
+    if t.nv is not None:
+        return t.nv
+    if tt is Var:
+        raise EvalError(f"open term: variable {t.idx} has no value")
+    if tt is Succ:
+        return vals[0] + 1
+    if tt is Add:
+        return vals[0] + vals[1]
+    if tt is Mul:
+        return vals[0] * vals[1]
+    return (iter_fn if t.sym == ITER else sub_fn)(*vals)
+
+
+def value(t: Term) -> int:
+    """Value of a closed term under the standard interpretation."""
+    return t.nv if t.nv is not None else _postorder(t, _parts, _value_of, _values)
+
+
+def iter_fn(n: int, c: int) -> int:
+    """The two-place iteration function: ``iter_fn(0, c) = c`` and
+    ``iter_fn(n+1, c)`` is the code of ``T(iter(numeral(n), numeral(c)))``,
+    produced by instantiating the step template via ``sub_fn``."""
+    if n == 0:
+        return c
+    return sub_fn(sub_fn(K0, TEMPLATE_CODE_VAR, c), OMEGA_VAR, n - 1)
+
 
 def eval_closed(t: Term) -> Thm:
     """Prove t = n for the canonical numeral n of t's value."""
@@ -591,7 +626,7 @@ def _eval_step(t: Term, done: list) -> Thm | None:
     if type(t) is not FnApp or t.sym != ITER:
         # S, + and * (COMP_SUCC) or sub (COMP_SUB)
         schema = SchemaId.COMP_SUB if type(t) is FnApp else SchemaId.COMP_SUCC
-        n = numeral(value(t))
+        n = numeral(value(cur))
         if cur is not n:  # S(#2k) is the numeral #(2k+1) itself
             links.append(ax(schema, Eq(cur, n)))
         return reduce(trans, links)
@@ -609,10 +644,10 @@ def _eval_step(t: Term, done: list) -> Thm | None:
     links.append(step)
     rhs = step.formula.right
     inner = rhs.args[0]
-    ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(sub_fn(K0, TEMPLATE_CODE_VAR, bn.nv))))
+    ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(value(inner))))
     links.append(cong_term(ei, rhs, (0,)))
     outer = replace_at(rhs, (0,), ei.formula.right)
-    links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(t)))))
+    links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(outer)))))
     return reduce(trans, links)
 
 
@@ -650,12 +685,11 @@ def rewrite_imp(e: Thm, phi: Formula, path, forward: bool = True) -> Thm:
     while type(phi) is not Eq and type(phi) is not Tr:
         if type(phi) is Forall and (s.fv or t.fv):
             raise TacticError("cannot rewrite with open terms under a quantifier")
-        side = path[0] if type(phi) is Imp else None
-        above.append((phi, side))
-        if type(phi) is Not or side == 0:  # a negative position
+        f, side = phi, path[0]
+        phi, path = subterm_at(f, (side,)), path[1:]  # refuses a side f has no child at
+        if side == 0 and type(f) is not Forall:  # a negative position: under ~, left of ->
             forward = not forward
-        phi = phi.body if side is None else phi.ant if side == 0 else phi.cons
-        path = path[1:]
+        above.append((f, side))
     phi2 = replace_at(phi, path, t)
     if subterm_at(phi, path) is not s:
         raise TacticError(f"position {path} of {pretty_print(phi)} does not hold {pretty_print(s)}")
@@ -699,7 +733,7 @@ def rewrite_align(th: Thm, expected: Formula, positions) -> Thm:
         # a numeral's side needs no link
         e1 = eval_closed(cur_t) if cur_t.nv is None else None
         e2 = eval_closed(exp_t) if exp_t.nv is None else None
-        if value(cur_t) != value(exp_t):
+        if (cur_t if e1 is None else e1.formula.right) is not (exp_t if e2 is None else e2.formula.right):
             raise TacticError(
                 f"terms at {pos} have different values: "
                 f"{pretty_print(cur_t)} vs {pretty_print(exp_t)}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .coding import OMEGA_VAR, DIAG_VAR, name_of
+from .coding import OMEGA_VAR, name_of
 from .kernel import (
     ApplyTIntro, ChainWith, CheckedTheorem, GAMMA, LiftImp, Omega,
     RewriteEval, SchemaId, SIGMA, TheoryConfig, _Checked, check, q_axiom,
@@ -33,6 +33,8 @@ __all__ = [
     "tomega_provability", "m1", "m2", "m3", "loeb", "formalized_loeb",
     "mcgee_original", "mcgee_via_loeb", "omega_witness",
 ]
+
+DIAG_VAR = 5  # v: distinguished variable of diagonalized formulas
 
 
 class MissingSchema(ValueError):

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from omegatruth.coding import (
     DecodeError, EvalError, ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, decode,
-    encode, iter_fn, name_of, sub_fn, value,
+    encode, name_of, sub_fn,
 )
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
     parse_term, pretty_print, substitute,
 )
-from omegatruth.tactics import diagonal_lemma, omega_truth
+from omegatruth.tactics import diagonal_lemma, iter_fn, omega_truth, value
 
 from helpers import (
     oracle_iter, oracle_sub, oracle_value, random_evaluable_term, random_expr,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth import tactics as T, theorems as TH
-from omegatruth.coding import encode, name_of, value
+from omegatruth.coding import encode, name_of
 from omegatruth.kernel import (
     GAMMA, SIGMA, Axiom, Omega, SchemaId, _proof_children, check,
 )
@@ -20,7 +20,7 @@ from omegatruth.tactics import (
     derive_A2, diagonal_lemma, eval_closed, iff_elim1, iff_intro,
     iff_parts, imp_trans, lift_imp, mp, omega_truth,
     propositional_atoms, propositional_counterexample,
-    refl, rewrite_imp, sym, taut, tintro, trans,
+    refl, rewrite_imp, sym, taut, tintro, trans, value,
 )
 
 from helpers import (
@@ -499,6 +499,22 @@ def _evaluable(node):
         return True
     except Exception:
         return False
+
+
+def test_rewrite_refuses_a_side_the_connective_lacks():
+    # each index of the path names a child, under ~ and forall as under ->
+    e = sym(eval_closed(Add(ZERO, ZERO)))
+    phi = Not(Eq(ZERO, Var(0)))
+    assert rewrite_imp(e, phi, (0, 0)).formula is Imp(phi, Not(Eq(Add(ZERO, ZERO), Var(0))))
+    for f, path, msg in [
+        (phi, (7, 0), "position (7,) does not exist in Not node"),
+        (Forall(1, phi), (1, 0, 0), "position (1,) does not exist in Forall node"),
+        (Imp(phi, phi), (2, 0, 0), "position (2,) does not exist in Imp node"),
+        (Imp(phi, phi), (-1, 0, 0), "position (-1,) does not exist in Imp node"),
+    ]:
+        with pytest.raises(IndexError) as err:
+            rewrite_imp(e, f, path)
+        assert str(err.value) == msg
 
 
 def test_rewrite_refuses_open_terms_under_quantifier():

@@ -1,12 +1,12 @@
 import pytest
 
 from omegatruth import theorems as TH
-from omegatruth.coding import encode, iter_fn, name_of
+from omegatruth.coding import encode, name_of
 from omegatruth.kernel import GAMMA, SIGMA, SchemaId, check
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral, substitute,
 )
-from omegatruth.tactics import Thm, ax, iff_parts, mp, omega_truth, refl
+from omegatruth.tactics import Thm, ax, iff_parts, iter_fn, mp, omega_truth, refl, value
 from omegatruth.theorems import (
     MissingSchema, formalized_loeb, loeb, m1, m2, m3, mcgee_original,
     mcgee_via_loeb, omega_witness, tomega_provability,
@@ -197,8 +197,6 @@ def test_witness_zero_instances():
 
 
 def test_witness_instances_name_the_iterates():
-    from omegatruth.coding import value
-
     report = omega_witness(GAMMA, 3)
     gamma_code = report.family.arg.args[1].nv
     for n, inst in enumerate(report.instances):
