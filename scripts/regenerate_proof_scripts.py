@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from omegatruth.cli import certificate
 from omegatruth.kernel import GAMMA, SIGMA, THEORIES, check
 from omegatruth.proofscript import parse_script, serialize_script
 from omegatruth.syntax import Eq, Succ, ZERO
@@ -56,10 +57,10 @@ def main() -> int:
         path.write_text(text, encoding="utf-8")
         script = parse_script(text)
         re_cert = check(script.proof, THEORIES[script.theory])
-        if re_cert.certificate() != cert.certificate():
+        if certificate(re_cert) != certificate(cert):
             print(f"certificate drift in {name}", file=sys.stderr)
             return 1
-        manifest[name] = re_cert.certificate()
+        manifest[name] = certificate(re_cert)
         print(f"wrote {path.name}: {path.stat().st_size} bytes, "
               f"omega_count={re_cert.omega_count}")
 

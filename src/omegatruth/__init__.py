@@ -9,8 +9,7 @@ omega-truth predicate.
 
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ, Term, Tr, Var,
-    ZERO, Zero, mk_iff, numeral, parse_formula, parse_term, pretty_print,
-    substitute,
+    ZERO, Zero, numeral, pretty_print, substitute,
 )
 from .coding import decode, encode, name_of, sub_fn
 from .kernel import (
@@ -19,12 +18,13 @@ from .kernel import (
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,
-    iter_fn, omega_truth, taut, value,
+    iter_fn, mk_iff, omega_truth, taut, value,
 )
 from .theorems import (
     MissingSchema, ProvabilityPredicate, Refutation, WitnessReport,
     formalized_loeb, loeb, m1, m2, m3, mcgee_original, mcgee_via_loeb,
     omega_witness, tomega_provability,
 )
+from .proofscript import parse_formula, parse_term
 
 __version__ = "0.1.0"

@@ -15,11 +15,10 @@ import sys
 from . import theorems as TH
 from .coding import decode, encode
 from .kernel import THEORIES, CheckError, CheckedTheorem, TheoryConfig, check
-from .proofscript import _quote, parse_script
-from .syntax import (
-    Eq, Formula, ParseError, Succ, ZERO, parse_formula, parse_term,
-    pretty_print, var_index, var_name,
+from .proofscript import (
+    ParseError, _quote, parse_formula, parse_script, parse_term, var_index,
 )
+from .syntax import Eq, Formula, Succ, ZERO, pretty_print, var_name
 from .tactics import (
     TacticError, derive_A1, derive_A2, diagonal_lemma, eval_closed, refl, value,
 )
@@ -49,8 +48,19 @@ def _config(args, samples: int = 8) -> TheoryConfig:
     )
 
 
+def certificate(cert: CheckedTheorem) -> dict:
+    """The 5-key certificate of a checked theorem, as ``--json`` prints it."""
+    return {
+        "formula": pretty_print(cert.formula),
+        "theory": cert.theory.preset_name(),
+        "omega_count": cert.omega_count,
+        "samples_checked": cert.samples_checked,
+        "proof_size": cert.proof_size,
+    }
+
+
 def _print_cert(name: str, cert: CheckedTheorem, quiet: bool) -> None:
-    c = cert.certificate()
+    c = certificate(cert)
     line = (
         f"{name}: omega_count={c['omega_count']}"
         f" samples_checked={c['samples_checked']} proof_size={c['proof_size']}"
@@ -74,8 +84,8 @@ def _print_refutation(ref: TH.Refutation, quiet: bool) -> None:
 def _refutation_json(name: str, ref: TH.Refutation) -> dict:
     return {
         "demo": name,
-        "positive": ref.positive.certificate(),
-        "negative": ref.negative.certificate(),
+        "positive": certificate(ref.positive),
+        "negative": certificate(ref.negative),
         "narrative": [
             {"label": label, "formula": pretty_print(f)} for label, f, _note in ref.narrative
         ],
@@ -90,7 +100,7 @@ def _cmd_check(args) -> int:
     args.theory = args.theory or script.theory or "gamma"
     cert = check(script.proof, _config(args, 8 if script.samples is None else script.samples))
     if args.json:
-        print(json.dumps(cert.certificate()))
+        print(json.dumps(certificate(cert)))
     else:
         _print_cert("checked", cert, args.quiet)
     return 0
@@ -119,7 +129,7 @@ def _cmd_demo(args) -> int:
             "formalized_loeb": TH.formalized_loeb(pp, z01, config),
         }
         if args.json:
-            print(json.dumps({"demo": name, **{k: v.certificate() for k, v in results.items()}}))
+            print(json.dumps({"demo": name, **{k: certificate(v) for k, v in results.items()}}))
         else:
             if not args.quiet:
                 print(f"derivability conditions and Loeb's theorem under {config.preset_name()}:")
@@ -133,8 +143,8 @@ def _cmd_demo(args) -> int:
             "demo": "witness",
             "family": pretty_print(report.family),
             "var": var_name(report.var),
-            "universal_negation": report.universal_negation.certificate(),
-            "instances": [c.certificate() for c in report.instances],
+            "universal_negation": certificate(report.universal_negation),
+            "instances": [certificate(c) for c in report.instances],
         }))
         return 0
     if not args.quiet:
@@ -196,7 +206,7 @@ def _cmd_diag(args) -> int:
         print(json.dumps({
             "theta": pretty_print(dr.theta),
             "gamma": pretty_print(dr.gamma),
-            "certificate": cert.certificate(),
+            "certificate": certificate(cert),
         }))
         return 0
     if not args.quiet:
@@ -216,7 +226,7 @@ def _cmd_eval(args) -> int:
             "term": pretty_print(t),
             "value": str(v),
             "equation": pretty_print(cert.formula),
-            "certificate": cert.certificate(),
+            "certificate": certificate(cert),
         }))
         return 0
     if not args.quiet:

@@ -13,21 +13,19 @@ successive instances and verifies every produced proof from scratch.
 Trust statement.  The claim for *all* n rests on the steps being
 parametric: each builds its output from the shape of its input conclusion
 and leaves every numeral computation to the COMP_* axioms.  A step reaches
-the tactics through ``apply``, and on the bundled scripts and the demos
-``check`` reaches these ``tactics`` functions (``CHECK_REACHES`` in
-``tests/test_kernel.py`` pins them by module): ax, mp, refl, sym, trans,
-cong_term, tintro, taut_id, imp_trans, _imp_mono_ant, _imp_mono_cons,
-_weaken, _mp_under, _apply_under, _from_hyp, _distribute, _trans_under,
-chain, lift_imp, rewrite_imp, rewrite_align, eval_closed, _eval_step,
-_iter_step_at, value and _value_of; no hypothesis tree among them.  The
-rest of the trusted base is this module and the ``coding`` and ``syntax``
-functions the checker decodes, substitutes or rebuilds an instance with,
-pinned there too: among them ``substitute``, on whose refusal to let a
-quantifier capture a term QUANT1's side condition rests, and ``sub_fn``
-(substitution).  COMP_SUCC's one operation, ``+1``, ``+`` or ``*`` on the
-values of numerals, is computed here.  Q1..Q7 and the two iteration axioms
-are fixed sentences, each accepted only as itself: the iteration axioms
-are ``coding.ITER_ZERO_AXIOM`` and ``ITER_STEP_AXIOM``, over ``K0``.
+the tactics through ``apply``.  The ``tactics`` functions ``check`` reaches
+on the bundled scripts and the demos are pinned by
+``CHECK_REACHES["tactics"]`` in ``tests/test_kernel.py`` and listed in the
+README's trust statement; no hypothesis tree is among them.  The rest of
+the trusted base is three files, this module, ``coding`` and ``syntax``,
+each defining only functions ``check`` reaches (pinned there by module)
+and a few named with their reason beside the pin.  Among them are
+``substitute``, on whose refusal to let a quantifier capture a term
+QUANT1's side condition rests, and ``sub_fn`` (substitution).  COMP_SUCC's
+one operation, ``+1``, ``+`` or ``*`` on the values of numerals, is
+computed here.  Q1..Q7 and the two iteration axioms are fixed sentences,
+each accepted only as itself: the iteration axioms are
+``coding.ITER_ZERO_AXIOM`` and ``ITER_STEP_AXIOM``, over ``K0``.
 
 The checker judges only its own objects: a node of its five node classes,
 a step of its four step classes and a ``SchemaId``, each by exact class,
@@ -47,7 +45,7 @@ from . import coding
 from .syntax import (
     Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, Mul, Not, SUB,
     Succ, Term, Tr, Var, ZERO, TWO, _children, _cut, _shown,
-    free_var_positions, numeral, pretty_print, substitute, subterm_at,
+    free_var_positions, numeral, substitute, subterm_at,
 )
 
 __all__ = [
@@ -686,18 +684,10 @@ class CheckedTheorem(namedtuple(
     "CheckedTheorem", "formula theory omega_count samples_checked proof_size proof",
 )):
     """A verified judgment.  ``omega_count`` is the maximum number of omega
-    nodes on any root-to-leaf path; 0 means classical derivability."""
+    nodes on any root-to-leaf path; 0 means classical derivability.
+    ``cli.certificate`` writes it out as the 5-key certificate."""
 
     __slots__ = ()
-
-    def certificate(self) -> dict:
-        return {
-            "formula": pretty_print(self.formula),
-            "theory": self.theory.preset_name(),
-            "omega_count": self.omega_count,
-            "samples_checked": self.samples_checked,
-            "proof_size": self.proof_size,
-        }
 
 
 def _spell(prefix: tuple[int, ...], link) -> tuple[int, ...]:

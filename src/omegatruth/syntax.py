@@ -1,4 +1,4 @@
-"""Abstract syntax, parsing and printing for the truth language.
+"""Abstract syntax and printing for the truth language.
 
 Terms are built from 0, S, +, *, variables (natural indices) and the two
 designated function symbols ``iter`` (arity 2) and ``sub`` (arity 3).
@@ -30,12 +30,17 @@ The shape of each node kind, its children in order and how a node of that
 kind is rebuilt over new children, is written down once, in ``_children``
 and ``_rebuild``.  Substitution, position navigation, the Goedel coder and
 the kernel's walkers read nodes through these two.
+
+The module is trusted as a whole: ``kernel.check`` runs its constructors,
+walkers and substitution, and its rejections quote formulas through the
+printer.  It defines nothing else (``tests/test_kernel.py`` pins its
+functions); the parser of the concrete grammar, which checking never runs,
+lives in ``proofscript`` beside the script reader.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from typing import Union
 
 __all__ = [
@@ -44,8 +49,7 @@ __all__ = [
     "Expr", "Path", "ZERO", "TWO", "ITER", "SUB", "FN_ARITY",
     "numeral", "substitute",
     "subterm_at", "replace_at", "free_var_positions",
-    "var_name", "parse_term", "parse_formula", "pretty_print",
-    "ParseError", "CaptureError", "mk_iff",
+    "var_name", "pretty_print", "CaptureError",
 ]
 
 _EMPTY: frozenset[int] = frozenset()
@@ -427,32 +431,16 @@ def free_var_positions(phi: Expr, v: int) -> list[Path]:
     return out
 
 
-def mk_iff(a: Formula, b: Formula) -> Formula:
-    """a <-> b as the primitive-connective expansion ~((a->b) -> ~(b->a))."""
-    return Not(Imp(Imp(a, b), Not(Imp(b, a))))
-
-
 # ---------------------------------------------------------------------------
-# concrete syntax
+# printing
 
 _CANONICAL_NAMES = ("x", "y", "z", "w", "u", "v")
-_NAME_TO_INDEX = {n: i for i, n in enumerate(_CANONICAL_NAMES)}
 
 
 def var_name(idx: int) -> str:
     if idx < len(_CANONICAL_NAMES):
         return _CANONICAL_NAMES[idx]
     return f"v{idx}"
-
-
-def var_index(name: str) -> int | None:
-    """Index of a variable name in the concrete grammar, or None."""
-    if name in _NAME_TO_INDEX:
-        return _NAME_TO_INDEX[name]
-    m = re.fullmatch(r"v([0-9]+)", name)
-    if m:
-        return int(m.group(1))
-    return None
 
 
 def pretty_print(e: Expr) -> str:
@@ -534,191 +522,3 @@ def _shown(e: Expr) -> str:
     """``e`` as a message quotes it: ``_cut(pretty_print(e))``, printed only
     up to the cut, so a large formula costs no more than the cut."""
     return _cut(_print(e, _QUOTE_LIMIT))
-
-
-class ParseError(ValueError):
-    """Syntax error in the concrete grammar, tagged with an input position."""
-
-    def __init__(self, message: str, pos: int, text: str):
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.pos = pos
-
-
-# One match per token, skipping whitespace: group 1 is the token, or "" for
-# a character that starts no token.
-_TOKEN_RE = re.compile(r"(#[0-9]+|0|[A-Za-z_][A-Za-z0-9_]*|->|[()=+*,.~])|\S")
-
-# The kinds of frame on _parse's stack, each spelled as the text read
-# before the operand it waits for.  A frame is a tuple that starts with its
-# kind; the last five wait for a formula, the others for a term.
-_SUCC_ARG, _FN_ARG, _OP_LEFT, _OP_RIGHT, _TR_ARG, _EQ_RIGHT = "S(", "f(", "(", "(t +", "T(", "t ="
-_NOT_BODY, _FORALL_BODY, _IMP_CONS, _PAREN_BODY, _WHOLE = "~", "forall v.", "A ->", "formula (", "formula"
-
-
-def _offset(text: str, i: int) -> int:
-    """Where token ``i`` starts in ``text`` (its length for the end)."""
-    for k, m in enumerate(_TOKEN_RE.finditer(text)):
-        if k == i:
-            return m.start()
-    return len(text)
-
-
-def _parse(text: str, formula: bool) -> Expr:
-    """The formula, or with ``formula`` false the term, that ``text`` spells.
-
-    One loop reads each token once, left to right, and keeps one frame per
-    construct still waiting for an operand, so nesting costs heap, not
-    Python frames.  A ``(`` where a formula may start is settled by what
-    follows its first operand: ``+`` or ``*`` makes it a sum or a product,
-    ``=`` or a closed formula makes it a formula.  Each message and position
-    is that of a parser that tries the term first and, where that fails,
-    the formula.
-    """
-    toks = _TOKEN_RE.findall(text)
-    toks.append("")  # the end of input
-    bad = toks.index("")
-    if bad < len(toks) - 1:
-        pos = _offset(text, bad)
-        raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
-    stack: list[tuple] = [(_WHOLE,)] if formula else []
-    i, want_formula = 0, formula
-
-    def error(msg: str, at: int) -> ParseError:
-        # inside a sum read where "(" could also have opened a formula, the
-        # error is that of the formula reading, tried last: at the operator.
-        # Such a sum's operands are terms, so at most one is on the stack
-        for frame in stack:
-            if frame[0] is _OP_RIGHT and frame[3]:
-                msg, at = frame[3]
-        return ParseError(msg, _offset(text, at), text)
-
-    def expected(want: str, at: int) -> ParseError:
-        return error(f"expected {want}, found {_cut(repr(toks[at] or 'end of input'))}", at)
-
-    while True:
-        # prefixes push a frame each, up to the first atom
-        tok = toks[i]
-        i += 1
-        if want_formula:
-            if tok == "~":
-                stack.append((_NOT_BODY,))
-                continue
-            if tok == "forall":
-                idx = var_index(toks[i])
-                if idx is None:
-                    raise error(f"expected a variable after 'forall', found {_cut(repr(toks[i]))}", i)
-                if toks[i + 1] != ".":
-                    raise expected("'.'", i + 1)
-                i += 2
-                stack.append((_FORALL_BODY, idx))
-                continue
-            if tok == "(":
-                stack.append((_PAREN_BODY,))
-                continue
-            want_formula = False
-            if tok == "T":
-                if toks[i] != "(":
-                    raise expected("'('", i)
-                i += 1
-                stack.append((_TR_ARG,))
-                continue
-        if tok[:1] == "#":
-            v = numeral(int(tok[1:]))
-        elif tok == "0":
-            # no bare integers other than 0 in the grammar
-            v = ZERO
-        elif tok == "(":
-            stack.append((_OP_LEFT,))
-            continue
-        elif tok == "S" or tok in FN_ARITY:
-            if toks[i] != "(":
-                raise expected("'('", i)
-            i += 1
-            stack.append((_SUCC_ARG,) if tok == "S" else (_FN_ARG, tok, []))
-            continue
-        else:
-            idx = var_index(tok)
-            if idx is None:
-                if tok.isidentifier():
-                    raise error(f"unknown identifier {_cut(repr(tok))}", i - 1)
-                raise expected("a term", i - 1)
-            v = Var(idx)
-        # v is an operand: pop each frame it completes, up to one that
-        # waits for a further operand
-        while stack:
-            frame = stack[-1]
-            kind = frame[0]
-            tok = toks[i]
-            if kind is _EQ_RIGHT:
-                v = Eq(frame[1], v)
-            elif kind is _FN_ARG:
-                args = frame[2]
-                args.append(v)
-                if len(args) < FN_ARITY[frame[1]]:
-                    if tok != ",":
-                        raise expected("','", i)
-                    i += 1
-                    break
-                if tok != ")":
-                    raise expected("')'", i)
-                i += 1
-                v = FnApp(frame[1], args)
-            elif kind is _OP_LEFT:
-                if tok != "+" and tok != "*":
-                    raise error(f"expected '+' or '*', found {_cut(repr(tok))}", i)
-                i += 1
-                stack[-1] = (_OP_RIGHT, v, tok, None)
-                break
-            elif kind is _SUCC_ARG or kind is _TR_ARG or kind is _OP_RIGHT:
-                if tok != ")":
-                    raise expected("')'", i)
-                i += 1
-                if kind is _SUCC_ARG:
-                    v = Succ(v)
-                elif kind is _TR_ARG:
-                    v = Tr(v)
-                else:
-                    v = (Add if frame[2] == "+" else Mul)(frame[1], v)
-            elif isinstance(v, Term):
-                # the left side of an equation, or of a sum or product
-                # where "(" opened what may also be a formula
-                if kind is _PAREN_BODY and (tok == "+" or tok == "*"):
-                    stack[-1] = (_OP_RIGHT, v, tok, (f"expected '=', found {tok!r}", i))
-                    i += 1
-                    break
-                if tok != "=":
-                    raise expected("'='", i)
-                i += 1
-                stack.append((_EQ_RIGHT, v))
-                break
-            elif kind is _NOT_BODY:
-                v = Not(v)
-            elif tok == "->":
-                # '->' groups to the right, and a forall body reaches it
-                i += 1
-                stack.append((_IMP_CONS, v))
-                want_formula = True
-                break
-            elif kind is _FORALL_BODY:
-                v = Forall(frame[1], v)
-            elif kind is _IMP_CONS:
-                v = Imp(frame[1], v)
-            elif kind is _PAREN_BODY:
-                if tok != ")":
-                    raise expected("')'", i)
-                i += 1
-            stack.pop()
-        else:
-            if toks[i]:
-                raise error(f"trailing input after {'formula' if formula else 'term'}, found {_cut(repr(toks[i]))}", i)
-            return v
-
-
-def parse_term(text: str) -> Term:
-    return _parse(text, False)
-
-
-def parse_formula(text: str) -> Formula:
-    return _parse(text, True)

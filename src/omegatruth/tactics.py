@@ -24,8 +24,8 @@ from .coding import (
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
     Add, Eq, FnApp, Forall, Formula, ITER, Imp, Mul, Not, SUB, Succ, Term, Tr,
-    Var, ZERO, _postorder, free_var_positions, mk_iff, numeral,
-    pretty_print, replace_at, substitute, subterm_at,
+    Var, ZERO, _postorder, free_var_positions, numeral, pretty_print,
+    replace_at, substitute, subterm_at,
 )
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "ax", "mp", "gen", "inst", "tintro",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
-    "iff_intro", "iff_elim1", "iff_elim2", "iff_parts",
+    "mk_iff", "iff_intro", "iff_elim1", "iff_elim2", "iff_parts",
     "refl", "sym", "trans", "cong_term",
     "eval_closed", "rewrite_imp", "rewrite_align", "lift_imp",
     "chain",
@@ -477,6 +477,11 @@ def taut(phi: Formula) -> Thm:
 # biconditionals
 
 
+def mk_iff(a: Formula, b: Formula) -> Formula:
+    """a <-> b as the primitive-connective expansion ~((a->b) -> ~(b->a))."""
+    return Not(Imp(Imp(a, b), Not(Imp(b, a))))
+
+
 def iff_parts(f: Formula) -> tuple[Formula, Formula]:
     """Destructure the primitive expansion of a biconditional."""
     if (
@@ -685,6 +690,8 @@ def rewrite_imp(e: Thm, phi: Formula, path, forward: bool = True) -> Thm:
     while type(phi) is not Eq and type(phi) is not Tr:
         if type(phi) is Forall and (s.fv or t.fv):
             raise TacticError("cannot rewrite with open terms under a quantifier")
+        if not path:
+            raise IndexError(f"position {path} stops at {type(phi).__name__} node, not at an equation or T atom")
         f, side = phi, path[0]
         phi, path = subterm_at(f, (side,)), path[1:]  # refuses a side f has no child at
         if side == 0 and type(f) is not Forall:  # a negative position: under ~, left of ->

@@ -19,12 +19,12 @@ from .kernel import (
 )
 from .syntax import (
     Eq, FnApp, Forall, Formula, ITER, Imp, Not, Succ, Tr, Var, ZERO,
-    mk_iff, substitute,
+    substitute,
 )
 from .tactics import (
     Thm, _apply_under, _from_hyp, _mp_under, _trans_under, _weaken, ax,
     contrapose, derive_A1, derive_A2, diagonal_lemma, gen, iff_elim1,
-    iff_elim2, imp_trans, inst, lift_imp, mp, omega_truth, refl,
+    iff_elim2, imp_trans, inst, lift_imp, mk_iff, mp, omega_truth, refl,
     rewrite_align, taut, tintro,
 )
 

@@ -13,10 +13,10 @@ from omegatruth.kernel import (
     Axiom, CheckError, Gen, LiftImp, MP, Omega, Proof, RewriteEval, SchemaId,
     TIntro, check, q_axiom,
 )
+from omegatruth.proofscript import ParseError, var_index
 from omegatruth.syntax import (
-    FN_ARITY, ITER, Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not,
-    ParseError, Succ, Term, Tr, Var, ZERO, _children, _rebuild, numeral,
-    substitute, var_index,
+    FN_ARITY, ITER, Add, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ,
+    Term, Tr, Var, ZERO, _children, _rebuild, numeral, substitute,
 )
 from omegatruth.tactics import omega_truth
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from omegatruth.cli import certificate
 from omegatruth.kernel import THEORIES, check
 from omegatruth.proofscript import parse_script
 
@@ -24,7 +25,7 @@ def test_bundled_script_reproduces_certificate(name):
     text = (PROOFS / f"{name}.proof").read_text(encoding="utf-8")
     script = parse_script(text)
     cert = check(script.proof, THEORIES[script.theory])
-    assert cert.certificate() == _manifest()[name]
+    assert certificate(cert) == _manifest()[name]
 
 
 def test_bundled_scripts_match_in_memory_derivations():

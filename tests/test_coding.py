@@ -7,9 +7,10 @@ from omegatruth.coding import (
     DecodeError, EvalError, ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, decode,
     encode, name_of, sub_fn,
 )
+from omegatruth.proofscript import parse_formula, parse_term
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral, parse_formula,
-    parse_term, pretty_print, substitute,
+    Eq, FnApp, Forall, Not, Succ, Tr, Var, ZERO, numeral, pretty_print,
+    substitute,
 )
 from omegatruth.tactics import diagonal_lemma, iter_fn, omega_truth, value
 
@@ -206,8 +207,6 @@ def test_omega_truth_shape_and_freshness():
 
 
 def test_omega_truth_round_trips_through_grammar():
-    from omegatruth.syntax import parse_formula
-
     w = omega_truth(Var(0))
     assert pretty_print(w) == "forall y. T(iter(y, x))"
     assert parse_formula(pretty_print(w)) == w

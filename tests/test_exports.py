@@ -123,7 +123,9 @@ def test_every_kernel_rejection_is_reached():
     assert len(texts) > 30  # the scan still finds the kernel's messages
     coding = _raised_texts(root / "src" / "omegatruth" / "coding.py")
     assert len(coding) == 9  # and coding's
-    assert sorted(t for t in texts | coding if t not in tests) == []
+    syntax = _raised_texts(root / "src" / "omegatruth" / "syntax.py")
+    assert len(syntax) == 10  # and syntax's
+    assert sorted(t for t in texts | coding | syntax if t not in tests) == []
 
 
 def _recursive_functions(path):

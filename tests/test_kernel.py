@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegatruth.cli import certificate
 from omegatruth.coding import (
     ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, encode, name_of, sub_fn,
 )
@@ -20,10 +21,10 @@ from omegatruth.kernel import (
 )
 from omegatruth.syntax import (
     Add, Eq, FnApp, Forall, Imp, Mul, Not, Succ, Tr, Var, ZERO, _children, _cut,
-    numeral, parse_formula, pretty_print, replace_at, substitute, subterm_at,
+    numeral, pretty_print, replace_at, substitute, subterm_at,
 )
 from omegatruth import tactics as T
-from omegatruth.proofscript import parse_script
+from omegatruth.proofscript import parse_formula, parse_script
 from omegatruth.tactics import Thm, ax, gen, inst, refl, tintro
 from omegatruth.theorems import MissingSchema
 
@@ -910,19 +911,19 @@ def test_sigma_proofs_accepted_under_gamma(mcgee):
 def test_checker_determinism(mcgee):
     a = check(mcgee.positive.proof, GAMMA)
     b = check(mcgee.positive.proof, GAMMA)
-    assert a.certificate() == b.certificate()
+    assert certificate(a) == certificate(b)
 
 
 def test_a_later_check_under_another_theory_checks_every_node_again(mcgee):
     # each check stamps the nodes it reaches with a fresh stamp, so nothing
     # the first gamma check found is taken on trust by the sigma check
     proof = mcgee.negative.proof
-    first = check(proof, GAMMA).certificate()
+    first = certificate(check(proof, GAMMA))
     with pytest.raises(CheckError) as err:
         check(proof, SIGMA)
     assert err.value.path == (0, 0, 1, 0, 0, 1, 0, 0)
     assert err.value.reason == "schema CONS is inactive under this theory"
-    again = check(proof, GAMMA).certificate()
+    again = certificate(check(proof, GAMMA))
     assert again == first and again["proof_size"] == 2668
 
 
@@ -1090,22 +1091,47 @@ def _between(text: str, start: str, end: str) -> str:
 
 
 def test_the_trust_statements_list_the_pinned_tactics():
-    # the kernel docstring and the README copy CHECK_REACHES["tactics"] by hand
-    from omegatruth import kernel
-
-    in_kernel = re.split(r", | and ", _between(kernel.__doc__, "by module): ", "; no hypothesis tree"))
+    # the README copies CHECK_REACHES["tactics"] by hand; the kernel
+    # docstring points to the pin instead
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     in_readme = re.findall(r"`(\w+)`", _between(readme, "on the 4 demos, these are ", ". No hypothesis tree"))
-    assert sorted(in_kernel) == CHECK_REACHES["tactics"]
     assert sorted(in_readme) == CHECK_REACHES["tactics"]
 
 
-def test_coding_defines_only_what_check_reaches():
-    # coding.py is trusted, so a function there that check never runs
-    # belongs beside the code that uses it
-    path = Path(__file__).resolve().parent.parent / "src" / "omegatruth" / "coding.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert sorted({n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}) == CHECK_REACHES["coding"]
+# The functions the trusted files define that check does not reach on the
+# bundled scripts or the demos, each with the reason it stays there.
+TRUSTED_EXTRAS = {
+    "coding": {},
+    "kernel": {
+        "_nearest": "the hint of a rejected axiom: only rejections reach it",
+        "_occurs": "EQ2/EQ3 with identical sides, which no bundled proof holds",
+        "_check": "validates a TheoryConfig as it is built, before any check",
+        "_make": "builds a TheoryConfig through _check",
+        "preset_name": "the name of a configuration's theory, for certificates",
+        "q_axiom": "reads the fixed sentences, _FIXED, for the tactics",
+    },
+    "syntax": {
+        "pretty_print": "the printer: rejections and CaptureError quote with it",
+        "_print": "the printer, cut at a limit",
+        "_pp_pieces": "the printer's text of one node",
+        "_decimal": "the printer's numerals past the digit limit",
+        "_cut": "cuts what a rejection quotes",
+        "_shown": "a formula as a rejection quotes it",
+        "var_name": "the printer's variable names",
+        "__repr__": "the printer, as repr of a node",
+    },
+}
+
+
+def test_trusted_files_define_only_what_check_reaches():
+    # a function of a trusted file that check never runs, and that is not
+    # named above with its reason, belongs beside the code that uses it
+    src = Path(__file__).resolve().parent.parent / "src" / "omegatruth"
+    for module, extras in TRUSTED_EXTRAS.items():
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not extras.keys() & set(CHECK_REACHES[module]), module
+        assert sorted(defined) == sorted({*CHECK_REACHES[module], *extras}), module
 
 
 # Every == and != left where checking compares, by module and function:

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from omegatruth import tactics as T
+from omegatruth.cli import certificate
 from omegatruth.kernel import GAMMA, SIGMA, Axiom, Gen, SchemaId, check
 from omegatruth.proofscript import (
-    _MAX_INDENT, ScriptError, _Q, _quote, _read_forms, parse_script,
-    serialize_script,
+    _MAX_INDENT, ScriptError, _Q, _quote, _read_forms, parse_formula,
+    parse_script, serialize_script,
 )
-from omegatruth.syntax import Add, Eq, Imp, ZERO, _QUOTE_LIMIT, numeral, parse_formula
+from omegatruth.syntax import Add, Eq, Imp, ZERO, _QUOTE_LIMIT, numeral
 
 from helpers import reference_read_forms
 
@@ -164,7 +165,7 @@ def test_round_trip_mcgee(mcgee):
         script = parse_script(text)
         assert script.theory == "gamma"
         assert script.proof is side.proof
-        assert check(script.proof, GAMMA).certificate() == side.certificate()
+        assert certificate(check(script.proof, GAMMA)) == certificate(side)
 
 
 def test_round_trip_loeb(mcgee_loeb):
@@ -172,7 +173,7 @@ def test_round_trip_loeb(mcgee_loeb):
     script = parse_script(text)
     assert script.samples == 8
     assert script.proof is mcgee_loeb.positive.proof
-    assert check(script.proof, GAMMA).certificate() == mcgee_loeb.positive.certificate()
+    assert certificate(check(script.proof, GAMMA)) == certificate(mcgee_loeb.positive)
 
 
 def test_round_trip_m_conditions():
@@ -183,7 +184,7 @@ def test_round_trip_m_conditions():
         text = serialize_script(cert.proof, "sigma")
         script = parse_script(text)
         assert script.proof is cert.proof
-        assert check(script.proof, SIGMA).certificate() == cert.certificate()
+        assert certificate(check(script.proof, SIGMA)) == certificate(cert)
 
 
 def _gen_chain(depth: int):

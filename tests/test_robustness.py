@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from omegatruth.coding import DecodeError, decode, encode
-from omegatruth.proofscript import ScriptError, parse_script
-from omegatruth.syntax import Formula, ParseError, Term, _cut, parse_formula
+from omegatruth.proofscript import ParseError, ScriptError, parse_formula, parse_script
+from omegatruth.syntax import Formula, Term, _cut
 
 
 def test_decode_random_integers_fail_cleanly():

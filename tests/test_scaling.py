@@ -23,7 +23,7 @@ import pytest
 
 from omegatruth import kernel, syntax, tactics
 from omegatruth.kernel import THEORIES, Axiom, MP, SchemaId, check
-from omegatruth.proofscript import parse_script
+from omegatruth.proofscript import parse_formula, parse_script
 
 LINEAR = 2.2
 PROOFS = Path(__file__).resolve().parent.parent / "scripts" / "proofs"
@@ -69,7 +69,7 @@ def test_quant1_check_is_linear_in_depth(monkeypatch):
     monkeypatch.setattr(syntax, "_children", counted)
     counts = []
     for n in (10_000, 20_000):
-        phi = syntax.parse_formula(f"(forall x. {'~' * n}x = 0) -> {'~' * n}0 = 0")
+        phi = parse_formula(f"(forall x. {'~' * n}x = 0) -> {'~' * n}0 = 0")
         calls = 0
         assert check(Axiom(SchemaId.QUANT1, phi)).proof_size == 1
         counts.append(calls)
@@ -136,8 +136,8 @@ def test_parse_and_check_memory_per_proof_node():
 def test_pair_keyed_nodes_are_distinct_and_interned():
     # MP is interned by its major premise and Imp by its consequent while
     # that is unshared; a second node over the same one is keyed by the pair
-    a, b = syntax.parse_formula("0 = 0"), syntax.parse_formula("0 = #1")
-    c = syntax.parse_formula("#1 = #1")
+    a, b = parse_formula("0 = 0"), parse_formula("0 = #1")
+    c = parse_formula("#1 = #1")
     first, second = syntax.Imp(a, c), syntax.Imp(b, c)
     assert first is not second and (first.ant, second.ant) == (a, b)
     assert syntax.Imp(a, c) is first and syntax.Imp(b, c) is second
@@ -156,10 +156,10 @@ def test_parenthesized_formula_parse_is_linear_in_depth():
     peaks = []
     for d in (20_000, 40_000):
         text = "(" * 2 * d + "0" + " + 0)" * d + " = 0" + ")" * d
-        syntax.parse_formula(text)
+        parse_formula(text)
         tracemalloc.start()
         try:
-            phi = syntax.parse_formula(text)
+            phi = parse_formula(text)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -4,12 +4,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegatruth.proofscript import ParseError, parse_formula, parse_term
 from omegatruth.syntax import (
-    Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, Mul, Not, ParseError,
-    Succ, Tr, Var, ZERO, _children, _rebuild, mk_iff, numeral, parse_formula,
-    parse_term, pretty_print, substitute, subterm_at,
-    var_name,
+    Add, CaptureError, Eq, FnApp, Forall, Formula, Imp, Mul, Not, Succ, Tr,
+    Var, ZERO, _children, _rebuild, numeral, pretty_print, substitute,
+    subterm_at, var_name,
 )
+from omegatruth.tactics import mk_iff
 
 from helpers import (
     oracle_substitute, random_expr, random_formula, random_term,
@@ -193,10 +194,19 @@ def test_function_symbol_arity_enforced():
         parse_term("iter(x)")
     with pytest.raises(ParseError):
         parse_term("sub(x, y)")
-    with pytest.raises(ValueError):
-        FnApp("iter", [ZERO])
-    with pytest.raises(ValueError):
-        FnApp("frob", [ZERO])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Var(-1), "variable index must be a natural"),
+    (lambda: Forall(-1, Eq(ZERO, ZERO)), "variable index must be a natural"),
+    (lambda: FnApp("frob", [ZERO]), "unknown function symbol 'frob'"),
+    (lambda: FnApp("iter", [ZERO]), "iter expects 2 arguments, got 1"),
+    (lambda: numeral(-1), "numerals denote naturals"),
+], ids=["var", "forall", "symbol", "arity", "numeral"])
+def test_constructor_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @st.composite

@@ -11,14 +11,15 @@ from omegatruth.coding import encode, name_of
 from omegatruth.kernel import (
     GAMMA, SIGMA, Axiom, Omega, SchemaId, _proof_children, check,
 )
+from omegatruth.proofscript import parse_term
 from omegatruth.syntax import (
-    Add, Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral,
-    parse_term, pretty_print, replace_at,
+    Add, Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral,
+    pretty_print, replace_at,
 )
 from omegatruth.tactics import (
     TacticError, TautologyError, Thm, ax, chain, cong_term, contrapose, derive_A1,
     derive_A2, diagonal_lemma, eval_closed, iff_elim1, iff_intro,
-    iff_parts, imp_trans, lift_imp, mp, omega_truth,
+    iff_parts, imp_trans, lift_imp, mk_iff, mp, omega_truth,
     propositional_atoms, propositional_counterexample,
     refl, rewrite_imp, sym, taut, tintro, trans, value,
 )
@@ -502,7 +503,8 @@ def _evaluable(node):
 
 
 def test_rewrite_refuses_a_side_the_connective_lacks():
-    # each index of the path names a child, under ~ and forall as under ->
+    # each index of the path names a child, under ~ and forall as under ->,
+    # and the path goes on down to an equation or T atom
     e = sym(eval_closed(Add(ZERO, ZERO)))
     phi = Not(Eq(ZERO, Var(0)))
     assert rewrite_imp(e, phi, (0, 0)).formula is Imp(phi, Not(Eq(Add(ZERO, ZERO), Var(0))))
@@ -511,6 +513,10 @@ def test_rewrite_refuses_a_side_the_connective_lacks():
         (Forall(1, phi), (1, 0, 0), "position (1,) does not exist in Forall node"),
         (Imp(phi, phi), (2, 0, 0), "position (2,) does not exist in Imp node"),
         (Imp(phi, phi), (-1, 0, 0), "position (-1,) does not exist in Imp node"),
+        # a path that ends above the equation it rewrites in
+        (phi, (), "position () stops at Not node, not at an equation or T atom"),
+        (Forall(1, phi), (), "position () stops at Forall node, not at an equation or T atom"),
+        (Imp(phi, phi), (), "position () stops at Imp node, not at an equation or T atom"),
     ]:
         with pytest.raises(IndexError) as err:
             rewrite_imp(e, f, path)

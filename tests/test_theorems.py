@@ -4,9 +4,9 @@ from omegatruth import theorems as TH
 from omegatruth.coding import encode, name_of
 from omegatruth.kernel import GAMMA, SIGMA, SchemaId, check
 from omegatruth.syntax import (
-    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, mk_iff, numeral, substitute,
+    Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
 )
-from omegatruth.tactics import Thm, ax, iff_parts, iter_fn, mp, omega_truth, refl, value
+from omegatruth.tactics import Thm, ax, iff_parts, iter_fn, mk_iff, mp, omega_truth, refl, value
 from omegatruth.theorems import (
     MissingSchema, formalized_loeb, loeb, m1, m2, m3, mcgee_original,
     mcgee_via_loeb, omega_witness, tomega_provability,
