@@ -18,7 +18,7 @@ from .kernel import (
 )
 from .tactics import (
     DiagonalResult, Thm, derive_A1, derive_A2, diagonal_lemma, eval_closed,
-    iter_fn, mk_iff, omega_truth, taut, value,
+    mk_iff, omega_truth, taut,
 )
 from .theorems import (
     MissingSchema, ProvabilityPredicate, Refutation, WitnessReport,

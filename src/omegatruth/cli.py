@@ -20,7 +20,7 @@ from .proofscript import (
 )
 from .syntax import Eq, Formula, Succ, ZERO, pretty_print, var_name
 from .tactics import (
-    TacticError, derive_A1, derive_A2, diagonal_lemma, eval_closed, refl, value,
+    TacticError, derive_A1, derive_A2, diagonal_lemma, eval_closed, refl,
 )
 
 _REFUTATIONS = {"mcgee": TH.mcgee_original, "mcgee-via-loeb": TH.mcgee_via_loeb}
@@ -37,10 +37,14 @@ def _count(text: str, what: str) -> int:
     return int(text)
 
 
-def _config(args, samples: int = 8) -> TheoryConfig:
-    # --samples, when given, overrides the default count
-    return THEORIES[args.theory]._replace(
-        omega_samples=samples if args.samples is None else _count(args.samples, "a sample count"),
+def _config(args, samples: int | None = None) -> TheoryConfig:
+    # --samples, when given, overrides ``samples``, a script header's
+    # count, which overrides the theory's default
+    theory = THEORIES[args.theory]
+    if args.samples is not None:
+        samples = _count(args.samples, "a sample count")
+    return theory._replace(
+        omega_samples=theory.omega_samples if samples is None else samples,
         max_omega_count=(
             None if args.max_omega == "unlimited"
             else _count(args.max_omega, "an omega cap or 'unlimited'")
@@ -98,7 +102,7 @@ def _cmd_check(args) -> int:
         script = parse_script(fh.read())
     # command-line options override the script's header
     args.theory = args.theory or script.theory or "gamma"
-    cert = check(script.proof, _config(args, 8 if script.samples is None else script.samples))
+    cert = check(script.proof, _config(args, script.samples))
     if args.json:
         print(json.dumps(certificate(cert)))
     else:
@@ -218,9 +222,8 @@ def _cmd_diag(args) -> int:
 
 def _cmd_eval(args) -> int:
     t = parse_term(args.term)
-    v = value(t)
-    th = eval_closed(t)
-    cert = check(th.proof, _config(args))
+    cert = check(eval_closed(t).proof, _config(args))
+    v = cert.formula.right.nv
     if args.json:
         print(json.dumps({
             "term": pretty_print(t),

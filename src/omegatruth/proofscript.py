@@ -431,12 +431,7 @@ def _quote(x) -> str:
 
 
 def _want(sexp, what: str) -> None:
-    if (
-        not isinstance(sexp, list)
-        or not sexp
-        or not isinstance(sexp[0], str)
-        or isinstance(sexp[0], _Q)
-    ):
+    if type(sexp) is not list or not sexp or type(sexp[0]) is not str:
         raise ScriptError(f"expected {what}, got {_quote(sexp)}")
 
 
@@ -448,13 +443,13 @@ def _arity(sexp, n: int) -> None:
 def _nat(tok, what: str) -> int:
     # ASCII digits only: int() would also take signs, underscores and
     # other scripts' digits
-    if isinstance(tok, str) and not isinstance(tok, _Q) and tok.isascii() and tok.isdigit():
+    if type(tok) is str and tok.isascii() and tok.isdigit():
         return int(tok)
     raise ScriptError(f"expected {what}, got {_quote(tok)}")
 
 
 def _var(tok) -> int:
-    if isinstance(tok, str) and not isinstance(tok, _Q):
+    if type(tok) is str:
         v = var_index(tok)
         if v is not None:
             return v
@@ -540,7 +535,7 @@ def _build(node, parts: list, parsed: dict):
     args = node[1:]
     if head == "axiom":
         _arity(node, 2)
-        if not isinstance(args[0], str) or isinstance(args[0], _Q):
+        if type(args[0]) is not str:
             raise ScriptError(f"expected a schema name, got {_quote(args[0])}")
         try:
             schema = SchemaId(args[0].upper())

@@ -18,8 +18,8 @@ from functools import cache, reduce
 from itertools import product
 
 from .coding import (
-    EvalError, ITER_STEP_AXIOM, ITER_ZERO_AXIOM, K0, OMEGA_VAR,
-    TEMPLATE_CODE_VAR, UINF_BOUND_VAR, _parts, name_of, sub_fn,
+    EvalError, ITER_STEP_AXIOM, ITER_ZERO_AXIOM, OMEGA_VAR, UINF_BOUND_VAR,
+    _parts, name_of, sub_fn,
 )
 from .kernel import Axiom, Gen, MP, Proof, SchemaId, TIntro
 from .syntax import (
@@ -30,7 +30,6 @@ from .syntax import (
 
 __all__ = [
     "Thm", "TacticError", "TautologyError",
-    "value", "iter_fn",
     "ax", "mp", "gen", "inst", "tintro",
     "taut", "taut_id", "propositional_atoms", "propositional_counterexample",
     "imp_trans", "contrapose",
@@ -541,10 +540,10 @@ def cong_term(e: Thm, context: Term, path) -> Thm:
     """From s = t conclude context = context[t at path], where context[path] is s."""
     s, t = e.formula.left, e.formula.right
     path = tuple(path)
-    if not path:
-        return e
     if subterm_at(context, path) is not s:
         raise TacticError(f"position {path} does not hold the rewritten term")
+    if not path:
+        return e
     goal = Eq(context, replace_at(context, path, t))
     return mp(e, ax(SchemaId.EQ2, Imp(e.formula, goal)))
 
@@ -552,45 +551,33 @@ def cong_term(e: Thm, context: Term, path) -> Thm:
 # ---------------------------------------------------------------------------
 # closed-term evaluation
 
-# the value of each term evaluated so far; terms are interned, so it is
-# keyed by identity
+# the value of each S, +, * and sub application that ``_op`` has met;
+# terms are interned, so it is keyed by identity
 _values: dict[Term, int] = {}
 
 
-def _value_of(t: Term, vals: list) -> int:
-    """The value of ``t`` from the values of its children."""
-    tt = type(t)
-    if t.nv is not None:
-        return t.nv
-    if tt is Var:
-        raise EvalError(f"open term: variable {t.idx} has no value")
-    if tt is Succ:
-        return vals[0] + 1
-    if tt is Add:
-        return vals[0] + vals[1]
-    if tt is Mul:
-        return vals[0] * vals[1]
-    return (iter_fn if t.sym == ITER else sub_fn)(*vals)
-
-
-def value(t: Term) -> int:
-    """Value of a closed term under the standard interpretation."""
-    return t.nv if t.nv is not None else _postorder(t, _parts, _value_of, _values)
-
-
-def iter_fn(n: int, c: int) -> int:
-    """The two-place iteration function: ``iter_fn(0, c) = c`` and
-    ``iter_fn(n+1, c)`` is the code of ``T(iter(numeral(n), numeral(c)))``,
-    produced by instantiating the step template via ``sub_fn``."""
-    if n == 0:
-        return c
-    return sub_fn(sub_fn(K0, TEMPLATE_CODE_VAR, c), OMEGA_VAR, n - 1)
+def _op(t: Term) -> int:
+    """The value of an S, +, * or sub application to numerals, by the one
+    operation its computation axiom states; a variable has none."""
+    r = _values.get(t)
+    if r is None:
+        tt = type(t)
+        if tt is Var:
+            raise EvalError(f"open term: variable {t.idx} has no value")
+        if tt is Succ:
+            r = t.arg.nv + 1
+        elif tt is Add:
+            r = t.left.nv + t.right.nv
+        elif tt is Mul:
+            r = t.left.nv * t.right.nv
+        else:
+            r = sub_fn(*[a.nv for a in t.args])
+        _values[t] = r
+    return r
 
 
 def eval_closed(t: Term) -> Thm:
     """Prove t = n for the canonical numeral n of t's value."""
-    if t.fv:
-        raise TacticError(f"eval needs a closed term: {pretty_print(t)}")
     if t.nv is not None:
         return refl(t)
     th = _postorder(t, _parts, _eval_step)
@@ -631,7 +618,7 @@ def _eval_step(t: Term, done: list) -> Thm | None:
     if type(t) is not FnApp or t.sym != ITER:
         # S, + and * (COMP_SUCC) or sub (COMP_SUB)
         schema = SchemaId.COMP_SUB if type(t) is FnApp else SchemaId.COMP_SUCC
-        n = numeral(value(cur))
+        n = numeral(_op(cur))
         if cur is not n:  # S(#2k) is the numeral #(2k+1) itself
             links.append(ax(schema, Eq(cur, n)))
         return reduce(trans, links)
@@ -649,10 +636,10 @@ def _eval_step(t: Term, done: list) -> Thm | None:
     links.append(step)
     rhs = step.formula.right
     inner = rhs.args[0]
-    ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(value(inner))))
+    ei = ax(SchemaId.COMP_SUB, Eq(inner, numeral(_op(inner))))
     links.append(cong_term(ei, rhs, (0,)))
     outer = replace_at(rhs, (0,), ei.formula.right)
-    links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(value(outer)))))
+    links.append(ax(SchemaId.COMP_SUB, Eq(outer, numeral(_op(outer)))))
     return reduce(trans, links)
 
 

@@ -382,12 +382,35 @@ def _omega_step(step):
     (_omega_step("(frob)"), 2, "input error: unknown step combinator 'frob'"),
     ("(prove (axiom EQ1 0))", 2, "input error: expected a quoted formula, got '0'"),
     ("(prove (eval 0))", 2, "input error: expected a quoted term, got '0'"),
+    (_omega_step("(rewrite)"), 1,
+     "check failure: at node <root> [omega]: step 0 failed at sample 1: position () does not address a term"),
+    ('(prove (axiom EQ1 "0 = 0")', 2, "input error: unbalanced '('"),
+    ('(prove (axiom EQ1 "0 = 0")))', 2, "input error: unbalanced ')'"),
+    ('(prove (axiom FOO "0 = 0"))', 2, "input error: unknown schema 'FOO'"),
+    ('(prove (frob "0 = 0"))', 2, "input error: unknown proof form 'frob'"),
+    ('(frob)', 2, "input error: unknown top-level form 'frob'"),
+    # a script's eval ends as the eval command of the same term does
+    ('(prove (eval "S(x)"))', 2, "input error: open term: variable 0 has no value"),
 ], ids=["lift-depth-3", "lift-of-an-equation", "chain-of-an-equation", "unknown-step",
-        "unquoted-formula", "unquoted-term"])
+        "unquoted-formula", "unquoted-term", "rewrite-at-the-root", "unclosed-form",
+        "unopened-form", "unknown-schema", "unknown-proof-form", "unknown-top-level-form",
+        "eval-of-an-open-term"])
 def test_check_rejects_malformed_steps_and_arguments(tmp_path, capsys, script, code, message):
     path = tmp_path / "rejected.proof"
     path.write_text(script)
     assert run(capsys, "check", str(path)) == (code, "", message + "\n")
+
+
+def test_a_rewrite_at_terms_that_already_agree_adds_nothing(tmp_path, capsys):
+    # after (rewrite 0), position 0 1 holds the same numeral on both sides
+    proofs = ROOT / "scripts" / "proofs"
+    text = (proofs / "m1_zero.proof").read_text(encoding="utf-8")
+    old = "(step (t-intro) (rewrite 0))"
+    assert text.count(old) == 1
+    path = tmp_path / "m1_zero_twice.proof"
+    path.write_text(text.replace(old, "(step (t-intro) (rewrite 0) (rewrite 0 1))"))
+    manifest = json.loads((proofs / "manifest.json").read_text(encoding="utf-8"))
+    assert run(capsys, "check", str(path), "--json") == (0, json.dumps(manifest["m1_zero"]) + "\n", "")
 
 
 def test_check_script_failure(tmp_path, capsys):

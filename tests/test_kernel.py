@@ -1013,9 +1013,9 @@ CHECK_REACHES = {
     ],
     "tactics": [
         "_apply_under", "_distribute", "_eval_step", "_from_hyp", "_imp_mono_ant",
-        "_imp_mono_cons", "_iter_step_at", "_mp_under", "_trans_under", "_value_of", "_weaken",
+        "_imp_mono_cons", "_iter_step_at", "_mp_under", "_op", "_trans_under", "_weaken",
         "ax", "chain", "cong_term", "eval_closed", "imp_trans", "lift_imp", "mp", "refl",
-        "rewrite_align", "rewrite_imp", "sym", "taut_id", "tintro", "trans", "value",
+        "rewrite_align", "rewrite_imp", "sym", "taut_id", "tintro", "trans",
     ],
 }
 
@@ -1170,7 +1170,6 @@ CHECK_EQUALITIES = {
     },
     "tactics": {
         "_eval_step": ["t.sym != ITER", "n0 == 0"],
-        "_value_of": ["t.sym == ITER"],
         "lift_imp": ["depth == 1"],
         "rewrite_imp": ["side == 0", "side == 0"],
     },

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatruth import tactics as T, theorems as TH
-from omegatruth.coding import encode, name_of
+from omegatruth.coding import EvalError, encode, name_of
 from omegatruth.kernel import (
     GAMMA, SIGMA, Axiom, Omega, SchemaId, _proof_children, check,
 )
@@ -21,7 +21,7 @@ from omegatruth.tactics import (
     derive_A2, diagonal_lemma, eval_closed, iff_elim1, iff_intro,
     iff_parts, imp_trans, lift_imp, mk_iff, mp, omega_truth,
     propositional_atoms, propositional_counterexample,
-    refl, rewrite_imp, sym, taut, tintro, trans, value,
+    refl, rewrite_imp, sym, taut, tintro, trans,
 )
 
 from helpers import (
@@ -409,7 +409,7 @@ def test_eval_closed_sub_application():
     c = encode(Tr(Var(5)))
     t = FnApp("sub", [numeral(c), numeral(5), numeral(3)])
     th = eval_closed(t)
-    assert value(th.formula.right) == encode(Tr(numeral(3)))
+    assert th.formula.right.nv == encode(Tr(numeral(3)))
     _checked(th, SIGMA)
 
 
@@ -424,8 +424,17 @@ def test_eval_closed_matches_independent_evaluator():
 
 
 def test_eval_closed_rejects_open_terms():
-    with pytest.raises(TacticError):
+    with pytest.raises(EvalError, match="^open term: variable 0 has no value$"):
         eval_closed(Succ(Var(0)))
+
+
+def test_cong_term_at_the_root():
+    # the empty path holds the context itself, which must be the rewritten
+    # term
+    e = eval_closed(Add(numeral(2), numeral(3)))
+    assert cong_term(e, Add(numeral(2), numeral(3)), ()) is e
+    with pytest.raises(TacticError, match=r"^position \(\) does not hold the rewritten term$"):
+        cong_term(e, numeral(7), ())
 
 
 @pytest.mark.parametrize("text, size", [
@@ -441,7 +450,7 @@ def test_eval_closed_proof_sizes(text, size):
     # one term of each kind, each with an argument to evaluate first
     t = parse_term(text)
     th = eval_closed(t)
-    assert th.formula.right is numeral(value(t))
+    assert th.formula.right is numeral(oracle_value(t))
     assert check(th.proof, GAMMA).proof_size == size
 
 
@@ -480,10 +489,12 @@ def test_rewrite_eq_random_positions():
         if not spots:
             continue
         path, node = rng.choice(spots)
-        n = value(node) if _evaluable(node) else None
-        if n is None:
+        try:
+            ev = eval_closed(node)
+        except EvalError:
             continue
-        eq = trans(eval_closed(node), sym(eval_closed(numeral(n))))
+        n = ev.formula.right.nv
+        eq = trans(ev, sym(eval_closed(numeral(n))))
         if eq.formula.left == eq.formula.right:
             continue
         _checked_both_ways(eq, phi, path, replace_at(phi, path, numeral(n)))
@@ -492,14 +503,6 @@ def test_rewrite_eq_random_positions():
 
 def _term_spots(phi):
     return [(p, n) for p, n in term_positions(phi) if p]
-
-
-def _evaluable(node):
-    try:
-        value(node)
-        return True
-    except Exception:
-        return False
 
 
 def test_rewrite_refuses_a_side_the_connective_lacks():

@@ -6,13 +6,13 @@ from omegatruth.kernel import GAMMA, SIGMA, SchemaId, check
 from omegatruth.syntax import (
     Eq, FnApp, Forall, Imp, Not, Succ, Tr, Var, ZERO, numeral, substitute,
 )
-from omegatruth.tactics import Thm, ax, iff_parts, iter_fn, mk_iff, mp, omega_truth, refl, value
+from omegatruth.tactics import Thm, ax, eval_closed, iff_parts, mk_iff, mp, omega_truth, refl
 from omegatruth.theorems import (
     MissingSchema, formalized_loeb, loeb, m1, m2, m3, mcgee_original,
     mcgee_via_loeb, omega_witness, tomega_provability,
 )
 
-from helpers import equals_all, reference_m2, reference_not_zero_one
+from helpers import equals_all, oracle_iter, reference_m2, reference_not_zero_one
 
 A = Eq(ZERO, ZERO)
 Z01 = Eq(ZERO, Succ(ZERO))
@@ -202,8 +202,8 @@ def test_witness_instances_name_the_iterates():
     for n, inst in enumerate(report.instances):
         # the instance's term denotes the n-th iterate; the instance itself
         # codes the n+1-st
-        assert value(inst.formula.arg) == iter_fn(n, gamma_code)
-        assert encode(inst.formula) == iter_fn(n + 1, gamma_code)
+        assert eval_closed(inst.formula.arg).formula.right.nv == oracle_iter(n, gamma_code)
+        assert encode(inst.formula) == oracle_iter(n + 1, gamma_code)
 
 
 def test_theorem_builders_refuse_what_they_cannot_use():
